@@ -11,6 +11,7 @@ a serializable report with full provenance.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -80,7 +81,12 @@ class BubbleEpisode:
 
 @dataclass
 class BacktestConfig:
-    """Knobs for a backtest run; defaults mirror the reference analysis."""
+    """Knobs for a backtest run; defaults mirror the reference analysis.
+
+    Raises:
+        DomainError: on construction, when a knob is out of range or a
+            price or threshold is not finite.
+    """
 
     electricity_price: float = DEFAULT_ELECTRICITY_USD_PER_KWH
     lags: int | None = 2  # None selects by BIC + whiteness
@@ -88,6 +94,23 @@ class BacktestConfig:
     entry_k: float = 2.0
     min_len: int = 2
     include_timestamp: bool = True
+
+    def __post_init__(self):
+        _require_positive_finite("electricity_price", self.electricity_price)
+        if self.lags is not None and self.lags < 1:
+            raise DomainError("lags must be >= 1 or 'auto'")
+        if self.max_p < 1:
+            raise DomainError("max_p must be >= 1")
+        _require_positive_finite("entry_k", self.entry_k)
+        if self.min_len < 1:
+            raise DomainError("min_len must be >= 1")
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise DomainError(f"{name} must be positive")
 
 
 def ratio_series(pair: PairedSeries) -> RatioStats:

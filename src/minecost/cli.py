@@ -24,8 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .backtest import (
     BacktestConfig,
@@ -37,9 +38,9 @@ from .backtest import (
     regression_to_dict,
     run_backtest,
 )
-from .dataset import (
-    build_backtest_series,
-    bundled_data_path,
+from .dataset import build_backtest_series, load_bundled
+# perfbench/tracing.py patches these names here, so they stay imported.
+from .dataset import (  # noqa: F401
     load_efficiency_table,
     load_observations,
     load_reward_schedule,
@@ -57,53 +58,51 @@ from .pricing import (
     model_price,
 )
 
-CONFIG_KEYS = (
-    "observations",
-    "efficiency",
-    "rewards",
-    "electricity_price",
-    "lags",
-    "max_p",
-    "entry_k",
-    "min_len",
-    "out_dir",
-    "format",
+FORMATS = ("table", "json")
+INPUT_FILES = ("observations", "efficiency", "rewards")
+
+
+def _parse_lags(text: str) -> int | None:
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"lags must be an integer or 'auto', got {text!r}") from None
+
+
+class Option(NamedTuple):
+    """One option of the dataset subcommands, as flag and config-file key."""
+
+    key: str  # config-file key and argparse dest
+    flag: str
+    convert: Callable
+    metavar: str | None
+    help: str  # "{}" is filled with the BacktestConfig default
+    choices: tuple | None = None
+
+
+DATASET_OPTIONS = (
+    Option("observations", "--observations", Path, "PATH",
+           "observations CSV (default: bundled dataset)"),
+    Option("efficiency", "--efficiency", Path, "PATH",
+           "efficiency CSV (default: bundled table)"),
+    Option("rewards", "--rewards", Path, "PATH",
+           "reward schedule CSV (default: bundled schedule)"),
+    Option("electricity_price", "--electricity", float, "USD_PER_KWH",
+           "electricity price (default {})"),
+    Option("lags", "--lags", _parse_lags, "N|auto",
+           "VAR lag order, or 'auto' to select (default: {})"),
+    Option("max_p", "--max-p", int, "N",
+           "highest lag order scanned by selection (default {})"),
+    Option("entry_k", "--entry-k", float, "K",
+           "episode threshold in ratio sigmas (default {:g})"),
+    Option("min_len", "--min-len", int, "N", "minimum episode run length (default {})"),
+    Option("out_dir", "--out-dir", Path, "DIR",
+           "directory for report and figure files (default .)"),
+    Option("format", "--format", str, None, "stdout format (default table)", FORMATS),
 )
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for the dataset-consuming subcommands."""
-
-    observations: Path | None = None
-    efficiency: Path | None = None
-    rewards: Path | None = None
-    electricity_price: float = DEFAULT_ELECTRICITY_USD_PER_KWH
-    lags: int | None = 2  # None (flag value "auto") selects by criteria
-    max_p: int = 8
-    entry_k: float = 2.0
-    min_len: int = 2
-    out_dir: Path = field(default_factory=lambda: Path("."))
-    format: str = "table"
-    include_timestamp: bool = True
-
-    def validate(self) -> None:
-        if self.electricity_price <= 0:
-            raise DomainError("electricity_price must be positive")
-        if self.lags is not None and self.lags < 1:
-            raise DomainError("lags must be >= 1 or 'auto'")
-        if self.max_p < 1:
-            raise DomainError("max_p must be >= 1")
-        if self.entry_k <= 0:
-            raise DomainError("entry_k must be positive")
-        if self.min_len < 1:
-            raise DomainError("min_len must be >= 1")
-        if self.format not in ("table", "json"):
-            raise DomainError(f"unknown output format {self.format!r}")
-        for name in ("observations", "efficiency", "rewards"):
-            path = getattr(self, name)
-            if path is not None and not Path(path).exists():
-                raise ValidationError(f"{name} file not found: {path}")
+OPTIONS_BY_KEY = {opt.key: opt for opt in DATASET_OPTIONS}
 
 
 def parse_config_file(path) -> dict:
@@ -118,97 +117,59 @@ def parse_config_file(path) -> dict:
             raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS_BY_KEY:
             raise ValidationError(
                 f"{path}:{line_no}: unknown config key {key!r}; "
-                f"choose from {', '.join(CONFIG_KEYS)}"
+                f"choose from {', '.join(OPTIONS_BY_KEY)}"
             )
         values[key] = value.strip()
     return values
 
 
-def _parse_lags(text: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"lags must be an integer or 'auto', got {text!r}") from None
+def resolve_options(args) -> tuple[BacktestConfig, dict]:
+    """Merge config-file values and flags (flags win) and validate them.
 
-
-def build_run_config(args) -> RunConfig:
-    """Merge config-file values and flags (flags win) into a RunConfig."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    cfg = RunConfig()
-
-    def resolve(key, flag_value, convert):
+    Returns the analysis config and every option set, by key; an input
+    path left unset is absent and means the bundled file.
+    """
+    values = parse_config_file(args.config) if args.config else {}
+    for opt in DATASET_OPTIONS:
+        flag_value = getattr(args, opt.key, None)
         if flag_value is not None:
-            return convert(flag_value)
-        if key in file_values:
-            return convert(file_values[key])
-        return getattr(cfg, key)
-
-    cfg.observations = resolve("observations", args.observations, Path)
-    cfg.efficiency = resolve("efficiency", args.efficiency, Path)
-    cfg.rewards = resolve("rewards", args.rewards, Path)
-    cfg.electricity_price = resolve("electricity_price", args.electricity, float)
-    cfg.lags = resolve("lags", args.lags, _parse_lags)
-    cfg.max_p = resolve("max_p", args.max_p, int)
-    cfg.entry_k = resolve("entry_k", args.entry_k, float)
-    cfg.min_len = resolve("min_len", args.min_len, int)
-    cfg.format = resolve("format", args.format, str)
-    if hasattr(args, "out_dir"):
-        cfg.out_dir = resolve("out_dir", args.out_dir, Path)
-    if getattr(args, "no_provenance_timestamps", False):
-        cfg.include_timestamp = False
-    cfg.validate()
-    return cfg
-
-
-def _load_dataset(cfg: RunConfig):
-    input_files = {
-        "observations": str(cfg.observations) if cfg.observations else "<bundled>",
-        "efficiency": str(cfg.efficiency) if cfg.efficiency else "<bundled>",
-        "rewards": str(cfg.rewards) if cfg.rewards else "<bundled>",
-    }
-    if cfg.observations is not None:
-        records = load_observations(cfg.observations)
-    else:
-        with bundled_data_path("observations.csv").open() as fh:
-            records = parse_observations(fh)
-    if cfg.rewards is not None:
-        schedule = load_reward_schedule(cfg.rewards)
-    else:
-        with bundled_data_path("rewards.csv").open() as fh:
-            schedule = parse_reward_schedule(fh)
-    if cfg.efficiency is not None:
-        table = load_efficiency_table(cfg.efficiency)
-    else:
-        with bundled_data_path("efficiency.csv").open() as fh:
-            table = parse_efficiency_table(fh)
-    return records, schedule, table, input_files
-
-
-def _run_report(cfg: RunConfig) -> BacktestReport:
-    records, schedule, table, input_files = _load_dataset(cfg)
-    backtest_config = BacktestConfig(
-        electricity_price=cfg.electricity_price,
-        lags=cfg.lags,
-        max_p=cfg.max_p,
-        entry_k=cfg.entry_k,
-        min_len=cfg.min_len,
-        include_timestamp=cfg.include_timestamp,
+            values[opt.key] = flag_value
+    # Converters accept their own output, so flag values argparse already
+    # converted pass through unchanged.
+    values = {key: OPTIONS_BY_KEY[key].convert(v) for key, v in values.items()}
+    analysis = {f.name for f in fields(BacktestConfig)}
+    config = BacktestConfig(
+        **{key: v for key, v in values.items() if key in analysis},
+        include_timestamp=not getattr(args, "no_provenance_timestamps", False),
     )
-    return run_backtest(
-        records, schedule, table, backtest_config, input_files=input_files
-    )
+    if values.setdefault("format", "table") not in FORMATS:
+        raise DomainError(f"unknown output format {values['format']!r}")
+    for name in INPUT_FILES:
+        if name in values and not values[name].exists():
+            raise ValidationError(f"{name} file not found: {values[name]}")
+    return config, values
 
 
-def _load_pair(cfg: RunConfig):
+def _load_inputs(options: dict):
+    """Records, schedule, table and their provenance labels."""
+    paths = {name: options.get(name) for name in INPUT_FILES}
+    labels = {name: "<bundled>" if p is None else str(p) for name, p in paths.items()}
+    return (*load_bundled(**paths), labels)
+
+
+def _run_report(config: BacktestConfig, options: dict) -> BacktestReport:
+    records, schedule, table, input_files = _load_inputs(options)
+    return run_backtest(records, schedule, table, config, input_files=input_files)
+
+
+def _load_pair(config: BacktestConfig, options: dict):
     """Paired series only, for the subcommands that skip the VAR stage."""
-    records, schedule, table, _ = _load_dataset(cfg)
+    records, schedule, table, _ = _load_inputs(options)
     return build_backtest_series(
-        records, schedule, table, electricity_price=cfg.electricity_price
+        records, schedule, table, electricity_price=config.electricity_price
     )
 
 
@@ -344,12 +305,7 @@ def figure2_csv(report: BacktestReport) -> str:
 
 
 def cmd_price(args) -> int:
-    cost = CostParams(
-        electricity_price=args.electricity
-        if args.electricity is not None
-        else DEFAULT_ELECTRICITY_USD_PER_KWH,
-        efficiency=args.efficiency,
-    )
+    cost = CostParams(electricity_price=args.electricity, efficiency=args.efficiency)
     net = NetworkParams(difficulty=args.difficulty, block_reward=args.reward)
     price = model_price(cost, net)
     if args.format == "json":
@@ -360,9 +316,9 @@ def cmd_price(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    cfg = build_run_config(args)
-    report = _run_report(cfg)
-    out_dir = Path(cfg.out_dir)
+    config, options = resolve_options(args)
+    report = _run_report(config, options)
+    out_dir = options.get("out_dir", Path("."))
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {
         "report.txt": render_report(report),
@@ -372,7 +328,7 @@ def cmd_backtest(args) -> int:
     }
     for name, text in artifacts.items():
         (out_dir / name).write_text(text)
-    if cfg.format == "json":
+    if options["format"] == "json":
         sys.stdout.write(artifacts["report.json"])
     else:
         sys.stdout.write(artifacts["report.txt"])
@@ -381,11 +337,11 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    cfg = build_run_config(args)
-    pair = _load_pair(cfg)
+    config, options = resolve_options(args)
+    pair = _load_pair(config, options)
     lv = ols_fit(pair.model_prices, pair.market_prices)
     lg = ols_fit(log_transform(pair.model_prices), log_transform(pair.market_prices))
-    if cfg.format == "json":
+    if options["format"] == "json":
         print(
             json.dumps(
                 {
@@ -405,9 +361,9 @@ def cmd_regress(args) -> int:
 
 
 def cmd_var(args) -> int:
-    cfg = build_run_config(args)
-    report = _run_report(cfg)
-    if cfg.format == "json":
+    config, options = resolve_options(args)
+    report = _run_report(config, options)
+    if options["format"] == "json":
         payload = report.to_dict()
         print(
             json.dumps(
@@ -436,11 +392,11 @@ def cmd_var(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    cfg = build_run_config(args)
-    pair = _load_pair(cfg)
+    config, options = resolve_options(args)
+    pair = _load_pair(config, options)
     stats = ratio_series(pair)
-    episodes = detect_episodes(stats, entry_k=cfg.entry_k, min_len=cfg.min_len)
-    if cfg.format == "json":
+    episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
+    if options["format"] == "json":
         print(
             json.dumps(
                 {"ratio": ratio_to_dict(stats), "episodes": episodes_to_dict(episodes)},
@@ -481,29 +437,22 @@ def cmd_fetch(args) -> int:
 
 
 def _add_dataset_options(sub, with_outputs=False):
+    defaults = BacktestConfig()
     sub.add_argument("--config", metavar="FILE", help="key = value options file")
-    sub.add_argument("--observations", metavar="PATH",
-                     help="observations CSV (default: bundled dataset)")
-    sub.add_argument("--efficiency", metavar="PATH",
-                     help="efficiency CSV (default: bundled table)")
-    sub.add_argument("--rewards", metavar="PATH",
-                     help="reward schedule CSV (default: bundled schedule)")
-    sub.add_argument("--electricity", type=float, metavar="USD_PER_KWH",
-                     help=f"electricity price (default "
-                          f"{DEFAULT_ELECTRICITY_USD_PER_KWH})")
-    sub.add_argument("--lags", metavar="N|auto",
-                     help="VAR lag order, or 'auto' to select (default: 2)")
-    sub.add_argument("--max-p", dest="max_p", type=int, metavar="N",
-                     help="highest lag order scanned by selection (default 8)")
-    sub.add_argument("--entry-k", dest="entry_k", type=float, metavar="K",
-                     help="episode threshold in ratio sigmas (default 2)")
-    sub.add_argument("--min-len", dest="min_len", type=int, metavar="N",
-                     help="minimum episode run length (default 2)")
-    sub.add_argument("--format", choices=("table", "json"),
-                     help="stdout format (default table)")
+    for opt in DATASET_OPTIONS:
+        if opt.key == "out_dir" and not with_outputs:
+            continue
+        sub.add_argument(
+            opt.flag,
+            dest=opt.key,
+            # argparse would report a DomainError from _parse_lags as a
+            # usage error, so lags is converted with the config-file values.
+            type=None if opt.convert is _parse_lags else opt.convert,
+            metavar=opt.metavar,
+            choices=opt.choices,
+            help=opt.help.format(getattr(defaults, opt.key, None)),
+        )
     if with_outputs:
-        sub.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                         help="directory for report and figure files (default .)")
         sub.add_argument("--no-provenance-timestamps", action="store_true",
                          help="omit wall-clock timestamps for reproducible output")
 
@@ -521,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="W_PER_GHS")
     price.add_argument("--reward", type=float, required=True, metavar="BTC")
     price.add_argument("--electricity", type=float, metavar="USD_PER_KWH",
-                       help=f"default {DEFAULT_ELECTRICITY_USD_PER_KWH}")
+                       default=DEFAULT_ELECTRICITY_USD_PER_KWH,
+                       help="default %(default)s")
     price.add_argument("--format", choices=("table", "json"), default="table")
     price.set_defaults(func=cmd_price)
 

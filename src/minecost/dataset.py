@@ -12,6 +12,7 @@ separator):
 * ``observations.csv`` - ``date,difficulty,price_usd[,eff_w_per_ghs]``
 * ``efficiency.csv``   - ``date,w_per_ghs``
 * ``rewards.csv``      - ``date,reward_btc``
+* raw chart payloads   - ``timestamp,value`` (see :mod:`minecost.fetch`)
 
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
@@ -26,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -353,6 +355,34 @@ def parse_efficiency_table(source) -> EfficiencyTable:
     return EfficiencyTable(_parse_dated_table(source, "w_per_ghs", "efficiency"))
 
 
+def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
+    """Parse a raw ``timestamp,value`` chart payload into dated points.
+
+    The first field may be an ISO date or ``date time``; a leading header
+    row is tolerated. Timestamps must be strictly increasing.
+    """
+    points = []
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'timestamp,value', got {line!r}", line_no)
+        stamp = parts[0].strip().split(" ")[0].split("T")[0]
+        if line_no == 1:
+            try:
+                dt.date.fromisoformat(stamp)
+            except ValueError:
+                continue  # header row
+        date = _parse_date(stamp, line_no)
+        value = _parse_float(parts[1], "chart value", line_no)
+        points.append((date, value))
+    _check_dates_sorted([d for d, _ in points], "chart")
+    return points
+
+
 def load_observations(path) -> list[ObservationRecord]:
     with open(path, newline="") as fh:
         return parse_observations(fh)
@@ -429,16 +459,23 @@ def bundled_data_path(name: str):
     return resources.files("minecost.data").joinpath(name)
 
 
-def load_bundled():
-    """Load the packaged 2013-2018 reconstruction.
+def load_bundled(observations=None, efficiency=None, rewards=None):
+    """Load the three backtest inputs from the given paths.
+
+    Each input left as None comes from the packaged 2013-2018
+    reconstruction instead.
 
     Returns:
         (records, schedule, table) ready for :func:`build_backtest_series`.
     """
-    with bundled_data_path("observations.csv").open() as fh:
-        records = parse_observations(fh)
-    with bundled_data_path("rewards.csv").open() as fh:
-        schedule = parse_reward_schedule(fh)
-    with bundled_data_path("efficiency.csv").open() as fh:
-        table = parse_efficiency_table(fh)
-    return records, schedule, table
+    return (
+        _load(observations, "observations.csv", parse_observations),
+        _load(rewards, "rewards.csv", parse_reward_schedule),
+        _load(efficiency, "efficiency.csv", parse_efficiency_table),
+    )
+
+
+def _load(path, bundled_name: str, parse):
+    source = bundled_data_path(bundled_name) if path is None else Path(path)
+    with source.open(newline="") as fh:
+        return parse(fh)

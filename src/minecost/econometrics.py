@@ -18,9 +18,10 @@ Conventions, fixed once for the whole package:
 * VARs include intercepts and no trend. Coefficient covariance is the
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
-* Linear systems are solved through a pivoted factorization of the (at most
-  5x5) normal-equations matrix after scaling each regressor column to unit
-  norm; a condition estimate above 1e12 on the scaled matrix raises
+* Linear systems are solved through a pivoted factorization of the
+  normal-equations matrix (1 + 2p columns for a bivariate VAR(p), so 17x17
+  at VAR(8)) after scaling each regressor column to unit norm; a
+  condition estimate above 1e12 on the scaled matrix raises
   SingularityError. The scaling makes the threshold respond to genuine
   collinearity rather than to units.
 """
@@ -136,9 +137,9 @@ def _least_squares(X: np.ndarray, y: np.ndarray):
     coefficient covariances ``s2 * xtx_inv``.
 
     Raises:
-        SingularityError: a zero column, non-finite values, or a condition
-            estimate above CONDITION_LIMIT on the column-scaled normal
-            matrix.
+        DomainError: non-finite values in ``X`` or ``y``.
+        SingularityError: a zero column, or a condition estimate above
+            CONDITION_LIMIT on the column-scaled normal matrix.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

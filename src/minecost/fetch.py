@@ -22,8 +22,8 @@ from pathlib import Path
 
 import requests
 
-from .dataset import ObservationRecord, _check_dates_sorted, _parse_date, _parse_float
-from .errors import FetchError, ParseError
+from .dataset import ObservationRecord
+from .errors import FetchError
 
 DEFAULT_BASE_URL = "https://api.blockchain.info/charts"
 ENV_BASE_URL = "MINECOST_BASE_URL"
@@ -99,34 +99,6 @@ def fetch_remote_series(
             os.unlink(tmp_name)
         raise
     return payload
-
-
-def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
-    """Parse a raw ``timestamp,value`` chart payload into dated points.
-
-    The first field may be an ISO date or ``date time``; a leading header
-    row is tolerated. Timestamps must be strictly increasing.
-    """
-    points = []
-    lines = text.splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'timestamp,value', got {line!r}", line_no)
-        stamp = parts[0].strip().split(" ")[0].split("T")[0]
-        if line_no == 1:
-            try:
-                dt.date.fromisoformat(stamp)
-            except ValueError:
-                continue  # header row
-        date = _parse_date(stamp, line_no)
-        value = _parse_float(parts[1], "chart value", line_no)
-        points.append((date, value))
-    _check_dates_sorted([d for d, _ in points], "chart")
-    return points
 
 
 def resample_to_epochs(

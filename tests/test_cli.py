@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line surface (no network)."""
 
 import json
+import math
 
 import pytest
 
+from minecost import BacktestConfig, DomainError
 from minecost.cli import main
 
 OBS_CSV = (
@@ -212,3 +214,27 @@ class TestOtherSubcommandsAndErrors:
         rc = main(["ratio", "--config", str(cfg)])
         assert rc == 1
         assert "error[domain]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        ("entry_k", "--entry-k", -5.0),
+        ("entry_k", "--entry-k", 0.0),
+        ("entry_k", "--entry-k", math.nan),
+        ("entry_k", "--entry-k", math.inf),
+        ("electricity_price", "--electricity", 0.0),
+        ("electricity_price", "--electricity", math.nan),
+        ("lags", "--lags", 0),
+        ("max_p", "--max-p", 0),
+        ("min_len", "--min-len", 0),
+    ],
+)
+def test_library_and_cli_reject_the_same_values(key, flag, value, capsys):
+    with pytest.raises(DomainError):
+        BacktestConfig(**{key: value})
+    rc = main(["ratio", flag, str(value)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[domain]: ")

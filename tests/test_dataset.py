@@ -272,3 +272,13 @@ class TestBundledData:
         assert len(pair) == len(records)
         ratios = pair.market_prices / pair.model_prices
         assert math.isfinite(ratios.mean())
+
+    def test_given_paths_replace_only_their_bundled_file(self, tmp_path):
+        rewards = tmp_path / "rewards.csv"
+        rewards.write_text("date,reward_btc\n2012-11-28,25.0\n2016-07-09,12.5\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_CSV)
+        records, schedule, table = load_bundled(observations=obs, rewards=str(rewards))
+        assert [r.date for r in records] == [r.date for r in parse_observations(OBS_CSV)]
+        assert schedule.entries[0] == (dt.date(2012, 11, 28), 25.0)
+        assert table == load_bundled()[2]
