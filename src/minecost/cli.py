@@ -106,7 +106,7 @@ OPTIONS_BY_KEY = {opt.key: opt for opt in DATASET_OPTIONS}
 
 
 def parse_config_file(path) -> dict:
-    """Read a ``key = value`` file; '#' starts a comment, blank lines skip."""
+    """Read a ``key = value`` file into converted values; '#' starts a comment."""
     values = {}
     text = Path(path).read_text()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -115,14 +115,21 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
         if key not in OPTIONS_BY_KEY:
             raise ValidationError(
                 f"{path}:{line_no}: unknown config key {key!r}; "
                 f"choose from {', '.join(OPTIONS_BY_KEY)}"
             )
-        values[key] = value.strip()
+        try:
+            values[key] = OPTIONS_BY_KEY[key].convert(text)
+        except DomainError:
+            raise
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{line_no}: bad {key} value {text!r}"
+            ) from None
     return values
 
 
@@ -136,10 +143,9 @@ def resolve_options(args) -> tuple[BacktestConfig, dict]:
     for opt in DATASET_OPTIONS:
         flag_value = getattr(args, opt.key, None)
         if flag_value is not None:
-            values[opt.key] = flag_value
-    # Converters accept their own output, so flag values argparse already
-    # converted pass through unchanged.
-    values = {key: OPTIONS_BY_KEY[key].convert(v) for key, v in values.items()}
+            # Converters accept their own output, so flag values argparse
+            # already converted pass through unchanged.
+            values[opt.key] = opt.convert(flag_value)
     analysis = {f.name for f in fields(BacktestConfig)}
     config = BacktestConfig(
         **{key: v for key, v in values.items() if key in analysis},

@@ -20,6 +20,7 @@ A reconstructed June 2013 - April 2018 dataset ships with the package; see
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
@@ -27,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +48,17 @@ from .pricing import (
 )
 
 OBSERVATION_COLUMNS = ("date", "difficulty", "price_usd", "eff_w_per_ghs")
+
+
+def _step_lookup(entries, date: dt.date, what: str) -> float:
+    """Value of the last ``(effective_date, value)`` entry on or before ``date``."""
+    index = bisect.bisect_right(entries, date, key=itemgetter(0))
+    if index == 0:
+        raise DomainError(
+            f"date {date.isoformat()} precedes first {what} entry "
+            f"{entries[0][0].isoformat()}"
+        )
+    return entries[index - 1][1]
 
 
 @dataclass(frozen=True)
@@ -112,18 +125,7 @@ class RewardSchedule:
 
     def reward_at(self, date: dt.date) -> float:
         """Reward in force on ``date`` (step lookup, halving-day inclusive)."""
-        if date < self.entries[0][0]:
-            raise DomainError(
-                f"date {date.isoformat()} precedes first reward entry "
-                f"{self.entries[0][0].isoformat()}"
-            )
-        reward = self.entries[0][1]
-        for effective, value in self.entries:
-            if effective <= date:
-                reward = value
-            else:
-                break
-        return reward
+        return _step_lookup(self.entries, date, "reward")
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,7 @@ class EfficiencyTable:
 
     def efficiency_at(self, date: dt.date) -> float:
         """Efficiency in force on ``date``; warns when carried past the table."""
-        if date < self.entries[0][0]:
-            raise DomainError(
-                f"date {date.isoformat()} precedes first efficiency entry "
-                f"{self.entries[0][0].isoformat()}"
-            )
+        value = _step_lookup(self.entries, date, "efficiency")
         if date > self.entries[-1][0]:
             warnings.warn(
                 f"date {date.isoformat()} is past the last efficiency entry "
@@ -173,12 +171,6 @@ class EfficiencyTable:
                 CarriedForwardWarning,
                 stacklevel=2,
             )
-        value = self.entries[0][1]
-        for effective, entry_value in self.entries:
-            if effective <= date:
-                value = entry_value
-            else:
-                break
         return value
 
 
@@ -414,7 +406,8 @@ def build_backtest_series(
     For every record the block reward comes from ``schedule`` and the
     efficiency from the record itself when present, else from ``table``
     (inline values win, so a partially annotated file needs the table only
-    for its gaps).
+    for its gaps). Table lookups past the last table entry carry its value
+    forward under one :class:`CarriedForwardWarning` for the whole series.
 
     Raises:
         ValidationError: empty input, or a record without efficiency when no
@@ -424,7 +417,7 @@ def build_backtest_series(
     """
     if not records:
         raise ValidationError("cannot build a backtest series from zero records")
-    dates, market, model = [], [], []
+    dates, market, model, carried = [], [], [], []
     for record in records:
         efficiency = record.efficiency
         if efficiency is None:
@@ -433,8 +426,10 @@ def build_backtest_series(
                     f"no efficiency for {record.date.isoformat()} and no "
                     f"efficiency table supplied"
                 )
-            efficiency = table.efficiency_at(record.date)
-        reward = schedule.reward_at(record.date)
+            efficiency = _step_lookup(table.entries, record.date, "efficiency")
+            if record.date > table.entries[-1][0]:
+                carried.append(record.date)
+        reward = _step_lookup(schedule.entries, record.date, "reward")
         price = model_price(
             CostParams(electricity_price=electricity_price, efficiency=efficiency),
             NetworkParams(difficulty=record.difficulty, block_reward=reward),
@@ -442,6 +437,14 @@ def build_backtest_series(
         dates.append(record.date)
         market.append(record.market_price)
         model.append(price)
+    if carried:
+        warnings.warn(
+            f"{len(carried)} date(s) are past the last efficiency entry "
+            f"{table.entries[-1][0].isoformat()}, the first "
+            f"{carried[0].isoformat()}; carrying last value forward",
+            CarriedForwardWarning,
+            stacklevel=2,
+        )
     return PairedSeries(tuple(dates), np.array(market), np.array(model))
 
 

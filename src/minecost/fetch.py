@@ -1,26 +1,28 @@
 """Remote chart download with a local daily cache.
 
-Pulls raw difficulty and market-price chart series over HTTP and resamples
-them to difficulty-change dates so the result feeds the normal parse path.
-Strictly optional: the packaged reference dataset covers offline use and no
-test depends on the network.
+Pulls raw difficulty and market-price chart series over HTTP with the
+standard library's ``urllib.request`` and resamples them to
+difficulty-change dates so the result feeds the normal parse path.
+Strictly optional: the packaged reference dataset covers offline use, and
+the tests talk only to a loopback server.
 
 The endpoint layout is ``{base_url}/{chart_name}?format=csv`` with the chart
 name one of :data:`CHART_KINDS`. Base URL and cache directory can be set per
 call, via MINECOST_BASE_URL / MINECOST_CACHE_DIR, or left to defaults.
-Payloads are cached under ``{kind}-{YYYYMMDD}.csv``; a same-day repeat is
-served from the cache without a network call, and nothing is written unless
-the download succeeded.
+Payloads must be UTF-8 and are cached under ``{kind}-{YYYYMMDD}.csv``; a
+same-day repeat is served from the cache without a network call, and
+nothing is written unless the download succeeded.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import http.client
 import os
 import tempfile
+import urllib.error
+import urllib.request
 from pathlib import Path
-
-import requests
 
 from .dataset import ObservationRecord
 from .errors import FetchError
@@ -48,7 +50,6 @@ def fetch_remote_series(
     base_url: str | None = None,
     cache_dir=None,
     timeout: float = 30.0,
-    session=None,
 ) -> str:
     """Download (or reuse today's cached copy of) one raw chart series.
 
@@ -58,16 +59,14 @@ def fetch_remote_series(
             public default.
         cache_dir: cache directory; falls back to MINECOST_CACHE_DIR, then
             ``~/.cache/minecost``.
-        timeout: per-request timeout in seconds.
-        session: optional requests-compatible object with a ``get`` method;
-            lets callers replay canned fixtures through this code path.
+        timeout: connect and read timeout in seconds.
 
     Returns:
         The raw payload text.
 
     Raises:
-        FetchError: transport failure, non-success status, or empty payload;
-            the cache is left untouched.
+        FetchError: transport failure or timeout, a status other than 200,
+            or an empty or non-UTF-8 payload; the cache is left untouched.
     """
     if kind not in CHART_KINDS:
         raise FetchError(f"unknown chart kind {kind!r}; choose from {CHART_KINDS}")
@@ -77,14 +76,24 @@ def fetch_remote_series(
 
     base = (base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL).rstrip("/")
     url = f"{base}/{kind}"
-    http = session or requests
+    # HTTPError (a 4xx/5xx status) subclasses URLError and OSError, so it is
+    # caught first. Refused connections (URLError) and read timeouts (a bare
+    # TimeoutError) are OSErrors; a malformed URL raises ValueError and a
+    # malformed response an HTTPException.
     try:
-        response = http.get(url, params={"format": "csv"}, timeout=timeout)
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(f"{url}?format=csv", timeout=timeout) as response:
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise FetchError(f"GET {url} returned status {exc.code}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise FetchError(f"GET {url} failed: {exc}") from exc
-    if response.status_code != 200:
-        raise FetchError(f"GET {url} returned status {response.status_code}")
-    payload = response.text
+    if status != 200:
+        raise FetchError(f"GET {url} returned status {status}")
+    try:
+        payload = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FetchError(f"GET {url} returned a payload that is not UTF-8") from exc
     if not payload.strip():
         raise FetchError(f"GET {url} returned an empty payload")
 

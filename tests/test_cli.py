@@ -1,11 +1,11 @@
-"""End-to-end tests of the command-line surface (no network)."""
+"""End-to-end tests of the command-line surface (loopback HTTP only)."""
 
 import json
 import math
 
 import pytest
 
-from minecost import BacktestConfig, DomainError
+from minecost import CHART_KINDS, BacktestConfig, DomainError, cache_file_for
 from minecost.cli import main
 
 OBS_CSV = (
@@ -169,6 +169,25 @@ class TestConfigFile:
         assert rc == 1
         assert "error[validation]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["max_p", "min_len", "entry_k", "electricity_price"])
+    def test_malformed_number_is_one_validation_line(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        rc = main(["ratio", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error[validation]: {cfg}:1: bad {key} value 'x'\n"
+
+    def test_bad_lags_keeps_its_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lags = two\n")
+        rc = main(["ratio", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error[domain]: lags must be an integer or 'auto', got 'two'\n"
+        )
+
 
 class TestOtherSubcommandsAndErrors:
     def test_regress_prints_both_fits(self, capsys):
@@ -214,6 +233,26 @@ class TestOtherSubcommandsAndErrors:
         rc = main(["ratio", "--config", str(cfg)])
         assert rc == 1
         assert "error[domain]" in capsys.readouterr().err
+
+
+class TestFetchCommand:
+    def test_each_kind_is_cached(self, tmp_path, capsys, chart_server):
+        rc = main(["fetch", "--base-url", chart_server.url, "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{kind}: cached at {cache_file_for(kind, tmp_path)}" for kind in CHART_KINDS
+        ]
+        assert all(cache_file_for(kind, tmp_path).exists() for kind in CHART_KINDS)
+
+    def test_server_error_is_a_fetch_error(self, tmp_path, capsys, chart_server):
+        chart_server.status = 503
+        rc = main(["fetch", "--base-url", chart_server.url, "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error[fetch]: ")
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

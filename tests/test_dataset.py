@@ -1,7 +1,9 @@
 """Tests for CSV ingestion, step tables, and series building."""
 
 import datetime as dt
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from minecost import (
     RewardSchedule,
     ValidationError,
     build_backtest_series,
+    bundled_data_path,
     load_bundled,
     parse_efficiency_table,
     parse_observations,
     parse_reward_schedule,
     serialize_observations,
 )
+from minecost.dataset import BUNDLED_FILES
 
 OBS_CSV = """date,difficulty,price_usd,eff_w_per_ghs
 2016-06-25,2.0e11,600.0,0.5
@@ -240,6 +244,21 @@ class TestBuildBacktestSeries:
             2.0 * base.model_prices[0], rel=1e-12
         )
 
+    def test_carry_past_table_end_warns_once_per_series(self):
+        table = EfficiencyTable(entries=((dt.date(2016, 1, 1), 0.5),))
+        records = [
+            ObservationRecord(dt.date(2016, m, 1), 2.0e11, 600.0, None)
+            for m in (1, 2, 3, 4)
+        ]
+        with pytest.warns(CarriedForwardWarning) as caught:
+            pair = build_backtest_series(records, SCHEDULE, table)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            "3 date(s) are past the last efficiency entry 2016-01-01, "
+            "the first 2016-02-01; carrying last value forward"
+        )
+        assert len(pair) == 4
+
     def test_paired_series_length_and_dates(self):
         records = parse_observations(OBS_CSV)
         table = EfficiencyTable(
@@ -282,3 +301,15 @@ class TestBundledData:
         assert [r.date for r in records] == [r.date for r in parse_observations(OBS_CSV)]
         assert schedule.entries[0] == (dt.date(2012, 11, 28), 25.0)
         assert table == load_bundled()[2]
+
+    def test_generator_reproduces_the_packaged_files(self, tmp_path):
+        tools = Path(__file__).resolve().parents[1] / "tools"
+        spec = importlib.util.spec_from_file_location(
+            "build_reference_dataset", tools / "build_reference_dataset.py"
+        )
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        generator.build(tmp_path)
+        for name in BUNDLED_FILES:
+            packaged = bundled_data_path(name).read_bytes()
+            assert (tmp_path / name).read_bytes() == packaged, name

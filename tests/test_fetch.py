@@ -1,10 +1,10 @@
-"""Tests for the chart download/cache path. Everything runs offline:
-network behavior is replayed through a stub session object."""
+"""Tests for the chart download/cache path. Everything runs offline: the
+transport talks only to loopback listeners on 127.0.0.1."""
 
 import datetime as dt
+import socket
 
 import pytest
-import requests
 
 from minecost import (
     FetchError,
@@ -15,92 +15,119 @@ from minecost import (
     parse_chart_points,
     resample_to_epochs,
 )
-
-CHART_TEXT = "2017-01-01 00:00:00,317700000000\n2017-01-02 00:00:00,317700000000\n"
-
-
-class _Response:
-    def __init__(self, status_code=200, text=""):
-        self.status_code = status_code
-        self.text = text
+from tests.conftest import CHART_TEXT
 
 
-class _Session:
-    """Canned-response stand-in for requests; records every call."""
+@pytest.fixture
+def refused_url(monkeypatch):
+    """A loopback URL whose port has no listener."""
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
-    def __init__(self, response=None, exc=None):
-        self.response = response
-        self.exc = exc
-        self.calls = []
 
-    def get(self, url, params=None, timeout=None):
-        self.calls.append((url, dict(params or {})))
-        if self.exc is not None:
-            raise self.exc
-        return self.response
+@pytest.fixture
+def silent_url(monkeypatch):
+    """A loopback URL whose listener accepts connections but never answers."""
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}"
 
 
 class TestFetchRemoteSeries:
-    def test_download_writes_cache_and_returns_payload(self, tmp_path):
-        session = _Session(response=_Response(text=CHART_TEXT))
+    def test_download_writes_cache_and_returns_payload(self, tmp_path, chart_server):
         payload = fetch_remote_series(
-            "difficulty",
-            base_url="http://charts.test/api",
-            cache_dir=tmp_path,
-            session=session,
+            "difficulty", base_url=chart_server.url + "/api", cache_dir=tmp_path
         )
         assert payload == CHART_TEXT
-        assert session.calls == [
-            ("http://charts.test/api/difficulty", {"format": "csv"})
-        ]
+        assert chart_server.paths == ["/api/difficulty?format=csv"]
         cached = cache_file_for("difficulty", tmp_path)
         assert cached.read_text() == CHART_TEXT
 
-    def test_same_day_repeat_is_served_from_cache(self, tmp_path):
-        first = _Session(response=_Response(text=CHART_TEXT))
-        fetch_remote_series(
-            "difficulty", base_url="http://x", cache_dir=tmp_path, session=first
-        )
-        second = _Session(exc=AssertionError("network must not be touched"))
+    def test_same_day_repeat_is_served_from_cache(self, tmp_path, chart_server):
+        fetch_remote_series("difficulty", base_url=chart_server.url, cache_dir=tmp_path)
+        chart_server.status = 503
         payload = fetch_remote_series(
-            "difficulty", base_url="http://x", cache_dir=tmp_path, session=second
+            "difficulty", base_url=chart_server.url, cache_dir=tmp_path
         )
         assert payload == CHART_TEXT
-        assert second.calls == []
+        assert len(chart_server.paths) == 1
 
-    def test_transport_failure_maps_to_fetch_error(self, tmp_path):
-        session = _Session(exc=requests.ConnectionError("refused"))
+    def test_transport_failure_maps_to_fetch_error(self, tmp_path, refused_url):
         with pytest.raises(FetchError, match="refused"):
-            fetch_remote_series(
-                "difficulty", base_url="http://x", cache_dir=tmp_path, session=session
-            )
-        assert not cache_file_for("difficulty", tmp_path).exists()
+            fetch_remote_series("difficulty", base_url=refused_url, cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
-    def test_http_error_status_maps_to_fetch_error(self, tmp_path):
-        session = _Session(response=_Response(status_code=503))
-        with pytest.raises(FetchError, match="503"):
+    def test_read_timeout_maps_to_fetch_error(self, tmp_path, silent_url):
+        with pytest.raises(FetchError, match="timed out"):
             fetch_remote_series(
-                "difficulty", base_url="http://x", cache_dir=tmp_path, session=session
+                "difficulty", base_url=silent_url, cache_dir=tmp_path, timeout=0.2
             )
-        assert not cache_file_for("difficulty", tmp_path).exists()
+        assert not any(tmp_path.iterdir())
 
-    def test_empty_payload_rejected_and_not_cached(self, tmp_path):
-        session = _Session(response=_Response(text="  \n"))
+    def test_truncated_body_maps_to_fetch_error(self, tmp_path, chart_server):
+        chart_server.content_length = len(chart_server.body) + 10
+        with pytest.raises(FetchError, match="failed"):
+            fetch_remote_series(
+                "difficulty", base_url=chart_server.url, cache_dir=tmp_path
+            )
+        assert not any(tmp_path.iterdir())
+
+    def test_url_without_scheme_maps_to_fetch_error(self, tmp_path):
+        with pytest.raises(FetchError, match="unknown url type"):
+            fetch_remote_series("difficulty", base_url="charts.test", cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_http_error_status_maps_to_fetch_error(self, tmp_path, chart_server):
+        chart_server.status = 503
+        with pytest.raises(FetchError) as info:
+            fetch_remote_series(
+                "difficulty", base_url=chart_server.url, cache_dir=tmp_path
+            )
+        assert str(info.value) == (
+            f"GET {chart_server.url}/difficulty returned status 503"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_success_status_other_than_200_rejected(self, tmp_path, chart_server):
+        chart_server.status, chart_server.body = 204, b""
+        with pytest.raises(FetchError, match="204"):
+            fetch_remote_series(
+                "difficulty", base_url=chart_server.url, cache_dir=tmp_path
+            )
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_payload_rejected_and_not_cached(self, tmp_path, chart_server):
+        chart_server.body = b"  \n"
         with pytest.raises(FetchError, match="empty"):
             fetch_remote_series(
-                "market-price", base_url="http://x", cache_dir=tmp_path, session=session
+                "market-price", base_url=chart_server.url, cache_dir=tmp_path
             )
-        assert not cache_file_for("market-price", tmp_path).exists()
+        assert not any(tmp_path.iterdir())
+
+    def test_non_utf8_payload_rejected_and_not_cached(self, tmp_path, chart_server):
+        chart_server.body = "2017-01-01,1.0 \u00b5\n".encode("latin-1")
+        with pytest.raises(FetchError, match="UTF-8"):
+            fetch_remote_series(
+                "market-price", base_url=chart_server.url, cache_dir=tmp_path
+            )
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(FetchError, match="hashrate"):
             fetch_remote_series("hashrate", cache_dir=tmp_path)
 
-    def test_cache_dir_env_override(self, tmp_path, monkeypatch):
+    def test_cache_dir_env_override(self, tmp_path, monkeypatch, chart_server):
         monkeypatch.setenv("MINECOST_CACHE_DIR", str(tmp_path / "cachehome"))
-        session = _Session(response=_Response(text=CHART_TEXT))
-        fetch_remote_series("difficulty", base_url="http://x", session=session)
+        fetch_remote_series("difficulty", base_url=chart_server.url)
         assert cache_file_for("difficulty", tmp_path / "cachehome").exists()
+
+    def test_base_url_env_override(self, tmp_path, monkeypatch, chart_server):
+        monkeypatch.setenv("MINECOST_BASE_URL", chart_server.url + "/env")
+        fetch_remote_series("market-price", cache_dir=tmp_path)
+        assert chart_server.paths == ["/env/market-price?format=csv"]
 
     def test_cache_file_name_carries_kind_and_day(self, tmp_path):
         path = cache_file_for("market-price", tmp_path, today=dt.date(2018, 4, 27))

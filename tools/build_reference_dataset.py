@@ -14,11 +14,15 @@ model exactly the way a real bubble detaches from production cost.
 
 Deterministic: fixed RNG seed, committed outputs. Run from the repo root:
 
-    python3 tools/build_reference_dataset.py
+    python3 tools/build_reference_dataset.py [OUT_DIR]
+
+OUT_DIR defaults to src/minecost/data; the test suite writes to a scratch
+directory and compares the result with the packaged files byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime as dt
 import math
 from pathlib import Path
@@ -179,7 +183,8 @@ def round_sig(value, digits=2):
     return round(value, digits - 1 - magnitude)
 
 
-def build():
+def build(out_dir=DATA_DIR):
+    out_dir = Path(out_dir)
     dates = epoch_dates()
     difficulty = log_interp(DIFFICULTY_ANCHORS, dates)
     price_trend = log_interp(PRICE_ANCHORS, dates)
@@ -218,16 +223,16 @@ def build():
     model = k_factor * efficiency
     ratio = price / model
 
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    with open(DATA_DIR / "observations.csv", "w") as fh:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "observations.csv", "w") as fh:
         fh.write("date,difficulty,price_usd\n")
         for d, diff, p in zip(dates, difficulty, price):
             fh.write(f"{d.isoformat()},{round(float(diff), 2)!r},{round(float(p), 2)!r}\n")
-    with open(DATA_DIR / "efficiency.csv", "w") as fh:
+    with open(out_dir / "efficiency.csv", "w") as fh:
         fh.write("date,w_per_ghs\n")
         for d, v in efficiency_steps:
             fh.write(f"{d.isoformat()},{float(v)!r}\n")
-    with open(DATA_DIR / "rewards.csv", "w") as fh:
+    with open(out_dir / "rewards.csv", "w") as fh:
         fh.write("date,reward_btc\n")
         for d, v in REWARDS:
             fh.write(f"{d.isoformat()},{v!r}\n")
@@ -249,4 +254,7 @@ def build():
 
 
 if __name__ == "__main__":
-    build()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, default=DATA_DIR,
+                        help="output directory (default: src/minecost/data)")
+    build(parser.parse_args().out_dir)
