@@ -299,6 +299,8 @@ def run_backtest(
     log-log regressions of market price on model price, selects a lag order
     up to ``config.max_p`` (used when ``config.lags`` is None), fits the VAR
     on the log series, tests both Granger directions, and detects episodes.
+    A series of n observations too short for VAR(max_p) scans orders up to
+    ``(n - 10) // 2`` instead, under one UserWarning.
 
     ``input_files`` is recorded verbatim in the provenance block.
     """
@@ -314,7 +316,19 @@ def run_backtest(
     log_fit = ols_fit(log_model, log_market)
 
     logs = np.column_stack([log_market, log_model])
-    selection = select_lag_order(logs, config.max_p, names=(MARKET, MODEL))
+    # VAR(p) needs n >= 2p + 10, so a short series scans fewer orders
+    # instead of failing a pinned lag order it could fit.
+    max_p = config.max_p
+    supported = (len(pair) - 10) // 2
+    if 1 <= supported < max_p:
+        warnings.warn(
+            f"max_p {max_p} needs {2 * max_p + 10} observations but the series "
+            f"has {len(pair)}; lag selection scans orders 1..{supported}",
+            UserWarning,
+            stacklevel=2,
+        )
+        max_p = supported
+    selection = select_lag_order(logs, max_p, names=(MARKET, MODEL))
     lag_order = config.lags if config.lags is not None else selection.chosen_p
     model = var_fit(logs, lag_order, names=(MARKET, MODEL))
     granger = (

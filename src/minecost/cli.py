@@ -108,7 +108,13 @@ OPTIONS_BY_KEY = {opt.key: opt for opt in DATASET_OPTIONS}
 def parse_config_file(path) -> dict:
     """Read a ``key = value`` file into converted values; '#' starts a comment."""
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}:{line_no}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

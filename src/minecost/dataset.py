@@ -376,18 +376,31 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
 
 
 def load_observations(path) -> list[ObservationRecord]:
-    with open(path, newline="") as fh:
-        return parse_observations(fh)
+    return _load(Path(path), parse_observations)
 
 
 def load_reward_schedule(path) -> RewardSchedule:
-    with open(path, newline="") as fh:
-        return parse_reward_schedule(fh)
+    return _load(Path(path), parse_reward_schedule)
 
 
 def load_efficiency_table(path) -> EfficiencyTable:
-    with open(path, newline="") as fh:
-        return parse_efficiency_table(fh)
+    return _load(Path(path), parse_efficiency_table)
+
+
+def _load(source, parse):
+    """Parse the UTF-8 file ``source`` (a path or packaged resource).
+
+    Raises:
+        ParseError: a byte that is not UTF-8, naming the file and line.
+    """
+    try:
+        text = source.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+    return parse(io.StringIO(text, newline=""))
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +484,11 @@ def load_bundled(observations=None, efficiency=None, rewards=None):
     Returns:
         (records, schedule, table) ready for :func:`build_backtest_series`.
     """
+    def source(path, name):
+        return bundled_data_path(name) if path is None else Path(path)
+
     return (
-        _load(observations, "observations.csv", parse_observations),
-        _load(rewards, "rewards.csv", parse_reward_schedule),
-        _load(efficiency, "efficiency.csv", parse_efficiency_table),
+        _load(source(observations, "observations.csv"), parse_observations),
+        _load(source(rewards, "rewards.csv"), parse_reward_schedule),
+        _load(source(efficiency, "efficiency.csv"), parse_efficiency_table),
     )
-
-
-def _load(path, bundled_name: str, parse):
-    source = bundled_data_path(bundled_name) if path is None else Path(path)
-    with source.open(newline="") as fh:
-        return parse(fh)

@@ -6,7 +6,7 @@ selection with a residual-whiteness gate, Wald tests for Granger causality,
 Ljung-Box portmanteau statistics, and chi-square upper-tail probabilities
 computed from the regularized incomplete gamma function.
 
-numpy supplies arrays and the pivoted linear solves; every statistic on top
+numpy supplies arrays and the linear-algebra kernels; every statistic on top
 of that is computed here. All operations are pure and reentrant.
 
 Conventions, fixed once for the whole package:
@@ -18,12 +18,12 @@ Conventions, fixed once for the whole package:
 * VARs include intercepts and no trend. Coefficient covariance is the
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
-* Linear systems are solved through a pivoted factorization of the
-  normal-equations matrix (1 + 2p columns for a bivariate VAR(p), so 17x17
-  at VAR(8)) after scaling each regressor column to unit norm; a
-  condition estimate above 1e12 on the scaled matrix raises
-  SingularityError. The scaling makes the threshold respond to genuine
-  collinearity rather than to units.
+* Least squares runs on one thin SVD of the design after scaling each
+  regressor column to unit norm (1 + 2p columns for a bivariate VAR(p), so
+  17 at VAR(8); both equations are fitted in one call). A condition
+  estimate above 1e12 for the scaled normal-equations matrix, computed as
+  (s_max / s_min)^2, raises SingularityError. The scaling makes the
+  threshold respond to genuine collinearity rather than to units.
 """
 
 from __future__ import annotations
@@ -129,36 +129,45 @@ def chi2_sf(x: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray):
-    """Least squares of ``y`` on the columns of ``X`` via normal equations.
+def _least_squares(X: np.ndarray, Y: np.ndarray):
+    """Least squares of ``Y`` on the columns of ``X`` via one thin SVD.
 
-    Returns ``(beta, residuals, xtx_inv)`` with ``xtx_inv`` the inverse
+    ``Y`` is one response, shape (n,), or several in columns, shape (n, m),
+    all fitted on the same design. The column-scaled design is factorized
+    once as ``U diag(s) V'``, so the normal matrix, whose conditioning is
+    the square of the design's, is never formed or solved.
+
+    Returns ``(beta, residuals, xtx_inv)``: ``beta`` of shape (k,) or
+    (k, m), ``residuals`` shaped like ``Y``, and ``xtx_inv`` the inverse
     normal matrix in the original coordinates, ready for classical
     coefficient covariances ``s2 * xtx_inv``.
 
     Raises:
-        DomainError: non-finite values in ``X`` or ``y``.
-        SingularityError: a zero column, or a condition estimate above
-            CONDITION_LIMIT on the column-scaled normal matrix.
+        DomainError: non-finite values in ``X`` or ``Y``.
+        SingularityError: a zero column, or a condition estimate
+            ``(s_max / s_min)^2``, the 2-norm condition number of the
+            column-scaled normal matrix, above CONDITION_LIMIT.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    Y = np.asarray(Y, dtype=float)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise DomainError("regression inputs must be finite")
     norms = np.sqrt(np.sum(X * X, axis=0))
     if np.any(norms == 0.0):
         raise SingularityError("regressor matrix has a zero column")
-    Xs = X / norms
-    gram = Xs.T @ Xs
-    cond = np.linalg.cond(gram)
+    U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        # Fewer rows than columns leave the normal matrix singular.
+        cond = (s[0] / s[-1]) ** 2 if X.shape[0] >= X.shape[1] else np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularityError(
             f"normal-equations matrix is ill-conditioned (estimate {cond:.3e})"
         )
-    beta = np.linalg.solve(gram, Xs.T @ y) / norms
-    residuals = y - X @ beta
-    xtx_inv = np.linalg.inv(gram) / np.outer(norms, norms)
-    return beta, residuals, xtx_inv
+    # beta = W U'Y and xtx_inv = W W' with W = diag(1/norms) V diag(1/s).
+    W = Vt.T / s / norms[:, None]
+    beta = W @ (U.T @ Y)
+    residuals = Y - X @ beta
+    return beta, residuals, W @ W.T
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +303,7 @@ def _lagged_design(data: np.ndarray, p: int):
 
 
 def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
-    """Fit a bivariate VAR(p) by least squares, one equation per variable.
+    """Fit a bivariate VAR(p) by least squares, both equations in one solve.
 
     Each variable is regressed on an intercept and ``p`` lags of both
     variables. Requires ``n >= 2p + 10`` so the residual degrees of freedom
@@ -326,31 +335,19 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     Y, Z = _lagged_design(data, p)
     T, k = Z.shape
 
-    betas, resid_cols, covs = [], [], []
-    dof = T - k
-    for i in range(2):
-        beta, residuals, xtx_inv = _least_squares(Z, Y[:, i])
-        s2 = float(residuals @ residuals) / dof
-        betas.append(beta)
-        resid_cols.append(residuals)
-        covs.append(s2 * xtx_inv)
-    residuals = np.column_stack(resid_cols)
-    resid_cov = residuals.T @ residuals / dof
+    beta, residuals, xtx_inv = _least_squares(Z, Y)
+    resid_cov = residuals.T @ residuals / (T - k)
     resid_cov = (resid_cov + resid_cov.T) / 2.0
-
-    intercepts = np.array([betas[0][0], betas[1][0]])
-    coef_matrices = np.empty((p, 2, 2))
-    for i in range(2):
-        lag_part = betas[i][1:].reshape(p, 2)
-        coef_matrices[:, i, :] = lag_part
+    # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
+    coef_matrices = beta[1:].reshape(p, 2, 2).transpose(0, 2, 1)
     return VarModel(
         lag_order=p,
         names=tuple(names),
-        intercepts=intercepts,
+        intercepts=beta[0],
         coef_matrices=coef_matrices,
         residuals=residuals,
         resid_cov=resid_cov,
-        coef_cov=np.stack(covs),
+        coef_cov=np.diag(resid_cov)[:, None, None] * xtx_inv,
         nobs=T,
     )
 

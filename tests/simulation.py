@@ -21,12 +21,15 @@ def simulate_var(coef_matrices, intercepts, n, rng, noise_sd=1.0, burn=100):
     total = n + burn
     data = np.empty((total + p, 2))
     data[:p] = rng.standard_normal((p, 2))
+    # One draw of every innovation consumes the generator exactly as one
+    # draw per step would, so paths match the step-by-step form bit for bit.
+    noise = sd * rng.standard_normal((total, 2)) if sd.any() else None
     for t in range(p, total + p):
         value = intercepts.copy()
         for lag in range(p):
             value += coef[lag] @ data[t - 1 - lag]
-        if sd.any():
-            value += sd * rng.standard_normal(2)
+        if noise is not None:
+            value += noise[t - p]
         data[t] = value
     return data[p + burn :]
 

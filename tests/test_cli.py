@@ -5,7 +5,13 @@ import math
 
 import pytest
 
-from minecost import CHART_KINDS, BacktestConfig, DomainError, cache_file_for
+from minecost import (
+    CHART_KINDS,
+    BacktestConfig,
+    DomainError,
+    bundled_data_path,
+    cache_file_for,
+)
 from minecost.cli import main
 
 OBS_CSV = (
@@ -179,6 +185,17 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == f"error[validation]: {cfg}:1: bad {key} value 'x'\n"
 
+    def test_non_utf8_file_is_one_validation_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"lags = 2\nmax_p = 4  # 5 \xb5s\n")
+        rc = main(["ratio", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[validation]: {cfg}:2: not UTF-8 text (byte 0xb5)\n"
+        )
+
     def test_bad_lags_keeps_its_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lags = two\n")
@@ -221,6 +238,29 @@ class TestOtherSubcommandsAndErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[parse]" in err and "line 2" in err
+
+    def test_non_utf8_csv_is_one_parse_line(self, tmp_path, capsys):
+        bad = tmp_path / "obs.csv"
+        bad.write_bytes(b"date,difficulty,price_usd\n2017-01-07,3.0e11,9\xb50.0\n")
+        rc = main(["ratio", "--observations", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error[parse]: {bad}:2: not UTF-8 text (byte 0xb5)\n"
+
+    def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):
+        """20 rows support VAR(1..5); max_p 8 is clamped, the fit still runs."""
+        rows = bundled_data_path("observations.csv").read_text().splitlines()
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(rows[:21]) + "\n")
+        with pytest.warns(UserWarning, match=r"max_p 8 .* has 20; .* orders 1\.\.5$"):
+            rc = main(["var", "--observations", str(obs), "--lags", "1",
+                       "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["p"] for row in doc["lag_selection"]["table"]] == [1, 2, 3, 4, 5]
+        assert doc["var"]["lag_order"] == 1
+        assert doc["var"]["nobs"] == 19
 
     def test_bad_lags_value_rejected(self, capsys):
         rc = main(["ratio", "--lags", "two"])

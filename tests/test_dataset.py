@@ -302,6 +302,13 @@ class TestBundledData:
         assert schedule.entries[0] == (dt.date(2012, 11, 28), 25.0)
         assert table == load_bundled()[2]
 
+    def test_non_utf8_file_is_a_parse_error_naming_file_and_line(self, tmp_path):
+        bad = tmp_path / "obs.csv"
+        bad.write_bytes(b"date,difficulty,price_usd\n2017-01-07,3.0e11,9\xb50.0\n")
+        with pytest.raises(ParseError) as info:
+            load_bundled(observations=bad)
+        assert str(info.value) == f"{bad}:2: not UTF-8 text (byte 0xb5)"
+
     def test_generator_reproduces_the_packaged_files(self, tmp_path):
         tools = Path(__file__).resolve().parents[1] / "tools"
         spec = importlib.util.spec_from_file_location(

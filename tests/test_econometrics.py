@@ -24,6 +24,7 @@ from minecost import (
     select_lag_order,
     var_fit,
 )
+from minecost.econometrics import _least_squares
 from tests.simulation import independent_ar1_pair, one_way_coupled_pair, simulate_var
 
 
@@ -143,6 +144,49 @@ class TestOls:
         fit = ols_fit(x, y)
         assert fit.slope == pytest.approx(3e-9, rel=1e-2)
 
+    def test_large_offset_regressor_keeps_full_accuracy(self):
+        """x near 1e5 makes the scaled normal matrix's condition about 4e10.
+
+        Solving the normal equations squares that conditioning and loses
+        the intercept; a factorization of the design itself does not.
+        """
+        x = 1e5 + np.random.default_rng(11).standard_normal(200)
+        fit = ols_fit(x, 3.0 + 2.0 * x)
+        assert fit.slope == pytest.approx(2.0, rel=1e-10)
+        assert fit.intercept == pytest.approx(3.0, rel=1e-6)
+
+
+class TestLeastSquaresCore:
+    def test_near_collinear_design_with_exact_responses(self):
+        """Integer data keep X @ beta exact, so any error is the solver's.
+
+        Columns a and a + d (d in {-1, 0, 1}) are nearly parallel: the
+        column-scaled normal matrix has condition about 4e10, under the
+        1e12 limit.
+        """
+        rng = np.random.default_rng(0)
+        n = 50
+        a = rng.integers(-120_000, 120_000, size=n).astype(float)
+        d = rng.integers(-1, 2, size=n).astype(float)
+        X = np.column_stack([np.ones(n), a, a + d])
+        Xs = X / np.linalg.norm(X, axis=0)
+        assert 1e10 < np.linalg.cond(Xs.T @ Xs) < 1e11
+        truth = np.array([3.0, -2.0, 5.0])
+        beta, _, _ = _least_squares(X, X @ truth)
+        assert np.all(np.abs(beta - truth) <= 1e-9 * np.abs(truth))
+
+    def test_responses_in_columns_match_one_at_a_time(self):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
+        Y = rng.normal(size=(40, 2))
+        beta, residuals, xtx_inv = _least_squares(X, Y)
+        assert beta.shape == (5, 2) and residuals.shape == (40, 2)
+        for i in range(2):
+            b, r, inv = _least_squares(X, Y[:, i])
+            assert np.allclose(beta[:, i], b, rtol=1e-12, atol=1e-14)
+            assert np.allclose(residuals[:, i], r, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(xtx_inv, inv)
+
 
 class TestLogTransform:
     def test_elementwise_log(self):
@@ -226,6 +270,12 @@ class TestVarFit:
         y = np.cumsum(rng.normal(size=60))
         with pytest.raises(SingularityError):
             var_fit(np.column_stack([y, y]), p=1)
+
+    def test_more_coefficients_than_observations_is_singular(self):
+        """n = 2p + 10 at p = 10 leaves 20 rows for 21 coefficients."""
+        data = np.cumsum(np.random.default_rng(3).normal(size=(30, 2)), axis=0)
+        with pytest.raises(SingularityError):
+            var_fit(data, p=10)
 
     def test_bad_lag_order_rejected(self):
         rng = np.random.default_rng(11)
