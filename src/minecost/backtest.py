@@ -11,7 +11,6 @@ a serializable report with full provenance.
 from __future__ import annotations
 
 import datetime as dt
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,9 +35,10 @@ from .econometrics import (
     ols_fit,
     select_lag_order,
     var_fit,
+    var_min_observations,
 )
 from .errors import DegenerateThresholdWarning, DomainError
-from .pricing import DEFAULT_ELECTRICITY_USD_PER_KWH
+from .pricing import DEFAULT_ELECTRICITY_USD_PER_KWH, _require_positive_finite
 
 MARKET, MODEL = "market", "model"
 
@@ -104,13 +104,6 @@ class BacktestConfig:
         _require_positive_finite("entry_k", self.entry_k)
         if self.min_len < 1:
             raise DomainError("min_len must be >= 1")
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    if value <= 0:
-        raise DomainError(f"{name} must be positive")
 
 
 def ratio_series(pair: PairedSeries) -> RatioStats:
@@ -242,31 +235,16 @@ class BacktestReport:
                 "chosen_p": self.lag_selection.chosen_p,
                 "whiteness_alpha": self.lag_selection.whiteness_alpha,
                 "all_failed_whiteness": self.lag_selection.all_failed_whiteness,
-                "table": [
-                    {
-                        "p": row.p,
-                        "aic": row.aic,
-                        "bic": row.bic,
-                        "portmanteau_stat": row.portmanteau_stat,
-                        "portmanteau_df": row.portmanteau_df,
-                        "portmanteau_pvalue": row.portmanteau_pvalue,
-                        "passes_whiteness": row.passes_whiteness,
-                    }
-                    for row in self.lag_selection.rows
-                ],
+                # LagOrderRow's field names are the JSON keys.
+                "table": [dict(vars(row)) for row in self.lag_selection.rows],
             },
             "var": {
                 "lag_order": self.var_model.lag_order,
                 "names": list(self.var_model.names),
                 "nobs": self.var_model.nobs,
-                "intercepts": [float(v) for v in self.var_model.intercepts],
-                "coef_matrices": [
-                    [[float(v) for v in row] for row in mat]
-                    for mat in self.var_model.coef_matrices
-                ],
-                "resid_cov": [
-                    [float(v) for v in row] for row in self.var_model.resid_cov
-                ],
+                "intercepts": self.var_model.intercepts.tolist(),
+                "coef_matrices": self.var_model.coef_matrices.tolist(),
+                "resid_cov": self.var_model.resid_cov.tolist(),
             },
             "granger": [
                 {
@@ -300,7 +278,7 @@ def run_backtest(
     up to ``config.max_p`` (used when ``config.lags`` is None), fits the VAR
     on the log series, tests both Granger directions, and detects episodes.
     A series of n observations too short for VAR(max_p) scans orders up to
-    ``(n - 10) // 2`` instead, under one UserWarning.
+    ``min((n - 10) // 2, (n - 2) // 3)`` instead, under one UserWarning.
 
     ``input_files`` is recorded verbatim in the provenance block.
     """
@@ -316,14 +294,14 @@ def run_backtest(
     log_fit = ols_fit(log_model, log_market)
 
     logs = np.column_stack([log_market, log_model])
-    # VAR(p) needs n >= 2p + 10, so a short series scans fewer orders
-    # instead of failing a pinned lag order it could fit.
-    max_p = config.max_p
-    supported = (len(pair) - 10) // 2
+    # A short series scans fewer orders instead of failing a pinned lag
+    # order it could fit: the largest p with var_min_observations(p) <= n.
+    max_p, n = config.max_p, len(pair)
+    supported = min((n - 10) // 2, (n - 2) // 3)
     if 1 <= supported < max_p:
         warnings.warn(
-            f"max_p {max_p} needs {2 * max_p + 10} observations but the series "
-            f"has {len(pair)}; lag selection scans orders 1..{supported}",
+            f"max_p {max_p} needs {var_min_observations(max_p)} observations but "
+            f"the series has {n}; lag selection scans orders 1..{supported}",
             UserWarning,
             stacklevel=2,
         )

@@ -291,8 +291,13 @@ def render_report(report: BacktestReport) -> str:
     return "\n".join(lines)
 
 
+def _json_text(payload: dict) -> str:
+    """Structured stdout and report.json: sorted keys, two-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def report_json(report: BacktestReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(report.to_dict())
 
 
 def figure1_csv(report: BacktestReport) -> str:
@@ -354,16 +359,10 @@ def cmd_regress(args) -> int:
     lv = ols_fit(pair.model_prices, pair.market_prices)
     lg = ols_fit(log_transform(pair.model_prices), log_transform(pair.market_prices))
     if options["format"] == "json":
-        print(
-            json.dumps(
-                {
-                    "level_regression": regression_to_dict(lv),
-                    "log_regression": regression_to_dict(lg),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        sys.stdout.write(_json_text({
+            "level_regression": regression_to_dict(lv),
+            "log_regression": regression_to_dict(lg),
+        }))
         return 0
     print(f"levels: slope {lv.slope:.6f}  intercept {lv.intercept:.6f}  "
           f"R^2 {_fmt3(lv.r_squared)}")
@@ -377,17 +376,9 @@ def cmd_var(args) -> int:
     report = _run_report(config, options)
     if options["format"] == "json":
         payload = report.to_dict()
-        print(
-            json.dumps(
-                {
-                    "lag_selection": payload["lag_selection"],
-                    "var": payload["var"],
-                    "granger": payload["granger"],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        sys.stdout.write(_json_text(
+            {key: payload[key] for key in ("lag_selection", "var", "granger")}
+        ))
         return 0
     sel = report.lag_selection
     print(f"chosen lag order: {sel.chosen_p}"
@@ -409,13 +400,9 @@ def cmd_ratio(args) -> int:
     stats = ratio_series(pair)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
     if options["format"] == "json":
-        print(
-            json.dumps(
-                {"ratio": ratio_to_dict(stats), "episodes": episodes_to_dict(episodes)},
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        sys.stdout.write(_json_text(
+            {"ratio": ratio_to_dict(stats), "episodes": episodes_to_dict(episodes)}
+        ))
         return 0
     print(f"ratio mean {_fmt3(stats.mean)}  sd {_fmt3(stats.std)}  "
           f"min {_fmt3(stats.min)}  max {_fmt3(stats.max)}  n {len(stats.ratios)}")

@@ -4,7 +4,8 @@ Simple OLS with classical standard errors, natural-log transforms, VAR(p)
 estimation by equation-wise least squares, information-criterion lag
 selection with a residual-whiteness gate, Wald tests for Granger causality,
 Ljung-Box portmanteau statistics, and chi-square upper-tail probabilities
-computed from the regularized incomplete gamma function.
+computed as the finite sum that integer degrees of freedom give the
+regularized upper incomplete gamma function.
 
 numpy supplies arrays and the linear-algebra kernels; every statistic on top
 of that is computed here. All operations are pure and reentrant.
@@ -37,66 +38,26 @@ from .errors import DomainError, InsufficientDataError, SingularityError
 
 CONDITION_LIMIT = 1.0e12
 
-_GAMMA_EPS = 1.0e-16
-_GAMMA_MAX_ITER = 2000
-
 
 # ---------------------------------------------------------------------------
 # Chi-square tail probability
 # ---------------------------------------------------------------------------
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a+1)."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    return total * math.exp(log_prefactor)
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a+1).
-
-    Modified Lentz evaluation of the standard continued fraction; converges
-    in a few dozen terms for the argument ranges used here.
-    """
-    tiny = 1.0e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    return math.exp(log_prefactor) * h
-
-
 def chi2_sf(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square distribution.
 
     ``P(X >= x)`` for ``X ~ chi2(df)``, i.e. the regularized upper
-    incomplete gamma function ``Q(df/2, x/2)``. Accurate to better than
-    1e-10 absolute for ``x <= 1000, df <= 100``; for ``df == 2`` it agrees
-    with the closed form ``exp(-x/2)`` to full precision.
+    incomplete gamma function ``Q(df/2, h)`` with ``h = x/2``. Integer
+    ``df`` makes it a finite sum (Abramowitz & Stegun 1964, 26.4.4-26.4.5):
+
+    * even ``df``: ``sum_{k < df/2} e^-h h^k / k!``
+    * odd ``df``: ``erfc(sqrt(h))
+      + sum_{k=1..(df-1)/2} e^-h h^(k-1/2) / Gamma(k+1/2)``
+
+    Each term is evaluated in log space, so none overflows and the result
+    is nonzero whenever the true tail exceeds 1e-308. For ``df == 2`` the
+    sum is the closed form ``exp(-x/2)``.
 
     Args:
         x: observed statistic, >= 0.
@@ -113,15 +74,20 @@ def chi2_sf(x: float, df: int) -> float:
         raise DomainError(f"chi-square statistic must be finite and >= 0, got {x!r}")
     if int(df) != df or df < 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {df!r}")
-    if x == 0.0:
+    df = int(df)
+    h = x / 2.0
+    if h == 0.0:  # x == 0, or x so small that x/2 rounds to 0
         return 1.0
-    a = df / 2.0
-    half_x = x / 2.0
-    if half_x < a + 1.0:
-        q = 1.0 - _lower_gamma_series(a, half_x)
+    log_h = math.log(h)
+    if df % 2 == 0:
+        terms = [math.exp(k * log_h - h - math.lgamma(k + 1)) for k in range(df // 2)]
     else:
-        q = _upper_gamma_cf(a, half_x)
-    return min(1.0, max(0.0, q))
+        terms = [math.erfc(math.sqrt(h))]
+        terms += [
+            math.exp((k - 0.5) * log_h - h - math.lgamma(k + 0.5))
+            for k in range(1, (df + 1) // 2)
+        ]
+    return min(1.0, max(0.0, math.fsum(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +268,22 @@ def _lagged_design(data: np.ndarray, p: int):
     return Y, Z
 
 
+def var_min_observations(p: int) -> int:
+    """Fewest observations a bivariate VAR(p) is fitted on.
+
+    The fit uses ``T = n - p`` rows for ``k = 2p + 1`` coefficients per
+    equation. ``n >= 2p + 10`` keeps ``T - k >= 9 - p``, and
+    ``n >= 3p + 2`` keeps ``T - k >= 1`` once ``p > 8``.
+    """
+    return max(2 * p + 10, 3 * p + 2)
+
+
 def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     """Fit a bivariate VAR(p) by least squares, both equations in one solve.
 
     Each variable is regressed on an intercept and ``p`` lags of both
-    variables. Requires ``n >= 2p + 10`` so the residual degrees of freedom
-    stay meaningful.
+    variables. Requires ``n >= var_min_observations(p)`` so the residual
+    degrees of freedom stay meaningful.
 
     Args:
         data: array-like of shape (n, 2), the two series in columns.
@@ -316,7 +292,7 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
 
     Raises:
         DomainError: bad shape, non-finite values, or ``p < 1``.
-        InsufficientDataError: ``n < 2p + 10``.
+        InsufficientDataError: ``n < var_min_observations(p)``.
         SingularityError: rank-deficient regressor matrix.
     """
     data = np.asarray(data, dtype=float)
@@ -328,9 +304,10 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     if not np.all(np.isfinite(data)):
         raise DomainError("series must be finite")
     n = data.shape[0]
-    if n < 2 * p + 10:
+    need = var_min_observations(p)
+    if n < need:
         raise InsufficientDataError(
-            f"need at least {2 * p + 10} observations for p={p}, got {n}"
+            f"need at least {need} observations for p={p}, got {n}"
         )
     Y, Z = _lagged_design(data, p)
     T, k = Z.shape
@@ -538,7 +515,8 @@ def select_lag_order(
 
     Raises:
         DomainError: ``max_p < 1``.
-        InsufficientDataError: series shorter than ``2 * max_p + 10``.
+        InsufficientDataError: series shorter than
+            ``var_min_observations(max_p)``.
     """
     if int(max_p) != max_p or max_p < 1:
         raise DomainError(f"max_p must be an integer >= 1, got {max_p!r}")

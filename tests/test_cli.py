@@ -8,6 +8,7 @@ import pytest
 from minecost import (
     CHART_KINDS,
     BacktestConfig,
+    CostParams,
     DomainError,
     bundled_data_path,
     cache_file_for,
@@ -20,6 +21,14 @@ OBS_CSV = (
     "2017-01-21,3.2e11,920.0,0.2\n"
     "2017-02-04,3.4e11,960.0,0.2\n"
 )
+
+
+def _bundled_prefix(tmp_path, n):
+    """The first ``n`` bundled observations as a CSV file."""
+    rows = bundled_data_path("observations.csv").read_text().splitlines()
+    obs = tmp_path / "obs.csv"
+    obs.write_text("\n".join(rows[: n + 1]) + "\n")
+    return obs
 
 
 class TestPriceCommand:
@@ -250,9 +259,7 @@ class TestOtherSubcommandsAndErrors:
 
     def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):
         """20 rows support VAR(1..5); max_p 8 is clamped, the fit still runs."""
-        rows = bundled_data_path("observations.csv").read_text().splitlines()
-        obs = tmp_path / "obs.csv"
-        obs.write_text("\n".join(rows[:21]) + "\n")
+        obs = _bundled_prefix(tmp_path, 20)
         with pytest.warns(UserWarning, match=r"max_p 8 .* has 20; .* orders 1\.\.5$"):
             rc = main(["var", "--observations", str(obs), "--lags", "1",
                        "--format", "json"])
@@ -261,6 +268,28 @@ class TestOtherSubcommandsAndErrors:
         assert [row["p"] for row in doc["lag_selection"]["table"]] == [1, 2, 3, 4, 5]
         assert doc["var"]["lag_order"] == 1
         assert doc["var"]["nobs"] == 19
+
+    def test_lags_past_the_sample_bound_is_one_error_line(self, tmp_path, capsys):
+        """28 rows support VAR(8) at most: VAR(9) would leave T - k = 0."""
+        obs = _bundled_prefix(tmp_path, 28)
+        rc = main(["var", "--observations", str(obs), "--lags", "9"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error[insufficient-data]: need at least 29 observations for p=9, got 28\n"
+        )
+
+    def test_max_p_past_the_sample_bound_is_clamped(self, tmp_path, capsys):
+        obs = _bundled_prefix(tmp_path, 28)
+        with pytest.warns(
+            UserWarning, match=r"^max_p 9 needs 29 .* has 28; .* orders 1\.\.8$"
+        ):
+            rc = main(["var", "--observations", str(obs), "--lags", "auto",
+                       "--max-p", "9", "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["p"] for row in doc["lag_selection"]["table"]] == list(range(1, 9))
 
     def test_bad_lags_value_rejected(self, capsys):
         rc = main(["ratio", "--lags", "two"])
@@ -310,10 +339,21 @@ class TestFetchCommand:
     ],
 )
 def test_library_and_cli_reject_the_same_values(key, flag, value, capsys):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as excinfo:
         BacktestConfig(**{key: value})
+    message = str(excinfo.value)
+    if key in ("entry_k", "electricity_price"):
+        assert message == f"{key} must be a positive finite number, got {value!r}"
     rc = main(["ratio", flag, str(value)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err.startswith("error[domain]: ")
+    assert captured.err == f"error[domain]: {message}\n"
+    if key == "electricity_price":
+        with pytest.raises(DomainError) as excinfo:
+            CostParams(electricity_price=value, efficiency=0.1)
+        assert str(excinfo.value) == message
+        rc = main(["price", "--difficulty", "1e12", "--efficiency", "0.1",
+                   "--reward", "12.5", flag, str(value)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error[domain]: {message}\n"

@@ -70,7 +70,8 @@ def main():
 
     # --- chi-square upper tails -------------------------------------------
     # df = 2 closed form exp(-x/2); general df via regularized upper gamma.
-    for x, df in ((4.579, 2), (13.301, 2), (1.0, 1), (10.0, 4), (25.0, 10)):
+    for x, df in ((4.579, 2), (13.301, 2), (1.0, 1), (10.0, 4), (25.0, 10),
+                  (300.0, 101), (3000.0, 2001)):
         q = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
                             regularized=True)
         print(f"chi2_sf({x}, {df}) =", mpmath.nstr(q, 25))
