@@ -186,8 +186,8 @@ def ratio_to_dict(stats: RatioStats) -> dict:
         "min": stats.min,
         "max": stats.max,
         "series": [
-            {"date": d.isoformat(), "ratio": float(r)}
-            for d, r in zip(stats.dates, stats.ratios)
+            {"date": d, "ratio": r}
+            for d, r in zip(map(dt.date.isoformat, stats.dates), stats.ratios.tolist())
         ],
     }
 
@@ -224,9 +224,11 @@ class BacktestReport:
         return {
             "ratio": ratio_to_dict(self.ratio_stats),
             "prices": [
-                {"date": d.isoformat(), "market": float(a), "model": float(b)}
+                {"date": d, "market": a, "model": b}
                 for d, a, b in zip(
-                    self.pair.dates, self.pair.market_prices, self.pair.model_prices
+                    map(dt.date.isoformat, self.pair.dates),
+                    self.pair.market_prices.tolist(),
+                    self.pair.model_prices.tolist(),
                 )
             ],
             "level_regression": regression_to_dict(self.level_fit),

@@ -13,7 +13,8 @@ Subcommands:
 A ``key = value`` config file (``--config``) seeds any long-form option;
 explicit flags win. Environment variables configure only the fetch cache
 directory and base URL. Exit status is 0 iff the command succeeded; errors
-print one ``error[<code>]: <message>`` line to stderr.
+print one ``error[<code>]: <message>`` line to stderr, and each warning one
+``warning[<class>]: <message>`` line.
 
 Display rounding: prices 2 decimals; R-squared, chi-square, and p-values 3
 decimals. Structured (JSON) output always carries full precision.
@@ -22,9 +23,13 @@ decimals. Structured (JSON) output always carries full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import warnings
 from dataclasses import fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -291,9 +296,65 @@ def render_report(report: BacktestReport) -> str:
     return "\n".join(lines)
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a line indented ``depth`` levels."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": "))
+
+
+def _is_flat(values) -> bool:
+    """True when no value is a container (looped over in C, by type)."""
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _encode(value, depth: int) -> str:
+    """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` at ``depth``.
+
+    The C encoder writes a flat container, or a list of flat non-empty
+    dicts (rows), in one call; a line break only needs to be added where
+    the indented layout opens or closes a container. That is exact because
+    the encoder escapes newlines inside strings, so ``}`` followed by the
+    separator occurs only where one row ends and the next begins. Anything
+    else recurses; its dict keys must be strings.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _flat_encoder(depth).encode(value)
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    if _is_flat(value.values() if isinstance(value, dict) else value):
+        text = _flat_encoder(depth + 1).encode(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {_encode(item, depth + 1)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if (
+        set(map(type, value)) == {dict}
+        and all(value)
+        and _is_flat(chain.from_iterable(map(dict.values, value)))
+    ):
+        row_inner = "\n" + _INDENT * (depth + 2)
+        text = _flat_encoder(depth + 2).encode(value)
+        rows = text[2:-2].replace(
+            "}," + row_inner + "{", inner + "}," + inner + "{" + row_inner
+        )
+        return "[" + inner + "{" + row_inner + rows + inner + "}" + outer + "]"
+    items = [_encode(item, depth + 1) for item in value]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 def _json_text(payload: dict) -> str:
-    """Structured stdout and report.json: sorted keys, two-space indent."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Structured stdout and report.json: sorted keys, two-space indent.
+
+    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
+    but written mostly by the C encoder, which ``indent`` would disable.
+    """
+    return _encode(payload, 0) + "\n"
 
 
 def report_json(report: BacktestReport) -> str:
@@ -503,9 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning[{category.__name__}]: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only the text changes: a caller that records warnings still gets them.
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except MinecostError as exc:
@@ -514,6 +582,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -42,10 +42,11 @@ from .errors import (
 )
 from .pricing import (
     DEFAULT_ELECTRICITY_USD_PER_KWH,
-    CostParams,
-    NetworkParams,
-    model_price,
+    _closed_form,
+    _require_positive_finite,
 )
+# perfbench/tracing.py counts calls to this name here, so it stays imported.
+from .pricing import model_price  # noqa: F401
 
 OBSERVATION_COLUMNS = ("date", "difficulty", "price_usd", "eff_w_per_ghs")
 
@@ -391,7 +392,10 @@ def _load(source, parse):
     """Parse the UTF-8 file ``source`` (a path or packaged resource).
 
     Raises:
-        ParseError: a byte that is not UTF-8, naming the file and line.
+        ParseError: a byte that is not UTF-8, naming the file and line; or
+            a ParseError of ``parse``, its message prefixed with the file
+            and its ``line`` kept.
+        ValidationError: one of ``parse``, its message prefixed with the file.
     """
     try:
         text = source.read_bytes().decode("utf-8")
@@ -400,7 +404,12 @@ def _load(source, parse):
         raise ParseError(
             f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
         ) from None
-    return parse(io.StringIO(text, newline=""))
+    try:
+        return parse(io.StringIO(text, newline=""))
+    except (ParseError, ValidationError) as exc:
+        named = type(exc)(f"{source}: {exc}")
+        named.__dict__.update(vars(exc))  # ParseError's line
+        raise named from None
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +431,22 @@ def build_backtest_series(
     for its gaps). Table lookups past the last table entry carry its value
     forward under one :class:`CarriedForwardWarning` for the whole series.
 
+    The lookups run per record; the model prices are then one array
+    expression of :func:`minecost.pricing.model_price`'s closed form, with
+    the same operations in the same order, so each equals the per-record
+    ``model_price`` bit for bit.
+
     Raises:
         ValidationError: empty input, or a record without efficiency when no
             table was given.
-        DomainError: a date not covered by the schedule or table; the
-            message names the offending date.
+        DomainError: a non-positive or non-finite ``electricity_price``, or
+            a date not covered by the schedule or table; the message names
+            the offending value or date.
     """
     if not records:
         raise ValidationError("cannot build a backtest series from zero records")
-    dates, market, model, carried = [], [], [], []
+    electricity_price = _require_positive_finite("electricity_price", electricity_price)
+    efficiencies, rewards, carried = [], [], []
     for record in records:
         efficiency = record.efficiency
         if efficiency is None:
@@ -442,14 +458,8 @@ def build_backtest_series(
             efficiency = _step_lookup(table.entries, record.date, "efficiency")
             if record.date > table.entries[-1][0]:
                 carried.append(record.date)
-        reward = _step_lookup(schedule.entries, record.date, "reward")
-        price = model_price(
-            CostParams(electricity_price=electricity_price, efficiency=efficiency),
-            NetworkParams(difficulty=record.difficulty, block_reward=reward),
-        )
-        dates.append(record.date)
-        market.append(record.market_price)
-        model.append(price)
+        efficiencies.append(efficiency)
+        rewards.append(_step_lookup(schedule.entries, record.date, "reward"))
     if carried:
         warnings.warn(
             f"{len(carried)} date(s) are past the last efficiency entry "
@@ -458,7 +468,17 @@ def build_backtest_series(
             CarriedForwardWarning,
             stacklevel=2,
         )
-    return PairedSeries(tuple(dates), np.array(market), np.array(model))
+    model = _closed_form(
+        electricity_price,
+        np.array(efficiencies, dtype=float),
+        np.array([r.difficulty for r in records], dtype=float),
+        np.array(rewards, dtype=float),
+    )
+    return PairedSeries(
+        tuple(r.date for r in records),
+        np.array([r.market_price for r in records], dtype=float),
+        model,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Pulls raw difficulty and market-price chart series over HTTP with the
 standard library's ``urllib.request`` and resamples them to
-difficulty-change dates so the result feeds the normal parse path.
+difficulty-change dates so the result feeds the normal parse path. The
+network modules (``urllib.request``, ``http.client`` and through them
+``ssl``) are imported on the first download, not with this module, so the
+CLI commands that never download do not load them.
 Strictly optional: the packaged reference dataset covers offline use, and
 the tests talk only to a loopback server.
 
@@ -17,11 +20,8 @@ nothing is written unless the download succeeded.
 from __future__ import annotations
 
 import datetime as dt
-import http.client
 import os
 import tempfile
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from .dataset import ObservationRecord
@@ -73,6 +73,11 @@ def fetch_remote_series(
     cache_path = cache_file_for(kind, cache_dir)
     if cache_path.exists():
         return cache_path.read_text()
+
+    # Imported here: they cost every other command tens of milliseconds.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     base = (base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL).rstrip("/")
     url = f"{base}/{kind}"

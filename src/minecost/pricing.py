@@ -136,6 +136,20 @@ def expected_btc_per_day(hashrate_ghs: float, net: NetworkParams) -> float:
     return net.block_reward * blocks_per_day
 
 
+def _closed_form(electricity, efficiency, difficulty, reward):
+    """``model_price`` for floats or numpy arrays alike, without checks.
+
+    numpy's float64 ``*`` and ``/`` are the IEEE operations Python floats
+    use, applied here in one order, so an array result equals the scalar
+    result for each element bit for bit.
+    """
+    scale = WATTS_PER_KILOWATT * SECONDS_PER_HOUR * HASHES_PER_GH
+    return (
+        electricity * efficiency * difficulty * DIFFICULTY_HASH_SCALE
+        / (reward * scale)
+    )
+
+
 def model_price(cost: CostParams, net: NetworkParams) -> float:
     """Production-cost price in USD per BTC.
 
@@ -147,7 +161,8 @@ def model_price(cost: CostParams, net: NetworkParams) -> float:
 
     where 3.6e15 = 1000 W/kW * 3600 s/h * 1e9 hashes/GH. Homogeneous of
     degree 1 in each of the three numerator factors and degree -1 in the
-    block reward.
+    block reward. :func:`minecost.dataset.build_backtest_series` evaluates
+    the same closed form on whole arrays.
 
     Args:
         cost: electricity rate and hardware efficiency.
@@ -164,11 +179,6 @@ def model_price(cost: CostParams, net: NetworkParams) -> float:
         raise UndefinedPriceError(
             "model price is undefined when the block reward is zero"
         )
-    scale = WATTS_PER_KILOWATT * SECONDS_PER_HOUR * HASHES_PER_GH
-    return (
-        cost.electricity_price
-        * cost.efficiency
-        * net.difficulty
-        * DIFFICULTY_HASH_SCALE
-        / (net.block_reward * scale)
+    return _closed_form(
+        cost.electricity_price, cost.efficiency, net.difficulty, net.block_reward
     )

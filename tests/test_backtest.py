@@ -228,3 +228,25 @@ class TestRunBacktest:
             "model does not Granger-cause market",
         }
         assert doc["provenance"]["n_observations"] == 60
+
+    def test_to_dict_rows_carry_the_series_date_by_date(self):
+        rng = np.random.default_rng(16)
+        records, _ = _synthetic_records(60, rng)
+        report = run_backtest(
+            records, SCHEDULE, None, config=BacktestConfig(include_timestamp=False)
+        )
+        doc = report.to_dict()
+        pair, stats = report.pair, report.ratio_stats
+        assert doc["prices"] == [
+            {"date": pair.dates[i].isoformat(), "market": float(pair.market_prices[i]),
+             "model": float(pair.model_prices[i])}
+            for i in range(len(pair))
+        ]
+        assert doc["ratio"]["series"] == [
+            {"date": stats.dates[i].isoformat(), "ratio": float(stats.ratios[i])}
+            for i in range(len(pair))
+        ]
+        plain = [row["market"] for row in doc["prices"]]
+        plain += [row["model"] for row in doc["prices"]]
+        plain += [row["ratio"] for row in doc["ratio"]["series"]]
+        assert {type(value) for value in plain} == {float}

@@ -1,7 +1,12 @@
 """End-to-end tests of the command-line surface (loopback HTTP only)."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,16 @@ from minecost import (
     cache_file_for,
 )
 from minecost.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# report.txt, figure1.csv and figure2.csv of the bundled backtest with
+# --no-provenance-timestamps; unchanged since the first release.
+GOLDEN_SHA256 = {
+    "report.txt": "e1713f5b2906890f8bcb2a6bde66105ead910d42b31b90a275208769d2acb322",
+    "figure1.csv": "d7dcd50f499a90f8f3e543fbbc8bfca78aec2e13b90e6edecaeccbb6204ca09e",
+    "figure2.csv": "409da9992e0252c0118f3db4c510b9ec95eeded5b36e6632ef5d624664c5813b",
+}
 
 OBS_CSV = (
     "date,difficulty,price_usd,eff_w_per_ghs\n"
@@ -29,6 +44,19 @@ def _bundled_prefix(tmp_path, n):
     obs = tmp_path / "obs.csv"
     obs.write_text("\n".join(rows[: n + 1]) + "\n")
     return obs
+
+
+def _python(*args):
+    """A fresh interpreter with ./src first on its path: its real stderr.
+
+    In-process runs cannot show how warnings print, because pytest records
+    every warning a test raises.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestPriceCommand:
@@ -126,6 +154,16 @@ class TestBacktestCommand:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between runs"
+
+    def test_bundled_artifacts_match_their_golden_digests(self, tmp_path):
+        rc = main(["backtest", "--out-dir", str(tmp_path),
+                   "--no-provenance-timestamps"])
+        assert rc == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert digests == GOLDEN_SHA256
 
     def test_timestamps_present_by_default(self, tmp_path):
         rc = main(["backtest", "--out-dir", str(tmp_path)])
@@ -257,6 +295,48 @@ class TestOtherSubcommandsAndErrors:
         assert captured.out == ""
         assert captured.err == f"error[parse]: {bad}:2: not UTF-8 text (byte 0xb5)\n"
 
+    @pytest.mark.parametrize(
+        "kind, text, code, message",
+        [
+            ("efficiency", "date,w_per_ghs\n2013-01-01,x\n", "parse",
+             "line 2: bad w_per_ghs value 'x'"),
+            ("rewards", "date,reward_btc\n", "validation",
+             "reward schedule must have at least one entry"),
+        ],
+        ids=["bad-value", "header-only"],
+    )
+    def test_data_file_errors_name_the_file(self, kind, text, code, message,
+                                            tmp_path, capsys):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        rc = main(["ratio", f"--{kind}", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error[{code}]: {path}: {message}\n"
+
+    def test_clamp_warning_is_one_stderr_line(self, tmp_path):
+        obs = _bundled_prefix(tmp_path, 28)
+        result = _python("-m", "minecost.cli", "backtest", "--observations", str(obs),
+                         "--lags", "auto", "--max-p", "9", "--no-provenance-timestamps",
+                         "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 0
+        assert result.stderr == (
+            "warning[UserWarning]: max_p 9 needs 29 observations but the series "
+            "has 28; lag selection scans orders 1..8\n"
+        )
+
+    def test_carried_forward_warning_is_one_stderr_line(self, tmp_path):
+        table = tmp_path / "eff.csv"
+        table.write_text("date,w_per_ghs\n2013-01-01,1.0\n2014-01-01,0.5\n")
+        result = _python("-m", "minecost.cli", "ratio", "--efficiency", str(table))
+        assert result.returncode == 0
+        assert result.stderr == (
+            "warning[CarriedForwardWarning]: 112 date(s) are past the last "
+            "efficiency entry 2014-01-01, the first 2014-01-11; carrying last "
+            "value forward\n"
+        )
+
     def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):
         """20 rows support VAR(1..5); max_p 8 is clamped, the fit still runs."""
         obs = _bundled_prefix(tmp_path, 20)
@@ -305,6 +385,12 @@ class TestOtherSubcommandsAndErrors:
 
 
 class TestFetchCommand:
+    def test_other_commands_load_no_network_module(self):
+        result = _python("-c", "import minecost.cli, sys; print(sorted("
+                         "{'http.client', 'urllib.request', 'ssl'} & sys.modules.keys()))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_each_kind_is_cached(self, tmp_path, capsys, chart_server):
         rc = main(["fetch", "--base-url", chart_server.url, "--cache-dir", str(tmp_path)])
         assert rc == 0

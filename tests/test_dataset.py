@@ -10,8 +10,10 @@ import pytest
 
 from minecost import (
     CarriedForwardWarning,
+    CostParams,
     DomainError,
     EfficiencyTable,
+    NetworkParams,
     ObservationRecord,
     ParseError,
     RewardSchedule,
@@ -19,6 +21,7 @@ from minecost import (
     build_backtest_series,
     bundled_data_path,
     load_bundled,
+    model_price,
     parse_efficiency_table,
     parse_observations,
     parse_reward_schedule,
@@ -259,6 +262,40 @@ class TestBuildBacktestSeries:
         )
         assert len(pair) == 4
 
+    @pytest.mark.parametrize("source", ["bundled", "inline and table"])
+    @pytest.mark.parametrize("electricity", [0.135, 0.07])
+    def test_model_prices_equal_per_record_model_price(self, source, electricity):
+        if source == "bundled":
+            records, schedule, table = load_bundled()
+        else:  # crosses the 2016-07-09 halving; the middle row uses the table
+            records, schedule = parse_observations(OBS_CSV), SCHEDULE
+            table = EfficiencyTable(
+                entries=((dt.date(2016, 1, 1), 0.5), (dt.date(2016, 8, 1), 0.48))
+            )
+            assert [r.efficiency for r in records] == [0.5, None, 0.45]
+        expected = []
+        for r in records:
+            efficiency = (
+                table.efficiency_at(r.date) if r.efficiency is None else r.efficiency
+            )
+            expected.append(model_price(
+                CostParams(electricity_price=electricity, efficiency=efficiency),
+                NetworkParams(difficulty=r.difficulty,
+                              block_reward=schedule.reward_at(r.date)),
+            ))
+        pair = build_backtest_series(records, schedule, table, electricity)
+        assert pair.model_prices.tolist() == expected
+        assert pair.market_prices.tolist() == [r.market_price for r in records]
+
+    @pytest.mark.parametrize("price", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_electricity_price_rejected(self, price):
+        records = [ObservationRecord(dt.date(2016, 6, 1), 2.0e11, 600.0, 0.5)]
+        with pytest.raises(DomainError) as info:
+            build_backtest_series(records, SCHEDULE, electricity_price=price)
+        assert str(info.value) == (
+            f"electricity_price must be a positive finite number, got {price!r}"
+        )
+
     def test_paired_series_length_and_dates(self):
         records = parse_observations(OBS_CSV)
         table = EfficiencyTable(
@@ -308,6 +345,14 @@ class TestBundledData:
         with pytest.raises(ParseError) as info:
             load_bundled(observations=bad)
         assert str(info.value) == f"{bad}:2: not UTF-8 text (byte 0xb5)"
+
+    def test_parse_error_names_the_file_and_keeps_its_line(self, tmp_path):
+        bad = tmp_path / "eff.csv"
+        bad.write_text("date,w_per_ghs\n2013-01-01,0.5\n2013-02-01,x\n")
+        with pytest.raises(ParseError) as info:
+            load_bundled(efficiency=bad)
+        assert str(info.value) == f"{bad}: line 3: bad w_per_ghs value 'x'"
+        assert info.value.line == 3
 
     def test_generator_reproduces_the_packaged_files(self, tmp_path):
         tools = Path(__file__).resolve().parents[1] / "tools"
