@@ -179,17 +179,18 @@ def regression_to_dict(fit: RegressionResult) -> dict:
     }
 
 
+def _ratio_moments(stats: RatioStats) -> dict:
+    return {"mean": stats.mean, "std": stats.std, "min": stats.min, "max": stats.max}
+
+
 def ratio_to_dict(stats: RatioStats) -> dict:
-    return {
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.min,
-        "max": stats.max,
-        "series": [
+    return dict(
+        _ratio_moments(stats),
+        series=[
             {"date": d, "ratio": r}
             for d, r in zip(map(dt.date.isoformat, stats.dates), stats.ratios.tolist())
         ],
-    }
+    )
 
 
 def episodes_to_dict(episodes: list[BubbleEpisode]) -> list[dict]:
@@ -231,6 +232,16 @@ class BacktestReport:
                     self.pair.model_prices.tolist(),
                 )
             ],
+            **self._payload(),
+        }
+
+    def _payload(self) -> dict:
+        """:meth:`to_dict` without its per-date sections, ``ratio`` and ``prices``.
+
+        Writers that lay out the series themselves (``minecost.cli``) take
+        the rest of the document from here and build no row dicts.
+        """
+        return {
             "level_regression": regression_to_dict(self.level_fit),
             "log_regression": regression_to_dict(self.log_fit),
             "lag_selection": {

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``price``    - evaluate the production-cost price for given inputs.
 * ``backtest`` - full pipeline; writes report.txt, report.json, figure1.csv
-  (date, ratio) and figure2.csv (date, market, model).
+  (date, ratio) and figure2.csv (date, market, model), as UTF-8.
 * ``regress``  - level and log-log regressions only.
 * ``var``      - lag selection, VAR fit, and both Granger directions.
 * ``ratio``    - ratio statistics and episode detection.
@@ -23,12 +23,14 @@ decimals. Structured (JSON) output always carries full precision.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import functools
 import json
+import os
 import sys
 import warnings
 from dataclasses import fields
-from itertools import chain
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,10 +38,11 @@ from typing import Callable, NamedTuple
 from .backtest import (
     BacktestConfig,
     BacktestReport,
+    RatioStats,
+    _ratio_moments,
     detect_episodes,
     episodes_to_dict,
     ratio_series,
-    ratio_to_dict,
     regression_to_dict,
     run_backtest,
 )
@@ -170,10 +173,22 @@ def resolve_options(args) -> tuple[BacktestConfig, dict]:
     return config, values
 
 
+def _label(path: Path | None) -> str:
+    """Provenance label of an input: its path's bytes read as UTF-8.
+
+    The label then does not depend on the locale's filesystem encoding; a
+    byte that is not UTF-8 stays a surrogate escape, which the artifact
+    writer turns back into that byte.
+    """
+    if path is None:
+        return "<bundled>"
+    return os.fsencode(path).decode("utf-8", "surrogateescape")
+
+
 def _load_inputs(options: dict):
     """Records, schedule, table and their provenance labels."""
     paths = {name: options.get(name) for name in INPUT_FILES}
-    labels = {name: "<bundled>" if p is None else str(p) for name, p in paths.items()}
+    labels = {name: _label(path) for name, path in paths.items()}
     return (*load_bundled(**paths), labels)
 
 
@@ -297,7 +312,35 @@ def render_report(report: BacktestReport) -> str:
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
+
+
+class _Rows:
+    """A JSON array of flat objects, given as one column of JSON texts per key.
+
+    :func:`_encode` lays it out as ``json.dumps(indent=2, sort_keys=True)``
+    lays out the list of row dicts: each row joins its values between the
+    fixed texts that precede them, so no row dict is built and no value is
+    encoded again.
+    """
+
+    def __init__(self, /, **columns: list[str]):
+        self.keys = sorted(columns)
+        self.columns = [columns[key] for key in self.keys]
+
+    def encode(self, depth: int) -> str:
+        if not self.columns[0]:
+            return "[]"
+        inner, field = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * (depth + 2)
+        heads = ["," + field + encode_basestring_ascii(key) + ": " for key in self.keys]
+        heads[0] = "{" + heads[0][1:]
+        parts = []
+        for head, column in zip(heads, self.columns):
+            parts += (repeat(head), column)
+        rows = map("".join, zip(*parts, repeat(inner + "}")))
+        return f"[{inner}{(',' + inner).join(rows)}\n{_INDENT * depth}]"
+
+
+_CONTAINERS = (dict, list, tuple, _Rows)
 
 
 @functools.cache
@@ -314,67 +357,123 @@ def _is_flat(values) -> bool:
 def _encode(value, depth: int) -> str:
     """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` at ``depth``.
 
-    The C encoder writes a flat container, or a list of flat non-empty
-    dicts (rows), in one call; a line break only needs to be added where
-    the indented layout opens or closes a container. That is exact because
-    the encoder escapes newlines inside strings, so ``}`` followed by the
-    separator occurs only where one row ends and the next begins. Anything
-    else recurses; its dict keys must be strings.
+    The C encoder writes a flat container in one call; a line break only
+    needs to be added where the indented layout opens or closes it. A
+    :class:`_Rows` writes itself. Anything else recurses; its dict keys must
+    be strings.
     """
+    if isinstance(value, _Rows):
+        return value.encode(depth)
     if not isinstance(value, _CONTAINERS) or not value:
         return _flat_encoder(depth).encode(value)
     inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
     if _is_flat(value.values() if isinstance(value, dict) else value):
         text = _flat_encoder(depth + 1).encode(value)
         return text[0] + inner + text[1:-1] + outer + text[-1]
+    # An f-string copies a long array's text once, where "+" would per operand.
     if isinstance(value, dict):
         items = [
             f"{encode_basestring_ascii(key)}: {_encode(item, depth + 1)}"
             for key, item in sorted(value.items())
         ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if (
-        set(map(type, value)) == {dict}
-        and all(value)
-        and _is_flat(chain.from_iterable(map(dict.values, value)))
-    ):
-        row_inner = "\n" + _INDENT * (depth + 2)
-        text = _flat_encoder(depth + 2).encode(value)
-        rows = text[2:-2].replace(
-            "}," + row_inner + "{", inner + "}," + inner + "{" + row_inner
-        )
-        return "[" + inner + "{" + row_inner + rows + inner + "}" + outer + "]"
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
     items = [_encode(item, depth + 1) for item in value]
-    return "[" + inner + ("," + inner).join(items) + outer + "]"
+    return f"[{inner}{(',' + inner).join(items)}{outer}]"
 
 
 def _json_text(payload: dict) -> str:
     """Structured stdout and report.json: sorted keys, two-space indent.
 
-    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
-    but written mostly by the C encoder, which ``indent`` would disable.
+    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``
+    (with each :class:`_Rows` standing for its list of row dicts), but
+    written mostly by the C encoder, which ``indent`` would disable.
     """
     return _encode(payload, 0) + "\n"
 
 
-def report_json(report: BacktestReport) -> str:
-    return _json_text(report.to_dict())
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+# JSON spells the non-finite floats differently from repr; CSV cells use repr.
+_CSV_FLOATS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
-def figure1_csv(report: BacktestReport) -> str:
-    lines = ["date,ratio"]
-    for d, ratio in zip(report.ratio_stats.dates, report.ratio_stats.ratios):
-        lines.append(f"{d.isoformat()},{float(ratio)!r}")
-    return "\n".join(lines) + "\n"
+def _json_items(values: list) -> list[str]:
+    """JSON text of each value, from one C encoder call.
+
+    The values must encode without a comma: floats (written as ``repr``
+    writes them when finite) and ISO dates.
+    """
+    return _COMPACT.encode(values)[1:-1].split(",") if values else []
 
 
-def figure2_csv(report: BacktestReport) -> str:
-    lines = ["date,market,model"]
-    for d, market, model in zip(
-        report.pair.dates, report.pair.market_prices, report.pair.model_prices
-    ):
-        lines.append(f"{d.isoformat()},{float(market)!r},{float(model)!r}")
-    return "\n".join(lines) + "\n"
+def _csv_floats(texts: list[str]) -> list[str]:
+    """``repr`` of each float, from its JSON text."""
+    return [_CSV_FLOATS.get(text, text) for text in texts]
+
+
+class SeriesText(NamedTuple):
+    """A report's per-date series as text, each date and float formatted once.
+
+    Dates are ISO 8601; prices and ratios are JSON number texts. The
+    report.json and figure writers all take theirs from one instance.
+    """
+
+    dates: list[str]
+    ratio_dates: list[str]
+    market: list[str]
+    model: list[str]
+    ratio: list[str]
+
+    @classmethod
+    def of(cls, report: BacktestReport) -> "SeriesText":
+        pair, stats = report.pair, report.ratio_stats
+        dates = list(map(dt.date.isoformat, pair.dates))
+        ratio_dates = (dates if stats.dates == pair.dates
+                       else list(map(dt.date.isoformat, stats.dates)))
+        return cls(
+            dates,
+            ratio_dates,
+            _json_items(pair.market_prices.tolist()),
+            _json_items(pair.model_prices.tolist()),
+            _json_items(stats.ratios.tolist()),
+        )
+
+
+def _ratio_json(stats: RatioStats, dates: list[str], ratios: list[str]) -> dict:
+    """``ratio_to_dict(stats)``, with its series as rows of JSON texts."""
+    return dict(_ratio_moments(stats), series=_Rows(date=dates, ratio=ratios))
+
+
+def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
+    """report.json: ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``.
+
+    ``prices`` and ``ratio.series`` are written from ``text`` (formatted
+    here when not given); the rest comes from the report's row-free payload.
+    """
+    text = text or SeriesText.of(report)
+    dates = _json_items(text.dates)
+    ratio_dates = dates if text.ratio_dates is text.dates else _json_items(text.ratio_dates)
+    return _json_text({
+        "ratio": _ratio_json(report.ratio_stats, ratio_dates, text.ratio),
+        "prices": _Rows(date=dates, market=text.market, model=text.model),
+        **report._payload(),
+    })
+
+
+def _csv(header: str, *columns: list[str]) -> str:
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def figure1_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
+    """figure1.csv: one ``date,ratio`` line per date, floats as ``repr``."""
+    text = text or SeriesText.of(report)
+    return _csv("date,ratio", text.ratio_dates, _csv_floats(text.ratio))
+
+
+def figure2_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
+    """figure2.csv: one ``date,market,model`` line per date, floats as ``repr``."""
+    text = text or SeriesText.of(report)
+    return _csv("date,market,model", text.dates,
+                _csv_floats(text.market), _csv_floats(text.model))
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +497,16 @@ def cmd_backtest(args) -> int:
     report = _run_report(config, options)
     out_dir = options.get("out_dir", Path("."))
     out_dir.mkdir(parents=True, exist_ok=True)
+    text = SeriesText.of(report)
     artifacts = {
         "report.txt": render_report(report),
-        "report.json": report_json(report),
-        "figure1.csv": figure1_csv(report),
-        "figure2.csv": figure2_csv(report),
+        "report.json": report_json(report, text),
+        "figure1.csv": figure1_csv(report, text),
+        "figure2.csv": figure2_csv(report, text),
     }
-    for name, text in artifacts.items():
-        (out_dir / name).write_text(text)
+    for name, content in artifacts.items():
+        # surrogateescape writes back a path byte that is not UTF-8 (_label).
+        (out_dir / name).write_text(content, encoding="utf-8", errors="surrogateescape")
     if options["format"] == "json":
         sys.stdout.write(artifacts["report.json"])
     else:
@@ -436,7 +537,7 @@ def cmd_var(args) -> int:
     config, options = resolve_options(args)
     report = _run_report(config, options)
     if options["format"] == "json":
-        payload = report.to_dict()
+        payload = report._payload()
         sys.stdout.write(_json_text(
             {key: payload[key] for key in ("lag_selection", "var", "granger")}
         ))
@@ -461,9 +562,9 @@ def cmd_ratio(args) -> int:
     stats = ratio_series(pair)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
     if options["format"] == "json":
-        sys.stdout.write(_json_text(
-            {"ratio": ratio_to_dict(stats), "episodes": episodes_to_dict(episodes)}
-        ))
+        ratio = _ratio_json(stats, _json_items(list(map(dt.date.isoformat, stats.dates))),
+                            _json_items(stats.ratios.tolist()))
+        sys.stdout.write(_json_text({"ratio": ratio, "episodes": episodes_to_dict(episodes)}))
         return 0
     print(f"ratio mean {_fmt3(stats.mean)}  sd {_fmt3(stats.std)}  "
           f"min {_fmt3(stats.min)}  max {_fmt3(stats.max)}  n {len(stats.ratios)}")
@@ -579,7 +680,9 @@ def main(argv=None) -> int:
     except MinecostError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: a path or text that stdout (or the filesystem
+        # encoding) cannot represent, for example under LC_ALL=C.
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -15,6 +15,7 @@ Three closed-form quantities, all pure functions of value types:
 
 Everything here is double precision; the largest intermediate products
 (difficulty 1e14 times 2^32) stay below 1e24, far inside float range.
+Inputs whose price would overflow or underflow raise DomainError.
 """
 
 from __future__ import annotations
@@ -169,16 +170,23 @@ def model_price(cost: CostParams, net: NetworkParams) -> float:
         net: network difficulty and block reward.
 
     Returns:
-        USD per BTC, strictly positive.
+        USD per BTC, strictly positive and finite.
 
     Raises:
         UndefinedPriceError: if ``block_reward`` is zero (no production, so
             cost per coin is undefined rather than merely out of domain).
+        DomainError: if the inputs overflow or underflow double precision,
+            so that the result is not a positive finite number.
     """
     if net.block_reward == 0.0:
         raise UndefinedPriceError(
             "model price is undefined when the block reward is zero"
         )
-    return _closed_form(
+    price = _closed_form(
         cost.electricity_price, cost.efficiency, net.difficulty, net.block_reward
     )
+    if not 0.0 < price < math.inf:
+        raise DomainError(
+            f"model price is {price!r}: the inputs overflow or underflow double precision"
+        )
+    return price

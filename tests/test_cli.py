@@ -46,17 +46,26 @@ def _bundled_prefix(tmp_path, n):
     return obs
 
 
-def _python(*args):
+def _python(*args, **env):
     """A fresh interpreter with ./src first on its path: its real stderr.
 
     In-process runs cannot show how warnings print, because pytest records
-    every warning a test raises.
+    every warning a test raises, nor how the locale encodes text. ``env``
+    adds environment variables.
     """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def _non_ascii_observations(tmp_path):
+    """The bundled observations under a directory named with a non-ASCII letter."""
+    obs = tmp_path / "\u00fc" / "obs.csv"
+    obs.parent.mkdir()
+    obs.write_bytes(bundled_data_path("observations.csv").read_bytes())
+    return obs
 
 
 class TestPriceCommand:
@@ -105,6 +114,24 @@ class TestPriceCommand:
                    "--reward", "12.5"])
         assert rc == 1
         assert "error[domain]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("difficulty, efficiency, reward, result", [
+        ("1e308", "1e10", "1e-300", "inf"),
+        ("1e-300", "1e-300", "1e300", "0.0"),
+    ])
+    def test_price_outside_double_range_is_one_domain_line(
+        self, difficulty, efficiency, reward, result, capsys
+    ):
+        rc = main(["price", "--difficulty", difficulty, "--efficiency", efficiency,
+                   "--reward", reward, "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[domain]: model price is {result}: the inputs overflow or "
+            "underflow double precision\n"
+        )
 
 
 class TestBacktestCommand:
@@ -164,6 +191,16 @@ class TestBacktestCommand:
             for name in GOLDEN_SHA256
         }
         assert digests == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("lags, digest", [
+        ("2", "e139023da5ac68babbbdc8db44dbc481f4d76e41a67e1359fe3439631b11e787"),
+        ("auto", "7d892df9b762391cb89bebbbe842818fba3a07c2ce7f822a0e006a7b3888819d"),
+    ])
+    def test_bundled_report_json_matches_its_golden_digest(self, lags, digest, tmp_path):
+        rc = main(["backtest", "--lags", lags, "--out-dir", str(tmp_path),
+                   "--no-provenance-timestamps"])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
     def test_timestamps_present_by_default(self, tmp_path):
         rc = main(["backtest", "--out-dir", str(tmp_path)])
@@ -314,6 +351,34 @@ class TestOtherSubcommandsAndErrors:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error[{code}]: {path}: {message}\n"
+
+    def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
+        obs = _non_ascii_observations(tmp_path)
+        runs = {}
+        for locale, env in (("c", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+                            ("utf8", {"PYTHONUTF8": "1"})):
+            runs[locale] = _python(
+                "-m", "minecost.cli", "backtest", "--observations", str(obs),
+                "--format", "json", "--no-provenance-timestamps",
+                "--out-dir", str(tmp_path / locale), **env,
+            )
+            assert (runs[locale].returncode, runs[locale].stderr) == (0, "")
+        assert runs["c"].stdout == runs["utf8"].stdout
+        for name in ("report.txt", "report.json", "figure1.csv", "figure2.csv"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+        report = (tmp_path / "c" / "report.txt").read_text(encoding="utf-8")
+        assert f"  observations    : {obs}\n" in report
+
+    def test_text_stdout_cannot_encode_is_one_io_line(self, tmp_path):
+        obs = _non_ascii_observations(tmp_path)
+        result = _python("-m", "minecost.cli", "backtest", "--observations", str(obs),
+                         "--out-dir", str(tmp_path / "out"), PYTHONIOENCODING="ascii")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "error[io]: 'ascii' codec can't encode character '\\xfc' in position "
+        )
+        assert result.stderr.count("\n") == 1
 
     def test_clamp_warning_is_one_stderr_line(self, tmp_path):
         obs = _bundled_prefix(tmp_path, 28)

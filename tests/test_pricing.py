@@ -144,6 +144,22 @@ class TestValidation:
         with pytest.raises(UndefinedPriceError):
             model_price(cost, net)
 
+    @pytest.mark.parametrize(
+        "difficulty, efficiency, reward, result",
+        [
+            (1e308, 1e10, 1e-300, "inf"),  # numerator overflows
+            (1e-300, 1e-300, 1e300, "0.0"),  # numerator underflows
+            (1e308, 1e10, 1e300, "nan"),  # both overflow: inf / inf
+        ],
+    )
+    def test_price_outside_double_range_is_a_domain_error(
+        self, difficulty, efficiency, reward, result
+    ):
+        cost = CostParams(electricity_price=0.135, efficiency=efficiency)
+        net = NetworkParams(difficulty=difficulty, block_reward=reward)
+        with pytest.raises(DomainError, match=f"^model price is {result}: "):
+            model_price(cost, net)
+
     @pytest.mark.parametrize("hashrate", [0.0, -5.0])
     def test_nonpositive_hashrate_rejected(self, hashrate):
         cost = CostParams(electricity_price=0.135, efficiency=0.25)
