@@ -133,7 +133,12 @@ def detect_episodes(
     consecutive observations; it ends at the last observation above the
     threshold. With zero ratio dispersion no threshold can be formed, so the
     result is empty and a DegenerateThresholdWarning is issued.
+
+    Raises:
+        DomainError: ``entry_k`` is not a positive finite number, or
+            ``min_len`` is below 1.
     """
+    _require_positive_finite("entry_k", entry_k)
     if min_len < 1:
         raise DomainError(f"min_len must be >= 1, got {min_len!r}")
     if stats.std == 0.0:
@@ -179,18 +184,10 @@ def regression_to_dict(fit: RegressionResult) -> dict:
     }
 
 
-def _ratio_moments(stats: RatioStats) -> dict:
-    return {"mean": stats.mean, "std": stats.std, "min": stats.min, "max": stats.max}
-
-
-def ratio_to_dict(stats: RatioStats) -> dict:
-    return dict(
-        _ratio_moments(stats),
-        series=[
-            {"date": d, "ratio": r}
-            for d, r in zip(map(dt.date.isoformat, stats.dates), stats.ratios.tolist())
-        ],
-    )
+def ratio_to_dict(stats: RatioStats, series) -> dict:
+    """The report's ``ratio`` section; ``series`` stands for its per-date rows."""
+    return {"mean": stats.mean, "std": stats.std, "min": stats.min, "max": stats.max,
+            "series": series}
 
 
 def episodes_to_dict(episodes: list[BubbleEpisode]) -> list[dict]:
@@ -221,27 +218,25 @@ class BacktestReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Plain-type payload; deterministic given identical inputs."""
-        return {
-            "ratio": ratio_to_dict(self.ratio_stats),
-            "prices": [
-                {"date": d, "market": a, "model": b}
-                for d, a, b in zip(
-                    map(dt.date.isoformat, self.pair.dates),
-                    self.pair.market_prices.tolist(),
-                    self.pair.model_prices.tolist(),
-                )
-            ],
-            **self._payload(),
-        }
+        """The report document with one row dict per date; deterministic."""
+        pair, stats = self.pair, self.ratio_stats
+        prices = zip(map(dt.date.isoformat, pair.dates),
+                     pair.market_prices.tolist(), pair.model_prices.tolist())
+        ratios = zip(map(dt.date.isoformat, stats.dates), stats.ratios.tolist())
+        return self._document(
+            prices=[{"date": d, "market": a, "model": b} for d, a, b in prices],
+            series=[{"date": d, "ratio": r} for d, r in ratios],
+        )
 
-    def _payload(self) -> dict:
-        """:meth:`to_dict` without its per-date sections, ``ratio`` and ``prices``.
+    def _document(self, prices, series) -> dict:
+        """The report document, defined once for every writer of it.
 
-        Writers that lay out the series themselves (``minecost.cli``) take
-        the rest of the document from here and build no row dicts.
+        ``prices`` and ``series`` are its per-date arrays, ``prices`` and
+        ``ratio.series``, in the form the caller's writer lays out.
         """
         return {
+            "ratio": ratio_to_dict(self.ratio_stats, series),
+            "prices": prices,
             "level_regression": regression_to_dict(self.level_fit),
             "log_regression": regression_to_dict(self.log_fit),
             "lag_selection": {

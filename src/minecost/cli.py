@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import functools
 import json
 import os
 import sys
@@ -38,11 +37,10 @@ from typing import Callable, NamedTuple
 from .backtest import (
     BacktestConfig,
     BacktestReport,
-    RatioStats,
-    _ratio_moments,
     detect_episodes,
     episodes_to_dict,
     ratio_series,
+    ratio_to_dict,
     regression_to_dict,
     run_backtest,
 )
@@ -340,53 +338,36 @@ class _Rows:
         return f"[{inner}{(',' + inner).join(rows)}\n{_INDENT * depth}]"
 
 
-_CONTAINERS = (dict, list, tuple, _Rows)
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """C encoder whose item separator starts a line indented ``depth`` levels."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": "))
-
-
-def _is_flat(values) -> bool:
-    """True when no value is a container (looped over in C, by type)."""
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
-
-
 def _encode(value, depth: int) -> str:
     """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` at ``depth``.
 
-    The C encoder writes a flat container in one call; a line break only
-    needs to be added where the indented layout opens or closes it. A
-    :class:`_Rows` writes itself. Anything else recurses; its dict keys must
-    be strings.
+    A :class:`_Rows` writes itself, and a dict that holds a dict or a
+    :class:`_Rows` is opened here (its keys must be strings). Anything else
+    is one ``json.dumps`` call whose line breaks are indented ``depth``
+    levels further: exact, because the encoder escapes every newline inside
+    a string.
     """
     if isinstance(value, _Rows):
         return value.encode(depth)
-    if not isinstance(value, _CONTAINERS) or not value:
-        return _flat_encoder(depth).encode(value)
+    if not (isinstance(value, dict)
+            and any(isinstance(item, (dict, _Rows)) for item in value.values())):
+        text = json.dumps(value, sort_keys=True, indent=2)
+        return text.replace("\n", "\n" + _INDENT * depth)
     inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
-    if _is_flat(value.values() if isinstance(value, dict) else value):
-        text = _flat_encoder(depth + 1).encode(value)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
     # An f-string copies a long array's text once, where "+" would per operand.
-    if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(key)}: {_encode(item, depth + 1)}"
-            for key, item in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
-    items = [_encode(item, depth + 1) for item in value]
-    return f"[{inner}{(',' + inner).join(items)}{outer}]"
+    items = [
+        f"{encode_basestring_ascii(key)}: {_encode(item, depth + 1)}"
+        for key, item in sorted(value.items())
+    ]
+    return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
 
 
 def _json_text(payload: dict) -> str:
     """Structured stdout and report.json: sorted keys, two-space indent.
 
-    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``
-    (with each :class:`_Rows` standing for its list of row dicts), but
-    written mostly by the C encoder, which ``indent`` would disable.
+    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
+    with each :class:`_Rows` standing for its list of row dicts; the row
+    arrays are the only part not laid out by ``json.dumps`` itself.
     """
     return _encode(payload, 0) + "\n"
 
@@ -438,25 +419,20 @@ class SeriesText(NamedTuple):
         )
 
 
-def _ratio_json(stats: RatioStats, dates: list[str], ratios: list[str]) -> dict:
-    """``ratio_to_dict(stats)``, with its series as rows of JSON texts."""
-    return dict(_ratio_moments(stats), series=_Rows(date=dates, ratio=ratios))
-
-
 def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
     """report.json: ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``.
 
-    ``prices`` and ``ratio.series`` are written from ``text`` (formatted
-    here when not given); the rest comes from the report's row-free payload.
+    Both take the document from ``BacktestReport._document``; here its
+    ``prices`` and ``ratio.series`` are :class:`_Rows` of ``text``
+    (formatted here when not given).
     """
     text = text or SeriesText.of(report)
     dates = _json_items(text.dates)
     ratio_dates = dates if text.ratio_dates is text.dates else _json_items(text.ratio_dates)
-    return _json_text({
-        "ratio": _ratio_json(report.ratio_stats, ratio_dates, text.ratio),
-        "prices": _Rows(date=dates, market=text.market, model=text.model),
-        **report._payload(),
-    })
+    return _json_text(report._document(
+        prices=_Rows(date=dates, market=text.market, model=text.model),
+        series=_Rows(date=ratio_dates, ratio=text.ratio),
+    ))
 
 
 def _csv(header: str, *columns: list[str]) -> str:
@@ -537,9 +513,9 @@ def cmd_var(args) -> int:
     config, options = resolve_options(args)
     report = _run_report(config, options)
     if options["format"] == "json":
-        payload = report._payload()
+        document = report._document(prices=[], series=[])
         sys.stdout.write(_json_text(
-            {key: payload[key] for key in ("lag_selection", "var", "granger")}
+            {key: document[key] for key in ("lag_selection", "var", "granger")}
         ))
         return 0
     sel = report.lag_selection
@@ -562,9 +538,10 @@ def cmd_ratio(args) -> int:
     stats = ratio_series(pair)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
     if options["format"] == "json":
-        ratio = _ratio_json(stats, _json_items(list(map(dt.date.isoformat, stats.dates))),
-                            _json_items(stats.ratios.tolist()))
-        sys.stdout.write(_json_text({"ratio": ratio, "episodes": episodes_to_dict(episodes)}))
+        series = _Rows(date=_json_items(list(map(dt.date.isoformat, stats.dates))),
+                       ratio=_json_items(stats.ratios.tolist()))
+        sys.stdout.write(_json_text({"ratio": ratio_to_dict(stats, series),
+                                     "episodes": episodes_to_dict(episodes)}))
         return 0
     print(f"ratio mean {_fmt3(stats.mean)}  sd {_fmt3(stats.std)}  "
           f"min {_fmt3(stats.min)}  max {_fmt3(stats.max)}  n {len(stats.ratios)}")

@@ -439,9 +439,10 @@ def build_backtest_series(
     Raises:
         ValidationError: empty input, or a record without efficiency when no
             table was given.
-        DomainError: a non-positive or non-finite ``electricity_price``, or
-            a date not covered by the schedule or table; the message names
-            the offending value or date.
+        DomainError: a non-positive or non-finite ``electricity_price``, a
+            date not covered by the schedule or table, or a model price that
+            overflows or underflows double precision; the message names the
+            offending value or date (the first such date).
     """
     if not records:
         raise ValidationError("cannot build a backtest series from zero records")
@@ -468,12 +469,20 @@ def build_backtest_series(
             CarriedForwardWarning,
             stacklevel=2,
         )
-    model = _closed_form(
-        electricity_price,
-        np.array(efficiencies, dtype=float),
-        np.array([r.difficulty for r in records], dtype=float),
-        np.array(rewards, dtype=float),
-    )
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        model = _closed_form(
+            electricity_price,
+            np.array(efficiencies, dtype=float),
+            np.array([r.difficulty for r in records], dtype=float),
+            np.array(rewards, dtype=float),
+        )
+    bad = np.flatnonzero(~((0.0 < model) & (model < math.inf)))
+    if bad.size:
+        price, date = float(model[bad[0]]), records[bad[0]].date
+        raise DomainError(
+            f"model price is {price!r} on {date.isoformat()}: the inputs overflow "
+            "or underflow double precision"
+        )
     return PairedSeries(
         tuple(r.date for r in records),
         np.array([r.market_price for r in records], dtype=float),

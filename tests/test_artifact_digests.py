@@ -1,0 +1,45 @@
+"""tools/artifact_digests.py: digests of the CLI's output, compared by name."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+_spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
+artifact_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digests)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return artifact_digests.digests([])
+
+
+def test_every_call_is_digested(bundled):
+    assert len(bundled) == 36  # 6 backtest calls x (stdout + 4 files) + 6 stdouts
+    assert bundled["bundled/backtest/json/report.json"] == (
+        "e139023da5ac68babbbdc8db44dbc481f4d76e41a67e1359fe3439631b11e787"
+    )
+    assert (bundled["bundled/backtest/json/report.json"]
+            == bundled["bundled/backtest/json/stdout"])
+
+
+def test_a_run_against_itself_passes(bundled, tmp_path, capsys):
+    before = tmp_path / "before.json"
+    before.write_text(json.dumps(bundled))
+    assert artifact_digests.main(["--against", str(before)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == bundled
+    assert captured.err == "36 of 36 digests match\n"
+
+
+def test_an_edited_entry_is_reported(bundled, tmp_path, capsys):
+    edited = dict(bundled, **{"bundled/var/json/stdout": "0" * 64})
+    before = tmp_path / "before.json"
+    before.write_text(json.dumps(edited))
+    assert artifact_digests.main(["--against", str(before)]) == 1
+    assert capsys.readouterr().err == (
+        "differs: bundled/var/json/stdout\n35 of 36 digests match\n"
+    )

@@ -128,6 +128,15 @@ class TestDetectEpisodes:
         with pytest.warns(DegenerateThresholdWarning):
             assert detect_episodes(stats) == []
 
+    @pytest.mark.parametrize("entry_k", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_entry_k_rejected(self, entry_k):
+        stats = ratio_series(_pair_from_ratios(self.RATIOS))
+        with pytest.raises(DomainError) as info:
+            detect_episodes(stats, entry_k=entry_k)
+        assert str(info.value) == (
+            f"entry_k must be a positive finite number, got {entry_k!r}"
+        )
+
     def test_bad_min_len_rejected(self):
         stats = ratio_series(_pair_from_ratios(self.RATIOS))
         with pytest.raises(DomainError):

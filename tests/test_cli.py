@@ -29,6 +29,12 @@ GOLDEN_SHA256 = {
     "figure1.csv": "d7dcd50f499a90f8f3e543fbbc8bfca78aec2e13b90e6edecaeccbb6204ca09e",
     "figure2.csv": "409da9992e0252c0118f3db4c510b9ec95eeded5b36e6632ef5d624664c5813b",
 }
+# --format json stdout of the analysis subcommands on the bundled data.
+GOLDEN_JSON_STDOUT_SHA256 = {
+    "var": "28f2c8f04fd5a75cc773aa903e0496152f69242878e2aafbc31b93e43c400940",
+    "ratio": "ffca58635fd626a959e40b29b7681b8748614dcce3c46061cbe4f15c4ed17e06",
+    "regress": "d352c141ee607b3341b49220a9b2d2ad0634e54a0399c682c7e637986be9bf78",
+}
 
 OBS_CSV = (
     "date,difficulty,price_usd,eff_w_per_ghs\n"
@@ -201,6 +207,12 @@ class TestBacktestCommand:
                    "--no-provenance-timestamps"])
         assert rc == 0
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_JSON_STDOUT_SHA256))
+    def test_bundled_json_stdout_matches_its_golden_digest(self, command, capsys):
+        assert main([command, "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_JSON_STDOUT_SHA256[command]
 
     def test_timestamps_present_by_default(self, tmp_path):
         rc = main(["backtest", "--out-dir", str(tmp_path)])
@@ -400,6 +412,21 @@ class TestOtherSubcommandsAndErrors:
             "warning[CarriedForwardWarning]: 112 date(s) are past the last "
             "efficiency entry 2014-01-01, the first 2014-01-11; carrying last "
             "value forward\n"
+        )
+
+    @pytest.mark.parametrize("difficulty, price", [("1e308", "inf"), ("1e-320", "0.0")])
+    def test_model_price_outside_double_range_is_one_domain_line(
+        self, difficulty, price, tmp_path
+    ):
+        rows = bundled_data_path("observations.csv").read_text().splitlines()
+        date, _, market = rows[1].split(",")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join([rows[0], f"{date},{difficulty},{market}", *rows[2:]]))
+        result = _python("-m", "minecost.cli", "ratio", "--observations", str(obs))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"error[domain]: model price is {price} on 2013-06-29: the inputs "
+            "overflow or underflow double precision\n"
         )
 
     def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import datetime as dt
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,27 @@ class TestBuildBacktestSeries:
         assert str(info.value) == (
             f"electricity_price must be a positive finite number, got {price!r}"
         )
+
+    @pytest.mark.parametrize("difficulty, result", [(1e308, "inf"), (1e-320, "0.0")])
+    def test_model_price_outside_double_range_names_its_date(self, difficulty, result):
+        records = [ObservationRecord(dt.date(2016, 6, 1), 2.0e11, 600.0, 0.5),
+                   ObservationRecord(dt.date(2016, 6, 15), difficulty, 600.0, 0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning included
+            with pytest.raises(DomainError) as info:
+                build_backtest_series(records, SCHEDULE)
+        assert str(info.value) == (
+            f"model price is {result} on 2016-06-15: the inputs overflow or "
+            "underflow double precision"
+        )
+
+    def test_infinite_over_infinite_model_price_is_the_same_error(self):
+        records = [ObservationRecord(dt.date(2016, 6, 1), 1e308, 600.0, 0.5)]
+        schedule = RewardSchedule(entries=((dt.date(2009, 1, 3), 1e300),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^model price is nan on 2016-06-01: "):
+                build_backtest_series(records, schedule)
 
     def test_paired_series_length_and_dates(self):
         records = parse_observations(OBS_CSV)
