@@ -11,6 +11,7 @@ a serializable report with full provenance.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -107,17 +108,26 @@ class BacktestConfig:
 
 
 def ratio_series(pair: PairedSeries) -> RatioStats:
-    """Elementwise market/model ratio with sample mean, sd, min, max."""
-    model = pair.model_prices
-    if np.any(model <= 0.0):
-        raise DomainError("model prices must be positive to form ratios")
-    ratios = pair.market_prices / model
-    n = ratios.size
-    std = float(np.std(ratios, ddof=1)) if n >= 2 else 0.0
+    """Elementwise market/model ratio with sample mean, sd, min, max.
+
+    Raises:
+        DomainError: the mean or sd overflows; names the largest ratio's date.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = pair.market_prices / pair.model_prices
+        mean = float(ratios.mean())
+        std = float(np.std(ratios, ddof=1)) if ratios.size >= 2 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        peak = int(np.argmax(ratios))
+        raise DomainError(
+            f"market/model ratio is {float(ratios[peak])!r} on "
+            f"{pair.dates[peak].isoformat()}: the ratio mean or sd overflows "
+            "double precision"
+        )
     return RatioStats(
         dates=pair.dates,
         ratios=ratios,
-        mean=float(ratios.mean()),
+        mean=mean,
         std=std,
         min=float(ratios.min()),
         max=float(ratios.max()),
@@ -286,7 +296,8 @@ def run_backtest(
     up to ``config.max_p`` (used when ``config.lags`` is None), fits the VAR
     on the log series, tests both Granger directions, and detects episodes.
     A series of n observations too short for VAR(max_p) scans orders up to
-    ``min((n - 10) // 2, (n - 2) // 3)`` instead, under one UserWarning.
+    the largest p with ``var_min_observations(p) <= n`` instead, under one
+    UserWarning.
 
     ``input_files`` is recorded verbatim in the provenance block.
     """
@@ -303,9 +314,11 @@ def run_backtest(
 
     logs = np.column_stack([log_market, log_model])
     # A short series scans fewer orders instead of failing a pinned lag
-    # order it could fit: the largest p with var_min_observations(p) <= n.
+    # order it could fit.
     max_p, n = config.max_p, len(pair)
-    supported = min((n - 10) // 2, (n - 2) // 3)
+    supported = max(
+        (p for p in range(1, max_p + 1) if var_min_observations(p) <= n), default=0
+    )
     if 1 <= supported < max_p:
         warnings.warn(
             f"max_p {max_p} needs {var_min_observations(max_p)} observations but "

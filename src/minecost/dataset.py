@@ -6,13 +6,20 @@ network-average hardware efficiency in force that day. Efficiency and block
 reward may ride along in the observation file or be supplied as separate
 step-function tables keyed by effective date.
 
-File formats (comma-delimited, header row, ISO-8601 dates, period decimal
-separator):
+Input files (UTF-8, comma-delimited, header row, ISO-8601 dates, period
+decimal separator):
 
 * ``observations.csv`` - ``date,difficulty,price_usd[,eff_w_per_ghs]``
 * ``efficiency.csv``   - ``date,w_per_ghs``
 * ``rewards.csv``      - ``date,reward_btc``
 * raw chart payloads   - ``timestamp,value`` (see :mod:`minecost.fetch`)
+
+The header names each column once, in any order. Blank lines are skipped;
+every other row has one field per column, and a blank efficiency is looked
+up in the table. Each file holds at least one row, every number is positive
+and finite, and dates strictly increase. Each reward halves the one before;
+a rising efficiency only warns. The records, step tables and paired series
+the library builds enforce the same value, order and halving rules.
 
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
@@ -28,9 +35,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +69,29 @@ def _step_lookup(entries, date: dt.date, what: str) -> float:
     return entries[index - 1][1]
 
 
+def _check_dates_sorted(dates: Sequence[dt.date], what: str) -> None:
+    """Raise ValidationError unless ``dates`` strictly increase."""
+    if all(map(lt, dates, dates[1:])):
+        return
+    prev, cur = next((p, c) for p, c in zip(dates, dates[1:]) if c <= p)
+    problem = (f"duplicate {what} date {cur}" if cur == prev
+               else f"{what} dates out of order: {cur} after {prev}")
+    raise ValidationError(f"{problem} (dates must be strictly increasing)")
+
+
+def _check_steps(entries, table: str, what: str) -> None:
+    """The rules of a step table: entries, positive finite values, date order."""
+    if not entries:
+        raise ValidationError(f"{table} must have at least one entry")
+    for date, value in entries:
+        if not 0.0 < value < math.inf:
+            raise ValidationError(
+                f"{what} must be positive and finite, got {value!r} on "
+                f"{date.isoformat()}"
+            )
+    _check_dates_sorted([date for date, _ in entries], what)
+
+
 @dataclass(frozen=True)
 class ObservationRecord:
     """One difficulty-epoch sample.
@@ -76,18 +106,14 @@ class ObservationRecord:
     efficiency: float | None = None
 
     def __post_init__(self):
-        for name in ("difficulty", "market_price"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
+        checked = (("difficulty", self.difficulty), ("market_price", self.market_price))
+        if self.efficiency is not None:
+            checked += (("efficiency", self.efficiency),)
+        for name, value in checked:
+            if not 0.0 < value < math.inf:
                 raise ValidationError(
                     f"{name} must be positive and finite, got {value!r} "
                     f"({self.date.isoformat()})"
-                )
-        if self.efficiency is not None:
-            if not math.isfinite(self.efficiency) or self.efficiency <= 0.0:
-                raise ValidationError(
-                    f"efficiency must be positive and finite, got "
-                    f"{self.efficiency!r} ({self.date.isoformat()})"
                 )
 
 
@@ -104,25 +130,13 @@ class RewardSchedule:
     entries: tuple[tuple[dt.date, float], ...]
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValidationError("reward schedule must have at least one entry")
-        prev_date, prev_reward = None, None
-        for date, reward in self.entries:
-            if reward <= 0.0 or not math.isfinite(reward):
+        _check_steps(self.entries, "reward schedule", "reward")
+        for (_, prev_reward), (date, reward) in zip(self.entries, self.entries[1:]):
+            if not math.isclose(reward, prev_reward / 2.0, rel_tol=1e-12):
                 raise ValidationError(
-                    f"reward must be positive, got {reward!r} on {date.isoformat()}"
+                    f"each reward must halve the previous: {prev_reward} -> "
+                    f"{reward} on {date.isoformat()}"
                 )
-            if prev_date is not None:
-                if date <= prev_date:
-                    raise ValidationError(
-                        f"reward dates must be strictly increasing at {date.isoformat()}"
-                    )
-                if not math.isclose(reward, prev_reward / 2.0, rel_tol=1e-12):
-                    raise ValidationError(
-                        f"each reward must halve the previous: {prev_reward} -> "
-                        f"{reward} on {date.isoformat()}"
-                    )
-            prev_date, prev_reward = date, reward
 
     def reward_at(self, date: dt.date) -> float:
         """Reward in force on ``date`` (step lookup, halving-day inclusive)."""
@@ -141,26 +155,15 @@ class EfficiencyTable:
     entries: tuple[tuple[dt.date, float], ...]
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValidationError("efficiency table must have at least one entry")
-        prev_date, prev_value = None, None
-        for date, value in self.entries:
-            if value <= 0.0 or not math.isfinite(value):
-                raise ValidationError(
-                    f"efficiency must be positive, got {value!r} on {date.isoformat()}"
-                )
-            if prev_date is not None and date <= prev_date:
-                raise ValidationError(
-                    f"efficiency dates must be strictly increasing at {date.isoformat()}"
-                )
-            if prev_value is not None and value > prev_value:
+        _check_steps(self.entries, "efficiency table", "efficiency")
+        for (_, prev_value), (date, value) in zip(self.entries, self.entries[1:]):
+            if value > prev_value:
                 warnings.warn(
                     f"efficiency increases from {prev_value} to {value} on "
                     f"{date.isoformat()}; hardware normally only improves",
                     UserWarning,
                     stacklevel=2,
                 )
-            prev_date, prev_value = date, value
 
     def efficiency_at(self, date: dt.date) -> float:
         """Efficiency in force on ``date``; warns when carried past the table."""
@@ -196,6 +199,7 @@ class PairedSeries:
                 f"length mismatch: {n} dates, {market.shape} market, "
                 f"{model.shape} model"
             )
+        _check_dates_sorted(self.dates, "observation")
         for name, values in (("market", market), ("model", model)):
             if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
                 raise ValidationError(f"{name} prices must all be positive and finite")
@@ -223,20 +227,38 @@ def _parse_float(text: str, name: str, line: int) -> float:
         raise ParseError(f"bad {name} value {text!r}", line) from None
 
 
-def _open_rows(source) -> Iterable[list[str]]:
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    return csv.reader(source)
+def _read_table(source, columns: Sequence[str], required: int):
+    """``(at, rows)`` of a CSV string or iterable of lines, header checked.
 
+    The header names columns from ``columns`` once each, in any order, and
+    names the first ``required``. ``at`` is the field index of each name in
+    ``columns`` (None if absent); ``rows`` yields ``(line, fields)`` per
+    non-blank row. Raises ParseError, with the line number, for empty input,
+    an unknown, repeated or missing name, or a row of the wrong width.
+    """
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty input: missing header row", 1)
+    names = [name.strip() for name in header]
+    for i, name in enumerate(names):
+        if name not in columns:
+            raise ParseError(f"unknown column {name!r}", 1)
+        if name in names[:i]:
+            raise ParseError(f"repeated column {name!r}", 1)
+    for name in columns[:required]:
+        if name not in names:
+            raise ParseError(f"missing {name!r} column in header {names!r}", 1)
+    width = len(names)
 
-def _check_dates_sorted(dates: Sequence[dt.date], what: str) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if cur == prev:
-            raise ValidationError(f"duplicate {what} date {cur.isoformat()}")
-        if cur < prev:
-            raise ValidationError(
-                f"{what} dates out of order: {cur.isoformat()} after {prev.isoformat()}"
-            )
+    def rows():
+        for line, row in enumerate(reader, start=2):
+            if len(row) == width:
+                yield line, row
+            elif row:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line)
+
+    return tuple(names.index(c) if c in names else None for c in columns), rows()
 
 
 def parse_observations(source) -> list[ObservationRecord]:
@@ -244,53 +266,30 @@ def parse_observations(source) -> list[ObservationRecord]:
 
     ``source`` may be a string or any iterable of text lines (an open file).
     Columns are matched by header name; order does not matter. The
-    efficiency column is optional.
+    efficiency column is optional, and a blank efficiency field is None.
 
     Raises:
-        ParseError: missing/unknown header, wrong field count, or a value
-            that does not parse; carries the 1-based line number.
-        ValidationError: a parsed value violating a record invariant, or
-            dates out of order / duplicated.
+        ParseError: bad header, wrong field count, or a value that does not
+            parse; carries the 1-based line number.
+        ValidationError: no records, a parsed value violating a record
+            invariant, or dates out of order / duplicated.
     """
-    reader = _open_rows(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", 1) from None
-    columns = [h.strip() for h in header]
-    if "date" not in columns:
-        raise ParseError(f"missing 'date' column in header {columns!r}", 1)
-    for col in columns:
-        if col not in OBSERVATION_COLUMNS:
-            raise ParseError(f"unknown column {col!r}", 1)
-    for col in ("date", "difficulty", "price_usd"):
-        if col not in columns:
-            raise ParseError(f"missing {col!r} column in header {columns!r}", 1)
-    index = {name: columns.index(name) for name in columns}
-    has_eff = "eff_w_per_ghs" in index
-
+    at, rows = _read_table(source, OBSERVATION_COLUMNS, required=3)
+    date_at, difficulty_at, price_at, eff_at = at
     records = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} fields, got {len(row)}", line
-            )
-        date = _parse_date(row[index["date"]], line)
-        difficulty = _parse_float(row[index["difficulty"]], "difficulty", line)
-        price = _parse_float(row[index["price_usd"]], "price_usd", line)
-        efficiency = None
-        if has_eff:
-            raw = row[index["eff_w_per_ghs"]].strip()
-            if raw:
-                efficiency = _parse_float(raw, "eff_w_per_ghs", line)
+    for line, row in rows:
+        efficiency = "" if eff_at is None else row[eff_at].strip()
         try:
-            records.append(
-                ObservationRecord(date, difficulty, price, efficiency)
-            )
+            records.append(ObservationRecord(
+                _parse_date(row[date_at], line),
+                _parse_float(row[difficulty_at], "difficulty", line),
+                _parse_float(row[price_at], "price_usd", line),
+                _parse_float(efficiency, "eff_w_per_ghs", line) if efficiency else None,
+            ))
         except ValidationError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
+    if not records:
+        raise ValidationError("observations must have at least one record")
     _check_dates_sorted([r.date for r in records], "observation")
     return records
 
@@ -314,38 +313,23 @@ def serialize_observations(records: Sequence[ObservationRecord]) -> str:
     return out.getvalue()
 
 
-def _parse_dated_table(source, value_column: str, what: str):
-    reader = _open_rows(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", 1) from None
-    columns = [h.strip() for h in header]
-    if columns != ["date", value_column]:
-        raise ParseError(
-            f"expected header 'date,{value_column}', got {','.join(columns)!r}", 1
-        )
-    entries = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line)
-        date = _parse_date(row[0], line)
-        value = _parse_float(row[1], value_column, line)
-        entries.append((date, value))
-    _check_dates_sorted([d for d, _ in entries], what)
-    return tuple(entries)
+def _parse_steps(source, value_column: str):
+    """``(date, value)`` entries of a ``date,<value_column>`` table."""
+    (date_at, value_at), rows = _read_table(source, ("date", value_column), required=2)
+    return tuple(
+        (_parse_date(row[date_at], line), _parse_float(row[value_at], value_column, line))
+        for line, row in rows
+    )
 
 
 def parse_reward_schedule(source) -> RewardSchedule:
     """Parse a ``rewards.csv`` stream (``date,reward_btc``)."""
-    return RewardSchedule(_parse_dated_table(source, "reward_btc", "reward"))
+    return RewardSchedule(_parse_steps(source, "reward_btc"))
 
 
 def parse_efficiency_table(source) -> EfficiencyTable:
     """Parse an ``efficiency.csv`` stream (``date,w_per_ghs``)."""
-    return EfficiencyTable(_parse_dated_table(source, "w_per_ghs", "efficiency"))
+    return EfficiencyTable(_parse_steps(source, "w_per_ghs"))
 
 
 def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
@@ -377,19 +361,19 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
 
 
 def load_observations(path) -> list[ObservationRecord]:
-    return _load(Path(path), parse_observations)
+    return _load(path, parse_observations)
 
 
 def load_reward_schedule(path) -> RewardSchedule:
-    return _load(Path(path), parse_reward_schedule)
+    return _load(path, parse_reward_schedule)
 
 
 def load_efficiency_table(path) -> EfficiencyTable:
-    return _load(Path(path), parse_efficiency_table)
+    return _load(path, parse_efficiency_table)
 
 
-def _load(source, parse):
-    """Parse the UTF-8 file ``source`` (a path or packaged resource).
+def _load(path, parse):
+    """Parse the UTF-8 file ``path`` (a path or packaged resource).
 
     Raises:
         ParseError: a byte that is not UTF-8, naming the file and line; or
@@ -397,6 +381,7 @@ def _load(source, parse):
             and its ``line`` kept.
         ValidationError: one of ``parse``, its message prefixed with the file.
     """
+    source = path if hasattr(path, "read_bytes") else Path(path)
     try:
         text = source.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -437,15 +422,13 @@ def build_backtest_series(
     ``model_price`` bit for bit.
 
     Raises:
-        ValidationError: empty input, or a record without efficiency when no
-            table was given.
+        ValidationError: empty input, dates out of order or repeated, or a
+            record without efficiency when no table was given.
         DomainError: a non-positive or non-finite ``electricity_price``, a
             date not covered by the schedule or table, or a model price that
             overflows or underflows double precision; the message names the
             offending value or date (the first such date).
     """
-    if not records:
-        raise ValidationError("cannot build a backtest series from zero records")
     electricity_price = _require_positive_finite("electricity_price", electricity_price)
     efficiencies, rewards, carried = [], [], []
     for record in records:
@@ -514,10 +497,10 @@ def load_bundled(observations=None, efficiency=None, rewards=None):
         (records, schedule, table) ready for :func:`build_backtest_series`.
     """
     def source(path, name):
-        return bundled_data_path(name) if path is None else Path(path)
+        return bundled_data_path(name) if path is None else path
 
     return (
-        _load(source(observations, "observations.csv"), parse_observations),
-        _load(source(rewards, "rewards.csv"), parse_reward_schedule),
-        _load(source(efficiency, "efficiency.csv"), parse_efficiency_table),
+        load_observations(source(observations, "observations.csv")),
+        load_reward_schedule(source(rewards, "rewards.csv")),
+        load_efficiency_table(source(efficiency, "efficiency.csv")),
     )

@@ -19,9 +19,11 @@ nothing is written unless the download succeeded.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import os
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 from .dataset import ObservationRecord
@@ -128,19 +130,13 @@ def resample_to_epochs(
     """
     records = []
     previous = None
-    price_idx = 0
-    last_price = None
     for date, difficulty in difficulty_points:
-        changed = previous is None or difficulty != previous
+        if difficulty == previous:
+            continue
         previous = difficulty
-        if not changed:
-            continue
-        while price_idx < len(price_points) and price_points[price_idx][0] <= date:
-            last_price = price_points[price_idx][1]
-            price_idx += 1
-        if last_price is None:
-            continue
-        records.append(
-            ObservationRecord(date=date, difficulty=difficulty, market_price=last_price)
-        )
+        index = bisect.bisect_right(price_points, date, key=itemgetter(0))
+        if index:
+            records.append(ObservationRecord(
+                date=date, difficulty=difficulty, market_price=price_points[index - 1][1]
+            ))
     return records

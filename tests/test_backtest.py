@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from minecost import (
     ObservationRecord,
     PairedSeries,
     RewardSchedule,
+    build_backtest_series,
     chi2_sf,
     detect_episodes,
+    load_bundled,
     model_price,
     ratio_series,
     run_backtest,
@@ -87,6 +90,21 @@ class TestRatioSeries:
         stats = ratio_series(PairedSeries(tuple(days), values, values.copy()))
         assert np.allclose(stats.ratios, 1.0)
         assert stats.std == 0.0
+
+    @pytest.mark.parametrize(
+        "difficulty, ratio", [(1e-300, "2.1343933787322848e+307"), (1e-310, "inf")]
+    )
+    def test_overflowing_moments_name_the_largest_ratio(self, difficulty, ratio):
+        """Tiny positive model prices are valid, but their ratios overflow."""
+        records, schedule, table = load_bundled()
+        records[0] = replace(records[0], difficulty=difficulty)
+        pair = build_backtest_series(records, schedule, table)
+        with pytest.raises(DomainError) as info:
+            ratio_series(pair)
+        assert str(info.value) == (
+            f"market/model ratio is {ratio} on 2013-06-29: the ratio mean or sd "
+            "overflows double precision"
+        )
 
 
 class TestDetectEpisodes:

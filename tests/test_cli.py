@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line surface (loopback HTTP only)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecost import (
     CHART_KINDS,
@@ -351,8 +356,10 @@ class TestOtherSubcommandsAndErrors:
              "line 2: bad w_per_ghs value 'x'"),
             ("rewards", "date,reward_btc\n", "validation",
              "reward schedule must have at least one entry"),
+            ("observations", "date,difficulty,price_usd\n", "validation",
+             "observations must have at least one record"),
         ],
-        ids=["bad-value", "header-only"],
+        ids=["bad-value", "header-only", "observations-header-only"],
     )
     def test_data_file_errors_name_the_file(self, kind, text, code, message,
                                             tmp_path, capsys):
@@ -428,6 +435,23 @@ class TestOtherSubcommandsAndErrors:
             f"error[domain]: model price is {price} on 2013-06-29: the inputs "
             "overflow or underflow double precision\n"
         )
+
+    @pytest.mark.parametrize("command", ["ratio", "backtest"])
+    def test_ratio_moments_outside_double_range_are_one_domain_line(
+        self, command, tmp_path
+    ):
+        rows = bundled_data_path("observations.csv").read_text().splitlines()
+        date, _, market = rows[1].split(",")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join([rows[0], f"{date},1e-300,{market}", *rows[2:]]))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "backtest" else []
+        result = _python("-m", "minecost.cli", command, "--observations", str(obs), *extra)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error[domain]: market/model ratio is 2.1343933787322848e+307 on "
+            "2013-06-29: the ratio mean or sd overflows double precision\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):
         """20 rows support VAR(1..5); max_p 8 is clamped, the fit still runs."""
@@ -535,3 +559,65 @@ def test_library_and_cli_reject_the_same_values(key, flag, value, capsys):
                    "--reward", "12.5", flag, str(value)])
         assert rc == 1
         assert capsys.readouterr().err == f"error[domain]: {message}\n"
+
+
+MUTATIONS = ("swap rows", "duplicate row", "blank field", "zero field", "negate field",
+             "garble field", "garble header", "reorder header", "reorder columns",
+             "repeat header")
+
+
+def _mutate(lines, mutation, data):
+    """One bundled CSV (``lines``, header first) with ``mutation`` applied."""
+    header, rows = lines[0].split(","), lines[1:]
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    col = data.draw(st.integers(0, len(header) - 1), label="column")
+    fields = rows[i].split(",")
+    if mutation == "swap rows":
+        j = data.draw(st.integers(0, len(rows) - 1), label="other row")
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "duplicate row":
+        rows.insert(i, rows[i])
+    elif mutation == "garble field":
+        fields[col] = data.draw(st.text(max_size=6), label="text")
+    elif mutation.endswith("field"):
+        fields[col] = {"blank field": "", "zero field": "0",
+                       "negate field": "-" + fields[col]}[mutation]
+    elif mutation == "garble header":
+        header[col] = data.draw(st.text(max_size=6), label="text")
+    elif mutation == "reorder header":
+        header = data.draw(st.permutations(header), label="header")
+    elif mutation == "reorder columns":
+        order = data.draw(st.permutations(range(len(header))), label="order")
+        header = [header[k] for k in order]
+        rows = [",".join(row.split(",")[k] for k in order) for row in rows]
+    else:  # repeat header
+        header.append(header[col])
+    if mutation.endswith("field"):
+        rows[i] = ",".join(fields)
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["observations", "efficiency", "rewards"]),
+       mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_input_gives_artifacts_or_one_error_line(kind, mutation, data):
+    lines = bundled_data_path(f"{kind}.csv").read_text().splitlines()
+    with tempfile.TemporaryDirectory() as scratch:
+        path, out_dir = Path(scratch, f"{kind}.csv"), Path(scratch, "out")
+        path.write_text(_mutate(lines, mutation, data), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["backtest", f"--{kind}", str(path), "--out-dir", str(out_dir),
+                       "--no-provenance-timestamps"])
+        written = sorted(p.name for p in out_dir.glob("*"))
+    # Warnings may print too (pytest usually records them instead).
+    errors = [line for line in stderr.getvalue().splitlines()
+              if not line.startswith("warning[")]
+    if rc == 0:
+        assert (errors, written) == (
+            [], ["figure1.csv", "figure2.csv", "report.json", "report.txt"]
+        )
+    else:
+        assert rc == 1 and len(errors) == 1 and errors[0].startswith("error["), errors
+        if errors[0].startswith("error[parse]"):
+            assert f": {path}: " in errors[0]

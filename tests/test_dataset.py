@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecost import (
     CarriedForwardWarning,
@@ -26,6 +28,7 @@ from minecost import (
     parse_efficiency_table,
     parse_observations,
     parse_reward_schedule,
+    run_backtest,
     serialize_observations,
 )
 from minecost.dataset import BUNDLED_FILES
@@ -43,6 +46,13 @@ SCHEDULE = RewardSchedule(
         (dt.date(2016, 7, 9), 12.5),
     )
 )
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+RECORDS = st.lists(
+    st.builds(ObservationRecord, st.dates(), POSITIVE, POSITIVE, st.none() | POSITIVE),
+    min_size=1, max_size=12, unique_by=lambda r: r.date,
+).map(lambda records: sorted(records, key=lambda r: r.date))
 
 
 class TestParseObservations:
@@ -128,6 +138,16 @@ class TestParseObservations:
         assert again == records
         assert serialize_observations(again) == text
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(RECORDS)
+    def test_parse_inverts_serialize(self, records):
+        assert parse_observations(serialize_observations(records)) == records
+
+    def test_repeated_column_rejected(self):
+        bad = "date,difficulty,price_usd,difficulty\n2016-06-25,2.0e11,600.0,2.0e11\n"
+        with pytest.raises(ParseError, match="^line 1: repeated column 'difficulty'$"):
+            parse_observations(bad)
+
     def test_serialize_omits_efficiency_column_when_unused(self):
         records = parse_observations(
             "date,difficulty,price_usd\n2016-06-25,2.0e11,600.0\n"
@@ -196,6 +216,25 @@ class TestEfficiencyTable:
             )
         assert table.efficiency_at(dt.date(2016, 7, 1)) == 0.5
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((), "efficiency table must have at least one entry"),
+            (((dt.date(2016, 1, 1), math.nan),),
+             "efficiency must be positive and finite, got nan on 2016-01-01"),
+            (((dt.date(2016, 7, 1), 0.5), (dt.date(2016, 1, 1), 0.4)),
+             "efficiency dates out of order: 2016-01-01 after 2016-07-01 "
+             "(dates must be strictly increasing)"),
+            (((dt.date(2016, 1, 1), 0.5), (dt.date(2016, 1, 1), 0.4)),
+             "duplicate efficiency date 2016-01-01 (dates must be strictly increasing)"),
+        ],
+        ids=["empty", "nan", "out-of-order", "duplicate"],
+    )
+    def test_invalid_entries_rejected(self, entries, message):
+        with pytest.raises(ValidationError) as info:
+            EfficiencyTable(entries)
+        assert str(info.value) == message
+
     def test_parse_efficiency_table(self):
         table = parse_efficiency_table(
             "date,w_per_ghs\n2016-01-01,0.5\n2016-06-01,0.4\n"
@@ -203,8 +242,12 @@ class TestEfficiencyTable:
         assert table.efficiency_at(dt.date(2016, 2, 2)) == 0.5
 
     def test_parse_rejects_wrong_header(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 1: unknown column 'watts'$"):
             parse_efficiency_table("date,watts\n2016-01-01,0.5\n")
+
+    def test_parse_takes_the_columns_in_any_order(self):
+        table = parse_efficiency_table("w_per_ghs,date\n0.5,2016-01-01\n0.4,2016-06-01\n")
+        assert table.entries == ((dt.date(2016, 1, 1), 0.5), (dt.date(2016, 6, 1), 0.4))
 
 
 class TestBuildBacktestSeries:
@@ -317,6 +360,20 @@ class TestBuildBacktestSeries:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^model price is nan on 2016-06-01: "):
                 build_backtest_series(records, schedule)
+
+    @pytest.mark.parametrize("build", [build_backtest_series, run_backtest])
+    @pytest.mark.parametrize("order", ["reversed", "duplicated"])
+    def test_records_out_of_date_order_rejected(self, build, order):
+        records, schedule, table = load_bundled()
+        if order == "reversed":
+            records = records[::-1]
+            message = "observation dates out of order: 2018-03-31 after 2018-04-14"
+        else:
+            records = records[:3] + records[2:]
+            message = f"duplicate observation date {records[2].date.isoformat()}"
+        with pytest.raises(ValidationError) as info:
+            build(records, schedule, table)
+        assert str(info.value) == f"{message} (dates must be strictly increasing)"
 
     def test_paired_series_length_and_dates(self):
         records = parse_observations(OBS_CSV)
