@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter, lt
+from operator import lt
 from pathlib import Path
 from typing import Sequence
 
@@ -58,9 +58,13 @@ from .pricing import model_price  # noqa: F401
 OBSERVATION_COLUMNS = ("date", "difficulty", "price_usd", "eff_w_per_ghs")
 
 
-def _step_lookup(entries, date: dt.date, what: str) -> float:
-    """Value of the last ``(effective_date, value)`` entry on or before ``date``."""
-    index = bisect.bisect_right(entries, date, key=itemgetter(0))
+def _step_lookup(entries, dates, date: dt.date, what: str) -> float:
+    """Value of the last ``(effective_date, value)`` entry on or before ``date``.
+
+    ``dates`` lists the entries' effective dates; a caller with many dates
+    to look up builds it once.
+    """
+    index = bisect.bisect_right(dates, date)
     if index == 0:
         raise DomainError(
             f"date {date.isoformat()} precedes first {what} entry "
@@ -140,7 +144,7 @@ class RewardSchedule:
 
     def reward_at(self, date: dt.date) -> float:
         """Reward in force on ``date`` (step lookup, halving-day inclusive)."""
-        return _step_lookup(self.entries, date, "reward")
+        return _step_lookup(self.entries, [d for d, _ in self.entries], date, "reward")
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,9 @@ class EfficiencyTable:
 
     def efficiency_at(self, date: dt.date) -> float:
         """Efficiency in force on ``date``; warns when carried past the table."""
-        value = _step_lookup(self.entries, date, "efficiency")
+        value = _step_lookup(
+            self.entries, [d for d, _ in self.entries], date, "efficiency"
+        )
         if date > self.entries[-1][0]:
             warnings.warn(
                 f"date {date.isoformat()} is past the last efficiency entry "
@@ -221,10 +227,13 @@ def _parse_date(text: str, line: int) -> dt.date:
 
 
 def _parse_float(text: str, name: str, line: int) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ParseError(f"bad {name} value {text!r}", line) from None
+    # float() would also read "9_4.88" as 94.88; the format has no digit separator.
+    if "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ParseError(f"bad {name} value {text!r}", line)
 
 
 def _read_table(source, columns: Sequence[str], required: int):
@@ -431,6 +440,8 @@ def build_backtest_series(
     """
     electricity_price = _require_positive_finite("electricity_price", electricity_price)
     efficiencies, rewards, carried = [], [], []
+    table_dates = None if table is None else [d for d, _ in table.entries]
+    schedule_dates = [d for d, _ in schedule.entries]
     for record in records:
         efficiency = record.efficiency
         if efficiency is None:
@@ -439,11 +450,15 @@ def build_backtest_series(
                     f"no efficiency for {record.date.isoformat()} and no "
                     f"efficiency table supplied"
                 )
-            efficiency = _step_lookup(table.entries, record.date, "efficiency")
-            if record.date > table.entries[-1][0]:
+            efficiency = _step_lookup(
+                table.entries, table_dates, record.date, "efficiency"
+            )
+            if record.date > table_dates[-1]:
                 carried.append(record.date)
         efficiencies.append(efficiency)
-        rewards.append(_step_lookup(schedule.entries, record.date, "reward"))
+        rewards.append(
+            _step_lookup(schedule.entries, schedule_dates, record.date, "reward")
+        )
     if carried:
         warnings.warn(
             f"{len(carried)} date(s) are past the last efficiency entry "

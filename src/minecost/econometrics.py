@@ -25,6 +25,11 @@ Conventions, fixed once for the whole package:
   estimate above 1e12 for the scaled normal-equations matrix, computed as
   (s_max / s_min)^2, raises SingularityError. The scaling makes the
   threshold respond to genuine collinearity rather than to units.
+* Lag selection fits VAR(1..max_p) from one QR factorization of the
+  max-lag design. Appending the rows t = max_p - 1, ..., p below its
+  triangle gives compressed rows with exactly the cross-products of
+  VAR(p)'s own n - p rows, so each order keeps its own sample and goes
+  through the same SVD core and condition guard as var_fit.
 """
 
 from __future__ import annotations
@@ -110,14 +115,30 @@ def _least_squares(X: np.ndarray, Y: np.ndarray):
 
     Raises:
         DomainError: non-finite values in ``X`` or ``Y``.
-        SingularityError: a zero column, or a condition estimate
-            ``(s_max / s_min)^2``, the 2-norm condition number of the
-            column-scaled normal matrix, above CONDITION_LIMIT.
+        SingularityError: see :func:`_svd_solve`.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise DomainError("regression inputs must be finite")
+    beta, W = _svd_solve(X, Y)
+    return beta, Y - X @ beta, W @ W.T
+
+
+def _svd_solve(X: np.ndarray, Y: np.ndarray):
+    """``(beta, W)`` of the least-squares fit of finite ``Y`` on ``X``.
+
+    ``W = diag(1/norms) V diag(1/s)`` from the thin SVD ``U diag(s) V'`` of
+    ``X`` scaled to unit column norms, so ``beta = W U'Y`` and the inverse
+    normal matrix is ``W W'``. Both depend on ``X`` and ``Y`` only through
+    their cross-products, so any rows with the Gram matrix of ``[X, Y]``
+    give the same fit.
+
+    Raises:
+        SingularityError: a zero column, or a condition estimate
+            ``(s_max / s_min)^2``, the 2-norm condition number of the
+            column-scaled normal matrix, above CONDITION_LIMIT.
+    """
     norms = np.sqrt(np.sum(X * X, axis=0))
     if np.any(norms == 0.0):
         raise SingularityError("regressor matrix has a zero column")
@@ -129,11 +150,8 @@ def _least_squares(X: np.ndarray, Y: np.ndarray):
         raise SingularityError(
             f"normal-equations matrix is ill-conditioned (estimate {cond:.3e})"
         )
-    # beta = W U'Y and xtx_inv = W W' with W = diag(1/norms) V diag(1/s).
     W = Vt.T / s / norms[:, None]
-    beta = W @ (U.T @ Y)
-    residuals = Y - X @ beta
-    return beta, residuals, W @ W.T
+    return W @ (U.T @ Y), W
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +296,25 @@ def var_min_observations(p: int) -> int:
     return max(2 * p + 10, 3 * p + 2)
 
 
+def _var_series(data) -> np.ndarray:
+    """``data`` as a finite float array of shape (n, 2), else DomainError."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise DomainError(f"data must have shape (n, 2), got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise DomainError("series must be finite")
+    return data
+
+
+def _require_observations(n: int, p: int) -> None:
+    """InsufficientDataError unless ``n >= var_min_observations(p)``."""
+    need = var_min_observations(p)
+    if n < need:
+        raise InsufficientDataError(
+            f"need at least {need} observations for p={p}, got {n}"
+        )
+
+
 def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     """Fit a bivariate VAR(p) by least squares, both equations in one solve.
 
@@ -295,20 +332,11 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
         InsufficientDataError: ``n < var_min_observations(p)``.
         SingularityError: rank-deficient regressor matrix.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise DomainError(f"data must have shape (n, 2), got {data.shape}")
+    data = _var_series(data)
     if int(p) != p or p < 1:
         raise DomainError(f"lag order must be an integer >= 1, got {p!r}")
     p = int(p)
-    if not np.all(np.isfinite(data)):
-        raise DomainError("series must be finite")
-    n = data.shape[0]
-    need = var_min_observations(p)
-    if n < need:
-        raise InsufficientDataError(
-            f"need at least {need} observations for p={p}, got {n}"
-        )
+    _require_observations(data.shape[0], p)
     Y, Z = _lagged_design(data, p)
     T, k = Z.shape
 
@@ -469,36 +497,6 @@ class LagSelection:
     all_failed_whiteness: bool
 
 
-def _information_criteria(model: VarModel):
-    """AIC/BIC on the per-observation scale, from the ML residual covariance."""
-    T = model.nobs
-    sigma_ml = model.residuals.T @ model.residuals / T
-    det = float(np.linalg.det(sigma_ml))
-    log_det = math.log(det) if det > 0.0 else -math.inf
-    m = 2 * model.n_coefficients_per_equation
-    aic = log_det + 2.0 * m / T
-    bic = log_det + m * math.log(T) / T
-    return aic, bic
-
-
-def _whiteness(model: VarModel):
-    """Sum of per-equation Ljung-Box statistics as a portmanteau check.
-
-    This additive combination ignores cross-series residual correlation at
-    positive lags; it is a deliberate approximation, adequate for gating a
-    lag order.
-    """
-    T = model.nobs
-    p = model.lag_order
-    h = min(max(10, 2 * p), T - 2)
-    stat, df = 0.0, 0
-    for i in range(2):
-        part = ljung_box(model.residuals[:, i], h, fitted_lag_count=p)
-        stat += part.statistic
-        df += part.df
-    return stat, df, chi2_sf(stat, df)
-
-
 def select_lag_order(
     data,
     max_p: int,
@@ -513,24 +511,69 @@ def select_lag_order(
     and the selection is flagged. The full per-order table is always
     returned so a caller can override.
 
+    Each VAR(p) is fitted on its own ``T = n - p`` rows, as :func:`var_fit`
+    fits it, but all orders share one factorization. With ``a_t`` the row
+    ``[1, lags 1..max_p, responses]`` of time ``t`` (zero for lags before
+    the series starts), one QR of the rows ``t >= max_p`` gives ``R`` with
+    ``R'R = sum a_t a_t'``. ``R`` with the rows ``t = max_p - 1, ..., p``
+    below it are VAR(p)'s compressed rows: on its ``2p + 1`` regressor and
+    2 response columns they have exactly the Gram matrix of its rows
+    ``p..n-1``, which is all the least-squares core and its condition guard
+    depend on. Their residuals give the cross-products for AIC and BIC; the
+    Ljung-Box gate takes the real residuals from one product.
+
+    ``names`` labels the two columns, as for :func:`var_fit`; the table
+    does not use them.
+
     Raises:
-        DomainError: ``max_p < 1``.
+        DomainError: ``max_p < 1``, bad shape or non-finite values.
         InsufficientDataError: series shorter than
-            ``var_min_observations(max_p)``.
+            ``var_min_observations(max_p)``; the message names the smallest
+            order the series is too short for.
+        SingularityError: rank-deficient regressors at some order.
     """
     if int(max_p) != max_p or max_p < 1:
         raise DomainError(f"max_p must be an integer >= 1, got {max_p!r}")
     max_p = int(max_p)
+    data = _var_series(data)
+    n = data.shape[0]
+    for p in range(1, max_p + 1):
+        _require_observations(n, p)
+
+    A = np.zeros((n, 2 * max_p + 3))
+    A[:, 0] = 1.0
+    for lag in range(1, max_p + 1):
+        A[lag:, 2 * lag - 1 : 2 * lag + 1] = data[:-lag]
+    A[:, -2:] = data
+    R = np.linalg.qr(A[max_p:], mode="r")
+    compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
+
     rows = []
     for p in range(1, max_p + 1):
-        model = var_fit(data, p, names=names)
-        aic, bic = _information_criteria(model)
-        stat, df, pvalue = _whiteness(model)
+        k = 2 * p + 1
+        T = n - p
+        C = compressed[: len(R) + max_p - p]
+        beta, _ = _svd_solve(C[:, :k], C[:, -2:])
+        E = C[:, -2:] - C[:, :k] @ beta
+        det = float(np.linalg.det(E.T @ E / T))
+        log_det = math.log(det) if det > 0.0 else -math.inf
+        m = 2 * k  # coefficients of both equations
+        # The whiteness gate sums the per-equation Ljung-Box statistics,
+        # ignoring cross-series residual correlation at positive lags: a
+        # deliberate approximation, adequate for gating a lag order.
+        residuals = data[p:] - A[p:, :k] @ beta
+        h = min(max(10, 2 * p), T - 2)
+        stat, df = 0.0, 0
+        for i in range(2):
+            part = ljung_box(residuals[:, i], h, fitted_lag_count=p)
+            stat += part.statistic
+            df += part.df
+        pvalue = chi2_sf(stat, df)
         rows.append(
             LagOrderRow(
                 p=p,
-                aic=aic,
-                bic=bic,
+                aic=log_det + 2.0 * m / T,
+                bic=log_det + m * math.log(T) / T,
                 portmanteau_stat=stat,
                 portmanteau_df=df,
                 portmanteau_pvalue=pvalue,

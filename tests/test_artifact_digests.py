@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_cli import BUNDLED_REPORT_JSON_SHA256
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
 _spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
 artifact_digests = importlib.util.module_from_spec(_spec)
@@ -19,9 +21,7 @@ def bundled():
 
 def test_every_call_is_digested(bundled):
     assert len(bundled) == 36  # 6 backtest calls x (stdout + 4 files) + 6 stdouts
-    assert bundled["bundled/backtest/json/report.json"] == (
-        "e139023da5ac68babbbdc8db44dbc481f4d76e41a67e1359fe3439631b11e787"
-    )
+    assert bundled["bundled/backtest/json/report.json"] == BUNDLED_REPORT_JSON_SHA256
     assert (bundled["bundled/backtest/json/report.json"]
             == bundled["bundled/backtest/json/stdout"])
 

@@ -34,9 +34,18 @@ GOLDEN_SHA256 = {
     "figure1.csv": "d7dcd50f499a90f8f3e543fbbc8bfca78aec2e13b90e6edecaeccbb6204ca09e",
     "figure2.csv": "409da9992e0252c0118f3db4c510b9ec95eeded5b36e6632ef5d624664c5813b",
 }
+# report.json of the bundled backtest with --no-provenance-timestamps, by
+# --lags; the default is 2. tests/test_artifact_digests.py reads it too.
+BUNDLED_REPORT_JSON_SHA256 = (
+    "2d4ea49a7ed73c67a7aedcf0e78a0a32a888c01e45827bc307716fec68050869"
+)
+GOLDEN_REPORT_JSON_SHA256 = {
+    "2": BUNDLED_REPORT_JSON_SHA256,
+    "auto": "aba6e5ccdea4d82adf0914a81a0445f94fe36fe506a03bdeae9e2ba2173c75eb",
+}
 # --format json stdout of the analysis subcommands on the bundled data.
 GOLDEN_JSON_STDOUT_SHA256 = {
-    "var": "28f2c8f04fd5a75cc773aa903e0496152f69242878e2aafbc31b93e43c400940",
+    "var": "f5e13b2306a33854765432932c1faf81ab922807312e1f64752c9e7a9d760e9c",
     "ratio": "ffca58635fd626a959e40b29b7681b8748614dcce3c46061cbe4f15c4ed17e06",
     "regress": "d352c141ee607b3341b49220a9b2d2ad0634e54a0399c682c7e637986be9bf78",
 }
@@ -203,15 +212,13 @@ class TestBacktestCommand:
         }
         assert digests == GOLDEN_SHA256
 
-    @pytest.mark.parametrize("lags, digest", [
-        ("2", "e139023da5ac68babbbdc8db44dbc481f4d76e41a67e1359fe3439631b11e787"),
-        ("auto", "7d892df9b762391cb89bebbbe842818fba3a07c2ce7f822a0e006a7b3888819d"),
-    ])
-    def test_bundled_report_json_matches_its_golden_digest(self, lags, digest, tmp_path):
+    @pytest.mark.parametrize("lags", sorted(GOLDEN_REPORT_JSON_SHA256))
+    def test_bundled_report_json_matches_its_golden_digest(self, lags, tmp_path):
         rc = main(["backtest", "--lags", lags, "--out-dir", str(tmp_path),
                    "--no-provenance-timestamps"])
         assert rc == 0
-        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_REPORT_JSON_SHA256[lags]
 
     @pytest.mark.parametrize("command", sorted(GOLDEN_JSON_STDOUT_SHA256))
     def test_bundled_json_stdout_matches_its_golden_digest(self, command, capsys):
@@ -370,6 +377,27 @@ class TestOtherSubcommandsAndErrors:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error[{code}]: {path}: {message}\n"
+
+    @pytest.mark.parametrize("kind, field, name", [
+        ("observations", "94.88", "price_usd"),
+        ("efficiency", "690.0", "w_per_ghs"),
+        ("rewards", "50.0", "reward_btc"),
+    ])
+    def test_underscored_number_is_one_parse_line(self, kind, field, name,
+                                                  tmp_path, capsys):
+        """float() would read "9_4.88" as 94.88; the file format has no "_"."""
+        text = bundled_data_path(f"{kind}.csv").read_text()
+        edited = field[0] + "_" + field[1:]
+        assert text.splitlines()[1].endswith("," + field)
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text.replace(field, edited, 1))
+        rc = main(["ratio", f"--{kind}", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[parse]: {path}: line 2: bad {name} value '{edited}'\n"
+        )
 
     def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
         obs = _non_ascii_observations(tmp_path)
