@@ -44,7 +44,7 @@ from .backtest import (
     regression_to_dict,
     run_backtest,
 )
-from .dataset import build_backtest_series, load_bundled
+from .dataset import _load_columns, build_backtest_series
 # perfbench/tracing.py patches these names here, so they stay imported.
 from .dataset import (  # noqa: F401
     load_efficiency_table,
@@ -184,22 +184,22 @@ def _label(path: Path | None) -> str:
 
 
 def _load_inputs(options: dict):
-    """Records, schedule, table and their provenance labels."""
+    """Observation columns, schedule, table and their provenance labels."""
     paths = {name: options.get(name) for name in INPUT_FILES}
     labels = {name: _label(path) for name, path in paths.items()}
-    return (*load_bundled(**paths), labels)
+    return (*_load_columns(**paths), labels)
 
 
 def _run_report(config: BacktestConfig, options: dict) -> BacktestReport:
-    records, schedule, table, input_files = _load_inputs(options)
-    return run_backtest(records, schedule, table, config, input_files=input_files)
+    observations, schedule, table, input_files = _load_inputs(options)
+    return run_backtest(observations, schedule, table, config, input_files=input_files)
 
 
 def _load_pair(config: BacktestConfig, options: dict):
     """Paired series only, for the subcommands that skip the VAR stage."""
-    records, schedule, table, _ = _load_inputs(options)
+    observations, schedule, table, _ = _load_inputs(options)
     return build_backtest_series(
-        records, schedule, table, electricity_price=config.electricity_price
+        observations, schedule, table, electricity_price=config.electricity_price
     )
 
 

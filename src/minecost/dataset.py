@@ -21,23 +21,29 @@ and finite, and dates strictly increase. Each reward halves the one before;
 a rising efficiency only warns. The records, step tables and paired series
 the library builds enforce the same value, order and halving rules.
 
+Observations are read as columns. Each column is checked in one pass by
+the same functions the row checks use; if any field fails, the rows are
+checked one by one, so the error names the first bad row and its line.
+Pairing looks up every date's reward and table efficiency at once
+(``np.searchsorted`` over date ordinals), with no per-row Python work.
+
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import io
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
-from operator import lt
+from itertools import repeat
+from operator import lt, not_
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -58,19 +64,28 @@ from .pricing import model_price  # noqa: F401
 OBSERVATION_COLUMNS = ("date", "difficulty", "price_usd", "eff_w_per_ghs")
 
 
-def _step_lookup(entries, dates, date: dt.date, what: str) -> float:
-    """Value of the last ``(effective_date, value)`` entry on or before ``date``.
+def _in_force(entries, days) -> np.ndarray:
+    """Position of the step entry in force on each day, -1 before the first.
 
-    ``dates`` lists the entries' effective dates; a caller with many dates
-    to look up builds it once.
+    ``days`` are date ordinals; an entry applies from its own date on.
     """
-    index = bisect.bisect_right(dates, date)
-    if index == 0:
-        raise DomainError(
-            f"date {date.isoformat()} precedes first {what} entry "
-            f"{entries[0][0].isoformat()}"
-        )
-    return entries[index - 1][1]
+    starts = [date.toordinal() for date, _ in entries]
+    return np.searchsorted(starts, days, side="right") - 1
+
+
+def _precedes(date: dt.date, entries, what: str) -> DomainError:
+    return DomainError(
+        f"date {date.isoformat()} precedes first {what} entry "
+        f"{entries[0][0].isoformat()}"
+    )
+
+
+def _value_on(entries, date: dt.date, what: str) -> float:
+    """Value of the step entry in force on ``date``."""
+    at = _in_force(entries, [date.toordinal()])[0]
+    if at < 0:
+        raise _precedes(date, entries, what)
+    return entries[at][1]
 
 
 def _check_dates_sorted(dates: Sequence[dt.date], what: str) -> None:
@@ -121,6 +136,50 @@ class ObservationRecord:
                 )
 
 
+class _Observations(Sequence):
+    """Observation columns, read as a sequence of :class:`ObservationRecord`.
+
+    ``dates`` is a tuple of dates; the other three are float arrays, and
+    ``efficiency`` is NaN where a row has none (a record never holds NaN).
+    A record is built only when one is read.
+    """
+
+    def __init__(self, dates, difficulty, market_price, efficiency):
+        self.dates = dates
+        self.difficulty = difficulty
+        self.market_price = market_price
+        self.efficiency = efficiency
+
+    @classmethod
+    def of(cls, records: Sequence[ObservationRecord]) -> "_Observations":
+        """``records`` as columns; columns pass through as they are."""
+        if isinstance(records, cls):
+            return records
+        return cls(
+            tuple(r.date for r in records),
+            np.array([r.difficulty for r in records], dtype=float),
+            np.array([r.market_price for r in records], dtype=float),
+            np.array([math.nan if r.efficiency is None else r.efficiency
+                      for r in records], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, index: int) -> ObservationRecord:
+        efficiency = float(self.efficiency[index])
+        return ObservationRecord(
+            self.dates[index], float(self.difficulty[index]),
+            float(self.market_price[index]),
+            None if math.isnan(efficiency) else efficiency,
+        )
+
+    def __iter__(self):
+        efficiencies = [None if math.isnan(e) else e for e in self.efficiency.tolist()]
+        return map(ObservationRecord, self.dates, self.difficulty.tolist(),
+                   self.market_price.tolist(), efficiencies)
+
+
 @dataclass(frozen=True)
 class RewardSchedule:
     """Block-reward step function keyed by calendar date.
@@ -144,7 +203,7 @@ class RewardSchedule:
 
     def reward_at(self, date: dt.date) -> float:
         """Reward in force on ``date`` (step lookup, halving-day inclusive)."""
-        return _step_lookup(self.entries, [d for d, _ in self.entries], date, "reward")
+        return _value_on(self.entries, date, "reward")
 
 
 @dataclass(frozen=True)
@@ -171,9 +230,7 @@ class EfficiencyTable:
 
     def efficiency_at(self, date: dt.date) -> float:
         """Efficiency in force on ``date``; warns when carried past the table."""
-        value = _step_lookup(
-            self.entries, [d for d, _ in self.entries], date, "efficiency"
-        )
+        value = _value_on(self.entries, date, "efficiency")
         if date > self.entries[-1][0]:
             warnings.warn(
                 f"date {date.isoformat()} is past the last efficiency entry "
@@ -237,13 +294,16 @@ def _parse_float(text: str, name: str, line: int) -> float:
 
 
 def _read_table(source, columns: Sequence[str], required: int):
-    """``(at, rows)`` of a CSV string or iterable of lines, header checked.
+    """``(lines, fields, malformed)`` of a CSV string or iterable of lines.
 
     The header names columns from ``columns`` once each, in any order, and
-    names the first ``required``. ``at`` is the field index of each name in
-    ``columns`` (None if absent); ``rows`` yields ``(line, fields)`` per
-    non-blank row. Raises ParseError, with the line number, for empty input,
-    an unknown, repeated or missing name, or a row of the wrong width.
+    names the first ``required``; empty input or an unknown, repeated or
+    missing name is a ParseError on line 1. Blank rows are skipped.
+    ``fields`` holds, for each name in ``columns``, the text of that field
+    in every row (None for an absent column), and ``lines`` each row's line
+    number. Row width is checked over the whole file at once: a row of the
+    wrong width ends the table, and ``malformed`` is its ParseError, for the
+    caller to raise once the rows before it pass (None if every row fits).
     """
     reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     header = next(reader, None)
@@ -259,15 +319,87 @@ def _read_table(source, columns: Sequence[str], required: int):
         if name not in names:
             raise ParseError(f"missing {name!r} column in header {names!r}", 1)
     width = len(names)
+    rows = list(reader)
+    lines, malformed = range(2, len(rows) + 2), None
+    if set(map(len, rows)) - {width}:  # blank rows, or a row of the wrong width
+        kept = [(line, row) for line, row in zip(lines, rows) if row]
+        end = next((i for i, (_, row) in enumerate(kept) if len(row) != width), None)
+        if end is not None:
+            line, row = kept[end]
+            malformed = ParseError(f"expected {width} fields, got {len(row)}", line)
+            kept = kept[:end]
+        lines, rows = [line for line, _ in kept], [row for _, row in kept]
+    by_name = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+    return lines, tuple(by_name.get(name) for name in columns), malformed
 
-    def rows():
-        for line, row in enumerate(reader, start=2):
-            if len(row) == width:
-                yield line, row
-            elif row:
-                raise ParseError(f"expected {width} fields, got {len(row)}", line)
 
-    return tuple(names.index(c) if c in names else None for c in columns), rows()
+def _floats(texts) -> np.ndarray:
+    """``float`` of each field; ValueError for any field ``_parse_float`` rejects."""
+    if "_" in "".join(texts):
+        raise ValueError("digit separator")
+    return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+
+
+def _positive_finite(values: np.ndarray) -> np.ndarray:
+    return (0.0 < values) & (values < math.inf)
+
+
+def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | None:
+    """The observation fields as columns, or None if any field fails its check.
+
+    Each column goes through the function the row loop applies to one field
+    (``date.fromisoformat`` of the stripped text, ``float`` with no ``_``),
+    then one positive-and-finite mask, so a field passes here exactly when
+    it passes there.
+    """
+    try:
+        days = tuple(map(dt.date.fromisoformat, map(str.strip, dates)))
+        difficulty, price = _floats(difficulty), _floats(price)
+        if efficiency is None:
+            blank = np.ones(len(days), dtype=bool)
+            efficiency = np.full(len(days), math.nan)
+        else:
+            texts = list(map(str.strip, efficiency))
+            blank = np.fromiter(map(not_, texts), dtype=bool, count=len(texts))
+            efficiency = _floats([text or "nan" for text in texts])
+    except ValueError:
+        return None
+    ok = (_positive_finite(difficulty) & _positive_finite(price)
+          & (_positive_finite(efficiency) | blank))
+    return _Observations(days, difficulty, price, efficiency) if ok.all() else None
+
+
+def _checked_rows(lines, dates, difficulty, price, efficiency) -> list[ObservationRecord]:
+    """The fields as records, one row at a time; raises for the first bad row."""
+    records = []
+    rows = zip(lines, dates, difficulty, price, efficiency or repeat(""))
+    for line, date, row_difficulty, row_price, row_efficiency in rows:
+        row_efficiency = row_efficiency.strip()
+        try:
+            records.append(ObservationRecord(
+                _parse_date(date, line),
+                _parse_float(row_difficulty, "difficulty", line),
+                _parse_float(row_price, "price_usd", line),
+                _parse_float(row_efficiency, "eff_w_per_ghs", line)
+                if row_efficiency else None,
+            ))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+    return records
+
+
+def _parse_observation_columns(source) -> _Observations:
+    """:func:`parse_observations` as columns, with the same checks and errors."""
+    lines, fields, malformed = _read_table(source, OBSERVATION_COLUMNS, required=3)
+    observations = _checked_columns(*fields)
+    if observations is None:
+        observations = _Observations.of(_checked_rows(lines, *fields))
+    if malformed:
+        raise malformed
+    if not observations:
+        raise ValidationError("observations must have at least one record")
+    _check_dates_sorted(observations.dates, "observation")
+    return observations
 
 
 def parse_observations(source) -> list[ObservationRecord]:
@@ -283,24 +415,7 @@ def parse_observations(source) -> list[ObservationRecord]:
         ValidationError: no records, a parsed value violating a record
             invariant, or dates out of order / duplicated.
     """
-    at, rows = _read_table(source, OBSERVATION_COLUMNS, required=3)
-    date_at, difficulty_at, price_at, eff_at = at
-    records = []
-    for line, row in rows:
-        efficiency = "" if eff_at is None else row[eff_at].strip()
-        try:
-            records.append(ObservationRecord(
-                _parse_date(row[date_at], line),
-                _parse_float(row[difficulty_at], "difficulty", line),
-                _parse_float(row[price_at], "price_usd", line),
-                _parse_float(efficiency, "eff_w_per_ghs", line) if efficiency else None,
-            ))
-        except ValidationError as exc:
-            raise ValidationError(f"line {line}: {exc}") from None
-    if not records:
-        raise ValidationError("observations must have at least one record")
-    _check_dates_sorted([r.date for r in records], "observation")
-    return records
+    return list(_parse_observation_columns(source))
 
 
 def serialize_observations(records: Sequence[ObservationRecord]) -> str:
@@ -324,11 +439,16 @@ def serialize_observations(records: Sequence[ObservationRecord]) -> str:
 
 def _parse_steps(source, value_column: str):
     """``(date, value)`` entries of a ``date,<value_column>`` table."""
-    (date_at, value_at), rows = _read_table(source, ("date", value_column), required=2)
-    return tuple(
-        (_parse_date(row[date_at], line), _parse_float(row[value_at], value_column, line))
-        for line, row in rows
+    lines, (dates, values), malformed = _read_table(
+        source, ("date", value_column), required=2
     )
+    entries = tuple(
+        (_parse_date(date, line), _parse_float(value, value_column, line))
+        for line, date, value in zip(lines, dates, values)
+    )
+    if malformed:
+        raise malformed
+    return entries
 
 
 def parse_reward_schedule(source) -> RewardSchedule:
@@ -370,7 +490,11 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
 
 
 def load_observations(path) -> list[ObservationRecord]:
-    return _load(path, parse_observations)
+    return list(_load_observation_columns(path))
+
+
+def _load_observation_columns(path) -> _Observations:
+    return _load(path, _parse_observation_columns)
 
 
 def load_reward_schedule(path) -> RewardSchedule:
@@ -391,15 +515,18 @@ def _load(path, parse):
         ValidationError: one of ``parse``, its message prefixed with the file.
     """
     source = path if hasattr(path, "read_bytes") else Path(path)
+    data = source.read_bytes()
     try:
-        text = source.read_bytes().decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(
             f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
         ) from None
     try:
-        return parse(io.StringIO(text, newline=""))
+        # Decoded as read: a StringIO of the whole text would hold 4 bytes
+        # per character while the reader holds every row.
+        return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     except (ParseError, ValidationError) as exc:
         named = type(exc)(f"{source}: {exc}")
         named.__dict__.update(vars(exc))  # ParseError's line
@@ -425,9 +552,11 @@ def build_backtest_series(
     for its gaps). Table lookups past the last table entry carry its value
     forward under one :class:`CarriedForwardWarning` for the whole series.
 
-    The lookups run per record; the model prices are then one array
-    expression of :func:`minecost.pricing.model_price`'s closed form, with
-    the same operations in the same order, so each equals the per-record
+    The records are taken as columns (a record sequence is turned into
+    columns once), and every date is looked up in both step tables at once.
+    The model prices are then one array expression of
+    :func:`minecost.pricing.model_price`'s closed form, with the same
+    operations in the same order, so each equals the per-record
     ``model_price`` bit for bit.
 
     Raises:
@@ -439,53 +568,50 @@ def build_backtest_series(
             offending value or date (the first such date).
     """
     electricity_price = _require_positive_finite("electricity_price", electricity_price)
-    efficiencies, rewards, carried = [], [], []
-    table_dates = None if table is None else [d for d, _ in table.entries]
-    schedule_dates = [d for d, _ in schedule.entries]
-    for record in records:
-        efficiency = record.efficiency
-        if efficiency is None:
-            if table is None:
-                raise ValidationError(
-                    f"no efficiency for {record.date.isoformat()} and no "
-                    f"efficiency table supplied"
-                )
-            efficiency = _step_lookup(
-                table.entries, table_dates, record.date, "efficiency"
+    observations = _Observations.of(records)
+    dates = observations.dates
+    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    blank = np.isnan(observations.efficiency)
+    reward_at = _in_force(schedule.entries, days)
+    table_at = None if table is None else _in_force(table.entries, days)
+    unresolved = blank if table is None else blank & (table_at < 0)
+    failed = np.flatnonzero(unresolved | (reward_at < 0))
+    if failed.size:  # the first failing record, its checks in lookup order
+        first = failed[0]
+        if unresolved[first] and table is None:
+            raise ValidationError(
+                f"no efficiency for {dates[first].isoformat()} and no "
+                f"efficiency table supplied"
             )
-            if record.date > table_dates[-1]:
-                carried.append(record.date)
-        efficiencies.append(efficiency)
-        rewards.append(
-            _step_lookup(schedule.entries, schedule_dates, record.date, "reward")
-        )
-    if carried:
-        warnings.warn(
-            f"{len(carried)} date(s) are past the last efficiency entry "
-            f"{table.entries[-1][0].isoformat()}, the first "
-            f"{carried[0].isoformat()}; carrying last value forward",
-            CarriedForwardWarning,
-            stacklevel=2,
-        )
+        if unresolved[first]:
+            raise _precedes(dates[first], table.entries, "efficiency")
+        raise _precedes(dates[first], schedule.entries, "reward")
+    efficiency = observations.efficiency
+    if table is not None:
+        values = np.array([value for _, value in table.entries], dtype=float)
+        efficiency = np.where(blank, values[table_at], efficiency)
+        carried = np.flatnonzero(blank & (days > table.entries[-1][0].toordinal()))
+        if carried.size:
+            warnings.warn(
+                f"{carried.size} date(s) are past the last efficiency entry "
+                f"{table.entries[-1][0].isoformat()}, the first "
+                f"{dates[carried[0]].isoformat()}; carrying last value forward",
+                CarriedForwardWarning,
+                stacklevel=2,
+            )
+    rewards = np.array([reward for _, reward in schedule.entries], dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         model = _closed_form(
-            electricity_price,
-            np.array(efficiencies, dtype=float),
-            np.array([r.difficulty for r in records], dtype=float),
-            np.array(rewards, dtype=float),
+            electricity_price, efficiency, observations.difficulty, rewards[reward_at]
         )
-    bad = np.flatnonzero(~((0.0 < model) & (model < math.inf)))
+    bad = np.flatnonzero(~_positive_finite(model))
     if bad.size:
-        price, date = float(model[bad[0]]), records[bad[0]].date
+        price, date = float(model[bad[0]]), dates[bad[0]]
         raise DomainError(
             f"model price is {price!r} on {date.isoformat()}: the inputs overflow "
             "or underflow double precision"
         )
-    return PairedSeries(
-        tuple(r.date for r in records),
-        np.array([r.market_price for r in records], dtype=float),
-        model,
-    )
+    return PairedSeries(dates, observations.market_price, model)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +637,17 @@ def load_bundled(observations=None, efficiency=None, rewards=None):
     Returns:
         (records, schedule, table) ready for :func:`build_backtest_series`.
     """
+    columns, schedule, table = _load_columns(observations, efficiency, rewards)
+    return list(columns), schedule, table
+
+
+def _load_columns(observations=None, efficiency=None, rewards=None):
+    """:func:`load_bundled` with the observations left as columns."""
     def source(path, name):
         return bundled_data_path(name) if path is None else path
 
     return (
-        load_observations(source(observations, "observations.csv")),
+        _load_observation_columns(source(observations, "observations.csv")),
         load_reward_schedule(source(rewards, "rewards.csv")),
         load_efficiency_table(source(efficiency, "efficiency.csv")),
     )

@@ -291,9 +291,11 @@ def var_min_observations(p: int) -> int:
 
     The fit uses ``T = n - p`` rows for ``k = 2p + 1`` coefficients per
     equation. ``n >= 2p + 10`` keeps ``T - k >= 9 - p``, and
-    ``n >= 3p + 2`` keeps ``T - k >= 1`` once ``p > 8``.
+    ``n >= 3p + 3`` keeps ``T - k >= 2`` once ``p > 7``: with fewer than two
+    residual degrees of freedom the 2 x 2 residual cross-product has rank
+    one, and the log determinant in AIC and BIC is -inf or rounding noise.
     """
-    return max(2 * p + 10, 3 * p + 2)
+    return max(2 * p + 10, 3 * p + 3)
 
 
 def _var_series(data) -> np.ndarray:

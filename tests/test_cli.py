@@ -20,8 +20,10 @@ from minecost import (
     BacktestConfig,
     CostParams,
     DomainError,
+    ObservationRecord,
     bundled_data_path,
     cache_file_for,
+    load_bundled,
 )
 from minecost.cli import main
 
@@ -225,6 +227,19 @@ class TestBacktestCommand:
         assert main([command, "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == GOLDEN_JSON_STDOUT_SHA256[command]
+
+    def test_builds_no_observation_record(self, tmp_path, monkeypatch, capsys):
+        """The CLI reads the observations as columns and pairs them as such."""
+        built = []
+
+        def count(record):
+            built.append(record)
+
+        monkeypatch.setattr(ObservationRecord, "__post_init__", count)
+        assert len(load_bundled()[0]) == len(built) == 126  # the counter counts
+        built.clear()
+        assert main(["backtest", "--out-dir", str(tmp_path)]) == 0
+        assert built == []
 
     def test_timestamps_present_by_default(self, tmp_path):
         rc = main(["backtest", "--out-dir", str(tmp_path)])
@@ -434,7 +449,7 @@ class TestOtherSubcommandsAndErrors:
                          "--out-dir", str(tmp_path / "out"))
         assert result.returncode == 0
         assert result.stderr == (
-            "warning[UserWarning]: max_p 9 needs 29 observations but the series "
+            "warning[UserWarning]: max_p 9 needs 30 observations but the series "
             "has 28; lag selection scans orders 1..8\n"
         )
 
@@ -501,13 +516,13 @@ class TestOtherSubcommandsAndErrors:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == (
-            "error[insufficient-data]: need at least 29 observations for p=9, got 28\n"
+            "error[insufficient-data]: need at least 30 observations for p=9, got 28\n"
         )
 
     def test_max_p_past_the_sample_bound_is_clamped(self, tmp_path, capsys):
         obs = _bundled_prefix(tmp_path, 28)
         with pytest.warns(
-            UserWarning, match=r"^max_p 9 needs 29 .* has 28; .* orders 1\.\.8$"
+            UserWarning, match=r"^max_p 9 needs 30 .* has 28; .* orders 1\.\.8$"
         ):
             rc = main(["var", "--observations", str(obs), "--lags", "auto",
                        "--max-p", "9", "--format", "json"])

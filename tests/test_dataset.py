@@ -1,7 +1,9 @@
 """Tests for CSV ingestion, step tables, and series building."""
 
+import csv
 import datetime as dt
 import importlib.util
+import io
 import math
 import warnings
 from pathlib import Path
@@ -31,7 +33,8 @@ from minecost import (
     run_backtest,
     serialize_observations,
 )
-from minecost.dataset import BUNDLED_FILES
+from minecost import dataset
+from minecost.dataset import BUNDLED_FILES, OBSERVATION_COLUMNS
 
 OBS_CSV = """date,difficulty,price_usd,eff_w_per_ghs
 2016-06-25,2.0e11,600.0,0.5
@@ -153,6 +156,167 @@ class TestParseObservations:
             "date,difficulty,price_usd\n2016-06-25,2.0e11,600.0\n"
         )
         assert "eff_w_per_ghs" not in serialize_observations(records)
+
+
+def _row_by_row(text):
+    """Records of an observations file, read one row and one field at a time.
+
+    The reference for the columnar reader: each row's width, then its date,
+    numbers and record checks, each error naming its line; then the file's
+    record count and date order.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    names = [name.strip() for name in rows[0]]
+    records = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise ParseError(f"expected {len(names)} fields, got {len(row)}", line)
+        field = dict(zip(names, row))
+        try:
+            date = dt.date.fromisoformat(field["date"].strip())
+        except ValueError as exc:
+            raise ParseError(f"bad date {field['date']!r}: {exc}", line) from None
+        values = []
+        for name in ("difficulty", "price_usd", "eff_w_per_ghs"):
+            text = field.get(name, "").strip() if name == "eff_w_per_ghs" else field[name]
+            if name == "eff_w_per_ghs" and not text:
+                values.append(None)
+                continue
+            try:
+                if "_" in text:
+                    raise ValueError(text)
+                values.append(float(text))
+            except ValueError:
+                raise ParseError(f"bad {name} value {text!r}", line) from None
+        try:
+            records.append(ObservationRecord(date, *values))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+    if not records:
+        raise ValidationError("observations must have at least one record")
+    for prev, cur in zip(records, records[1:]):
+        if cur.date <= prev.date:
+            problem = (
+                f"duplicate observation date {cur.date}" if cur.date == prev.date
+                else f"observation dates out of order: {cur.date} after {prev.date}"
+            )
+            raise ValidationError(f"{problem} (dates must be strictly increasing)")
+    return records
+
+
+def _assert_reads_as_row_by_row(text):
+    """``parse_observations(text)`` gives the reference's records or error."""
+    try:
+        expected = _row_by_row(text)
+    except (ParseError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_observations(text)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "line", None) == getattr(exc, "line", None)
+        return exc
+    assert parse_observations(text) == expected
+    return expected
+
+
+def _daily_observations(n, efficiency=True):
+    """``n`` well-formed rows, one a day from 2009-01-03, as lists of fields."""
+    return [
+        [(dt.date(2009, 1, 3) + dt.timedelta(days=i)).isoformat(), f"{1e6 + i!r}",
+         f"{0.5 + i!r}", *([f"{0.25 + i / 1e4!r}"] if efficiency else [])]
+        for i in range(n)
+    ]
+
+
+def _csv_text(rows, efficiency=True):
+    header = ",".join(OBSERVATION_COLUMNS if efficiency else OBSERVATION_COLUMNS[:3])
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+DATE_EDGES = ["20090109", " 2009-01-09 ", "2009-01-09T00", "NaT", "2009-W02-5"]
+NUMBER_EDGES = ["1e5", " 7.5 ", "nan", "inf", "-0", "0x10", "9_4.88", "", "  "]
+
+
+class TestColumnarIngress:
+    """The columns are checked in bulk, then row by row where a field fails."""
+
+    @pytest.mark.parametrize("field", DATE_EDGES)
+    def test_date_edge_field(self, field):
+        rows = _daily_observations(10)
+        assert rows[6][0] == "2009-01-09"
+        rows[6][0] = field
+        _assert_reads_as_row_by_row(_csv_text(rows))
+
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=OBSERVATION_COLUMNS[1:])
+    @pytest.mark.parametrize("field", NUMBER_EDGES)
+    def test_number_edge_field(self, column, field):
+        rows = _daily_observations(10)
+        rows[6][column] = field
+        _assert_reads_as_row_by_row(_csv_text(rows))
+
+    def test_edge_fields_read_as_the_format_says(self):
+        """A few of the outcomes above, spelled out."""
+        rows = _daily_observations(3)
+        rows[1][0], rows[1][1], rows[1][2], rows[2][3] = (
+            "20090104", " 1e5 ", " 7.5 ", "  ")
+        records = _assert_reads_as_row_by_row(_csv_text(rows))
+        assert records[1] == ObservationRecord(dt.date(2009, 1, 4), 1e5, 7.5, 0.2501)
+        assert records[2].efficiency is None
+        rows[1][3] = "nan"
+        error = _assert_reads_as_row_by_row(_csv_text(rows))
+        assert str(error) == (
+            "line 3: efficiency must be positive and finite, got nan (2009-01-04)"
+        )
+
+    def test_blank_and_filled_efficiencies_mix(self):
+        rows = _daily_observations(40)
+        for i in range(0, 40, 3):
+            rows[i][3] = ""
+        records = _assert_reads_as_row_by_row(_csv_text(rows))
+        assert [r.efficiency is None for r in records] == [i % 3 == 0 for i in range(40)]
+
+    @pytest.mark.parametrize("column, field, message", [
+        (2, "x", "line 6001: bad price_usd value 'x'"),
+        (2, "-1", "line 6001: market_price must be positive and finite, got -1.0 "
+                  "(2025-06-07)"),
+        (0, "2009-01-03", "observation dates out of order: 2009-01-03 after "
+                          "2025-06-06 (dates must be strictly increasing)"),
+    ])
+    def test_bad_last_row_of_six_thousand(self, column, field, message):
+        rows = _daily_observations(6000, efficiency=False)
+        rows[-1][column] = field
+        error = _assert_reads_as_row_by_row(_csv_text(rows, efficiency=False))
+        assert str(error) == message
+
+    @pytest.mark.parametrize("first, second", [
+        ((1, 2, "x"), (3, None, None)),  # a bad value, then a short row
+        ((1, None, None), (3, 2, "x")),  # a short row, then a bad value
+        ((1, 1, "0"), (3, None, None)),  # a value out of range, then a short row
+    ])
+    def test_the_first_bad_row_wins(self, first, second):
+        rows = _daily_observations(6)
+        for index, column, field in (first, second):
+            if column is None:
+                rows[index] = rows[index][:2]
+            else:
+                rows[index][column] = field
+        lines = _csv_text(rows).splitlines()
+        lines.insert(1, "")  # a blank line still counts in the line numbers
+        error = _assert_reads_as_row_by_row("\n".join(lines) + "\n")
+        assert str(error).startswith(f"line {first[0] + 3}: ")
+
+    def test_a_clean_file_is_not_read_row_by_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read row by row")
+
+        rows = _daily_observations(6000)
+        for i in range(0, 6000, 7):
+            rows[i][3] = ""
+        text = _csv_text(rows)
+        expected = _row_by_row(text)
+        monkeypatch.setattr(dataset, "_checked_rows", refuse)
+        assert parse_observations(text) == expected
 
 
 class TestRewardSchedule:
@@ -374,6 +538,37 @@ class TestBuildBacktestSeries:
         with pytest.raises(ValidationError) as info:
             build(records, schedule, table)
         assert str(info.value) == f"{message} (dates must be strictly increasing)"
+
+    @pytest.mark.parametrize("records, with_table, message", [
+        # Within a record: no efficiency without a table before the reward.
+        ([(dt.date(2016, 1, 1), 0.5), (dt.date(2008, 1, 1), None)], False,
+         "no efficiency for 2008-01-01 and no efficiency table supplied"),
+        # Within a record: the table before the reward.
+        ([(dt.date(2016, 1, 1), 0.5), (dt.date(2008, 1, 1), None)], True,
+         "date 2008-01-01 precedes first efficiency entry 2015-01-01"),
+        # The first failing record wins, whatever fails later.
+        ([(dt.date(2008, 1, 1), 0.5), (dt.date(2014, 1, 1), None)], True,
+         "date 2008-01-01 precedes first reward entry 2009-01-03"),
+        ([(dt.date(2014, 1, 1), None), (dt.date(2008, 1, 1), 0.5)], True,
+         "date 2014-01-01 precedes first efficiency entry 2015-01-01"),
+    ])
+    def test_the_first_failing_lookup_raises(self, records, with_table, message):
+        table = EfficiencyTable(entries=((dt.date(2015, 1, 1), 0.5),))
+        records = [ObservationRecord(date, 2.0e11, 600.0, eff) for date, eff in records]
+        with pytest.raises((DomainError, ValidationError)) as info:
+            build_backtest_series(records, SCHEDULE, table if with_table else None)
+        assert str(info.value) == message
+
+    def test_columns_and_records_pair_alike(self):
+        records, schedule, table = load_bundled()
+        columns = dataset._load_columns()[0]
+        assert len(columns) == len(records) and list(columns) == records
+        assert columns[5] == records[5] and columns[-1] == records[-1]
+        by_columns = build_backtest_series(columns, schedule, table)
+        by_records = build_backtest_series(records, schedule, table)
+        assert by_columns.dates == by_records.dates
+        assert by_columns.market_prices.tolist() == by_records.market_prices.tolist()
+        assert by_columns.model_prices.tolist() == by_records.model_prices.tolist()
 
     def test_paired_series_length_and_dates(self):
         records = parse_observations(OBS_CSV)

@@ -299,15 +299,15 @@ class TestVarFit:
         with pytest.raises(SingularityError):
             _least_squares(Z, Y)
 
-    @pytest.mark.parametrize("p, n_min", [(1, 12), (8, 26), (9, 29), (10, 32)])
+    @pytest.mark.parametrize("p, n_min", [(1, 12), (8, 27), (9, 30), (10, 33)])
     def test_sample_bound_leaves_residual_degrees_of_freedom(self, p, n_min):
-        """n >= max(2p + 10, 3p + 2): T - k >= 1 even past p = 8."""
+        """n >= max(2p + 10, 3p + 3): T - k >= 2 even past p = 7."""
         assert var_min_observations(p) == n_min
         data = np.cumsum(np.random.default_rng(3).normal(size=(n_min, 2)), axis=0)
         with pytest.raises(InsufficientDataError, match=f"at least {n_min} "):
             var_fit(data[:-1], p=p)
         model = var_fit(data, p=p)
-        assert model.nobs - model.n_coefficients_per_equation >= 1
+        assert model.nobs - model.n_coefficients_per_equation >= 2
         assert np.all(np.isfinite(model.resid_cov))
 
     def test_bad_lag_order_rejected(self):

@@ -41,7 +41,7 @@ def _random_walk(n, seed):
 
 
 def _oracle_row(data, p):
-    """``(aic, bic, stat, df, pvalue, residual dof)`` of VAR(p) on rows p..n-1."""
+    """``(aic, bic, stat, df, pvalue)`` of VAR(p) on rows p..n-1."""
     Y, Z = _lagged_design(data, p)
     T, k = Z.shape
     beta = np.linalg.lstsq(Z, Y, rcond=None)[0]
@@ -53,7 +53,7 @@ def _oracle_row(data, p):
     stat = sum(part.statistic for part in parts)
     df = sum(part.df for part in parts)
     return (log_det + 2.0 * m / T, log_det + m * math.log(T) / T,
-            stat, df, chi2_sf(stat, df), T - k)
+            stat, df, chi2_sf(stat, df))
 
 
 @pytest.mark.parametrize("data", [
@@ -65,13 +65,9 @@ def test_rows_match_a_separate_fit_of_each_order(data):
     selection = select_lag_order(data, MAX_P)
     assert [row.p for row in selection.rows] == list(range(1, MAX_P + 1))
     for row in selection.rows:
-        aic, bic, stat, df, pvalue, dof = _oracle_row(data, row.p)
-        if dof >= 2:
-            # With one residual degree of freedom the 2 x 2 residual
-            # cross-product has rank one: its determinant is zero up to
-            # rounding on either side, so the criteria are not compared.
-            assert row.aic == pytest.approx(aic, rel=RTOL)
-            assert row.bic == pytest.approx(bic, rel=RTOL)
+        aic, bic, stat, df, pvalue = _oracle_row(data, row.p)
+        assert row.aic == pytest.approx(aic, rel=RTOL)
+        assert row.bic == pytest.approx(bic, rel=RTOL)
         assert row.portmanteau_stat == pytest.approx(stat, rel=RTOL)
         assert row.portmanteau_df == df
         assert row.portmanteau_pvalue == pytest.approx(pvalue, rel=RTOL)

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Minimum wall time of each backtest stage on a seeded long history.
+
+Finds which stage of parse -> pair -> fit -> render a change should target,
+and shows what it saved. Run from the repo root:
+
+    PYTHONPATH=src python3 tools/stage_times.py [--rows N] [--repeat N] [--variant V]
+
+The inputs are the benchmark's daily history ``V`` (``perfbench/inputs.py``,
+loaded here without changing it), cut to its first ``N`` observations. Each
+stage runs ``--repeat`` times in this process and its fastest call is
+printed, in milliseconds, as JSON:
+
+* ``load_observations``: the records the library returns;
+* ``load_observation_columns``: the columns the CLI reads (left out for a
+  checkout that reads only records);
+* ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on the
+  CLI's input, columns or records;
+* ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
+  ``backtest``'s artifacts.
+
+Compare two checkouts by running both on the same machine, alternately.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from minecost import backtest, cli, dataset
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _history_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_history(variant: int, rows: int, directory: Path) -> dict[str, Path]:
+    """The three input files of history ``variant``, cut to ``rows`` observations."""
+    paths = _history_inputs().write_long_history(variant, directory)
+    lines = paths["observations"].read_text().splitlines(keepends=True)
+    paths["observations"].write_text("".join(lines[:rows + 1]))
+    return paths
+
+
+def fastest(call, repeat: int) -> float:
+    """Milliseconds of the fastest of ``repeat`` calls of ``call()``."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
+    schedule = dataset.load_reward_schedule(paths["rewards"])
+    table = dataset.load_efficiency_table(paths["efficiency"])
+    config = backtest.BacktestConfig(lags=None, include_timestamp=False)
+    times = {"load_observations": fastest(
+        lambda: dataset.load_observations(paths["observations"]), repeat)}
+    load_columns = getattr(dataset, "_load_observation_columns", None)
+    if load_columns is None:
+        observations = dataset.load_observations(paths["observations"])
+    else:
+        observations = load_columns(paths["observations"])
+        times["load_observation_columns"] = fastest(
+            lambda: load_columns(paths["observations"]), repeat)
+    times["build_backtest_series"] = fastest(
+        lambda: dataset.build_backtest_series(observations, schedule, table), repeat)
+    times["run_backtest"] = fastest(
+        lambda: backtest.run_backtest(observations, schedule, table, config), repeat)
+    report = backtest.run_backtest(observations, schedule, table, config)
+    times["series_text"] = fastest(lambda: cli.SeriesText.of(report), repeat)
+    text = cli.SeriesText.of(report)
+    times["report_json"] = fastest(lambda: cli.report_json(report, text), repeat)
+    times["figure_csvs"] = fastest(
+        lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", type=int, default=6000, help="observations (max 6000)")
+    parser.add_argument("--repeat", type=int, default=15, help="calls per stage")
+    parser.add_argument("--variant", type=int, default=3, help="history variant 0..31")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = write_history(args.variant, args.rows, Path(scratch))
+        times = stage_times(paths, args.repeat)
+    result = {"rows": args.rows, "repeat": args.repeat, "variant": args.variant,
+              "ms": {name: round(ms, 3) for name, ms in times.items()}}
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
