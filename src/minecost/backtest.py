@@ -158,27 +158,19 @@ def detect_episodes(
             stacklevel=2,
         )
         return []
-    threshold = stats.mean + entry_k * stats.std
-    above = stats.ratios > threshold
+    above = stats.ratios > stats.mean + entry_k * stats.std
+    # Flag changes alternate run start, run end (exclusive).
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], above, [False]))))
     episodes = []
-    start = None
-    for i, flag in enumerate(np.append(above, False)):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            length = i - start
-            if length >= min_len:
-                run = stats.ratios[start:i]
-                peak_offset = int(np.argmax(run))
-                episodes.append(
-                    BubbleEpisode(
-                        start_date=stats.dates[start],
-                        end_date=stats.dates[i - 1],
-                        peak_ratio=float(run[peak_offset]),
-                        peak_date=stats.dates[start + peak_offset],
-                    )
-                )
-            start = None
+    for start, end in edges.reshape(-1, 2).tolist():
+        if end - start >= min_len:
+            peak = start + int(np.argmax(stats.ratios[start:end]))
+            episodes.append(BubbleEpisode(
+                start_date=stats.dates[start],
+                end_date=stats.dates[end - 1],
+                peak_ratio=float(stats.ratios[peak]),
+                peak_date=stats.dates[peak],
+            ))
     return episodes
 
 
@@ -293,8 +285,10 @@ def run_backtest(
 
     Builds the paired series, computes ratio statistics, fits the level and
     log-log regressions of market price on model price, selects a lag order
-    up to ``config.max_p`` (used when ``config.lags`` is None), fits the VAR
-    on the log series, tests both Granger directions, and detects episodes.
+    up to ``config.max_p`` (used when ``config.lags`` is None), takes the
+    VAR of the reported order on the log series from that scan, tests both
+    Granger directions, and detects episodes. Only a pinned order above the
+    scanned ones is fitted on its own, by :func:`var_fit`.
     A series of n observations too short for VAR(max_p) scans orders up to
     the largest p with ``var_min_observations(p) <= n`` instead, under one
     UserWarning.
@@ -329,7 +323,10 @@ def run_backtest(
         max_p = supported
     selection = select_lag_order(logs, max_p, names=(MARKET, MODEL))
     lag_order = config.lags if config.lags is not None else selection.chosen_p
-    model = var_fit(logs, lag_order, names=(MARKET, MODEL))
+    if lag_order <= len(selection.rows):
+        model = selection._model(logs, lag_order, names=(MARKET, MODEL))
+    else:  # a pinned order above the scanned ones
+        model = var_fit(logs, lag_order, names=(MARKET, MODEL))
     granger = (
         granger_wald(model, cause=MARKET, effect=MODEL),
         granger_wald(model, cause=MODEL, effect=MARKET),

@@ -25,17 +25,19 @@ Conventions, fixed once for the whole package:
   estimate above 1e12 for the scaled normal-equations matrix, computed as
   (s_max / s_min)^2, raises SingularityError. The scaling makes the
   threshold respond to genuine collinearity rather than to units.
-* Lag selection fits VAR(1..max_p) from one QR factorization of the
-  max-lag design. Appending the rows t = max_p - 1, ..., p below its
-  triangle gives compressed rows with exactly the cross-products of
-  VAR(p)'s own n - p rows, so each order keeps its own sample and goes
-  through the same SVD core and condition guard as var_fit.
+* One VAR estimator fits each order of a lag scan from one QR of the
+  max-lag design, each on its own n - p rows, with one SVD and the
+  condition guard per order; var_fit is the scan of one order. The scan
+  keeps each order's solution, so a scanned order is never refitted.
+* One autocovariance kernel, one pass per lag, gives the Ljung-Box
+  whiteness statistics of every order's residuals; ljung_box is its
+  one-series case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,21 +127,23 @@ def _least_squares(X: np.ndarray, Y: np.ndarray):
     return beta, Y - X @ beta, W @ W.T
 
 
-def _svd_solve(X: np.ndarray, Y: np.ndarray):
+def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     """``(beta, W)`` of the least-squares fit of finite ``Y`` on ``X``.
 
     ``W = diag(1/norms) V diag(1/s)`` from the thin SVD ``U diag(s) V'`` of
     ``X`` scaled to unit column norms, so ``beta = W U'Y`` and the inverse
     normal matrix is ``W W'``. Both depend on ``X`` and ``Y`` only through
     their cross-products, so any rows with the Gram matrix of ``[X, Y]``
-    give the same fit.
+    give the same fit. ``norms``, the column norms of ``X``, are computed
+    unless the caller has them.
 
     Raises:
         SingularityError: a zero column, or a condition estimate
             ``(s_max / s_min)^2``, the 2-norm condition number of the
             column-scaled normal matrix, above CONDITION_LIMIT.
     """
-    norms = np.sqrt(np.sum(X * X, axis=0))
+    if norms is None:
+        norms = np.sqrt(np.sum(X * X, axis=0))
     if np.any(norms == 0.0):
         raise SingularityError("regressor matrix has a zero column")
     U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
@@ -274,16 +278,61 @@ class VarModel:
         return np.concatenate([[self.intercepts[equation]], flat_lags])
 
 
-def _lagged_design(data: np.ndarray, p: int):
-    """Build (Y, Z) for a VAR(p): responses from t = p and stacked lags."""
-    n = data.shape[0]
-    T = n - p
-    Y = data[p:, :]
-    blocks = [np.ones((T, 1))]
+def _lag_design(data: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Rows ``[1, lags 1..p of both series]`` of every t, in ``width`` columns.
+
+    Lags before the series starts are zero, and so are the columns after
+    the first 2p + 1, for the caller to fill.
+    """
+    A = np.zeros((data.shape[0], width))
+    A[:, 0] = 1.0
     for lag in range(1, p + 1):
-        blocks.append(data[p - lag : n - lag, :])
-    Z = np.hstack(blocks)
-    return Y, Z
+        A[lag:, 2 * lag - 1 : 2 * lag + 1] = data[:-lag]
+    return A
+
+
+def _fit_orders(data: np.ndarray, max_p: int, min_p: int = 1):
+    """Fit VAR(min_p..max_p) from one QR of the VAR(max_p) design.
+
+    One QR of the rows ``t >= max_p`` of ``A = [1, lags 1..max_p,
+    responses]`` gives R. R and the rows ``t = max_p - 1, ..., p`` below it
+    have, on VAR(p)'s columns, exactly the Gram matrix of its own rows
+    ``p..n-1``: all that the least-squares core and its guards depend on.
+
+    Returns ``A`` and, per order, ``(beta, W, sscp)``: the (2p + 1, 2)
+    coefficients, ``W`` of :func:`_svd_solve` and the 2 x 2 residual
+    cross-product. The first order that fails a guard raises.
+    """
+    A = _lag_design(data, max_p, 2 * max_p + 3)
+    A[:, -2:] = data
+    R = np.linalg.qr(A[max_p:], mode="r")
+    compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
+    # Row m - 1 holds the column sums of squares of the first m rows.
+    squares = np.cumsum(compressed * compressed, axis=0)
+    fits = []
+    for p in range(min_p, max_p + 1):
+        k, m = 2 * p + 1, len(R) + max_p - p
+        X, Y = compressed[:m, :k], compressed[:m, -2:]
+        beta, W = _svd_solve(X, Y, np.sqrt(squares[m - 1, :k]))
+        E = Y - X @ beta
+        fits.append((beta, W, E.T @ E))
+    return A, fits
+
+
+def _var_model(data: np.ndarray, p: int, fit, names) -> VarModel:
+    """The VarModel of VAR(p) on ``data`` from its ``_fit_orders`` solution."""
+    beta, W, sscp = fit
+    k, T = 2 * p + 1, data.shape[0] - p
+    resid_cov = sscp / (T - k)
+    resid_cov = (resid_cov + resid_cov.T) / 2.0
+    # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
+    return VarModel(
+        lag_order=p, names=tuple(names), intercepts=beta[0],
+        coef_matrices=beta[1:].reshape(p, 2, 2).transpose(0, 2, 1),
+        residuals=data[p:] - _lag_design(data, p, k)[p:] @ beta,
+        resid_cov=resid_cov,
+        coef_cov=np.diag(resid_cov)[:, None, None] * (W @ W.T), nobs=T,
+    )
 
 
 def var_min_observations(p: int) -> int:
@@ -321,8 +370,10 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     """Fit a bivariate VAR(p) by least squares, both equations in one solve.
 
     Each variable is regressed on an intercept and ``p`` lags of both
-    variables. Requires ``n >= var_min_observations(p)`` so the residual
-    degrees of freedom stay meaningful.
+    variables, on the ``T = n - p`` rows that have every lag, by the lag
+    scan's estimator with ``max_p = p``. Requires
+    ``n >= var_min_observations(p)`` so the residual degrees of freedom
+    stay meaningful.
 
     Args:
         data: array-like of shape (n, 2), the two series in columns.
@@ -339,24 +390,8 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
         raise DomainError(f"lag order must be an integer >= 1, got {p!r}")
     p = int(p)
     _require_observations(data.shape[0], p)
-    Y, Z = _lagged_design(data, p)
-    T, k = Z.shape
-
-    beta, residuals, xtx_inv = _least_squares(Z, Y)
-    resid_cov = residuals.T @ residuals / (T - k)
-    resid_cov = (resid_cov + resid_cov.T) / 2.0
-    # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
-    coef_matrices = beta[1:].reshape(p, 2, 2).transpose(0, 2, 1)
-    return VarModel(
-        lag_order=p,
-        names=tuple(names),
-        intercepts=beta[0],
-        coef_matrices=coef_matrices,
-        residuals=residuals,
-        resid_cov=resid_cov,
-        coef_cov=np.diag(resid_cov)[:, None, None] * xtx_inv,
-        nobs=T,
-    )
+    _, (fit,) = _fit_orders(data, p, min_p=p)
+    return _var_model(data, p, fit, names)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +472,31 @@ class LjungBoxResult:
     lags: int
 
 
+def _ljung_box_q(E: np.ndarray, T, h) -> np.ndarray:
+    """Ljung-Box Q of each row of ``E`` up to lag ``h``, one pass per lag.
+
+    Row i is a demeaned series of ``T[i]`` values after zeros, which add
+    nothing to its lag-k product sums ``c_k``. ``T`` and ``h`` are per-row
+    arrays or scalars. ``Q = T (T + 2) sum_{k=1..h} r_k^2 / (T - k)`` with
+    ``r_k = c_k / c_0``; a row of zero variance has Q = 0.
+    """
+    lags = np.arange(1, int(np.max(h)) + 1)[:, None]
+    acov = np.empty((len(lags) + 1, len(E)))
+    acov[0] = np.einsum("ij,ij->i", E, E)
+    for k in range(1, len(acov)):
+        acov[k] = np.einsum("ij,ij->i", E[:, k:], E[:, :-k])
+    # Zero variance leaves every autocovariance zero, and so every r_k.
+    r = acov[1:] / np.where(acov[0] > 0.0, acov[0], 1.0)
+    terms = np.divide(r * r, T - lags, out=np.zeros_like(r), where=lags <= h)
+    return T * (T + 2.0) * terms.sum(axis=0)
+
+
 def ljung_box(residuals, lags: int, fitted_lag_count: int = 0) -> LjungBoxResult:
     """Ljung-Box test for autocorrelation up to ``lags``.
 
     ``Q = n (n + 2) sum_{k=1..h} r_k^2 / (n - k)`` on the mean-adjusted
-    autocorrelations. When applied to residuals of a fitted lag model, pass
+    autocorrelations, by the kernel that tests :func:`select_lag_order`'s
+    residuals. When applied to residuals of a fitted lag model, pass
     ``fitted_lag_count`` to shrink the degrees of freedom
     (``df = max(1, lags - fitted_lag_count)``).
 
@@ -457,17 +512,8 @@ def ljung_box(residuals, lags: int, fitted_lag_count: int = 0) -> LjungBoxResult
         raise DomainError(f"lags ({lags}) must be smaller than the series ({n})")
     if not np.all(np.isfinite(e)):
         raise DomainError("residuals must be finite")
-    e = e - e.mean()
-    denom = float(e @ e)
     df = max(1, lags - fitted_lag_count)
-    if denom == 0.0:
-        # No variation at all: no evidence of autocorrelation.
-        return LjungBoxResult(statistic=0.0, df=df, p_value=1.0, lags=lags)
-    q = 0.0
-    for k in range(1, lags + 1):
-        r_k = float(e[k:] @ e[:-k]) / denom
-        q += r_k * r_k / (n - k)
-    q *= n * (n + 2.0)
+    q = float(_ljung_box_q((e - e.mean())[None, :], n, lags)[0])
     return LjungBoxResult(statistic=q, df=df, p_value=chi2_sf(q, df), lags=lags)
 
 
@@ -497,6 +543,11 @@ class LagSelection:
     rows: list[LagOrderRow]
     whiteness_alpha: float
     all_failed_whiteness: bool
+    _fits: list = field(default_factory=list, repr=False, compare=False)
+
+    def _model(self, data, p: int, names: tuple[str, str]) -> VarModel:
+        """VAR(p) of ``data``, the series scanned, from the scan's solution."""
+        return _var_model(np.asarray(data, dtype=float), p, self._fits[p - 1], names)
 
 
 def select_lag_order(
@@ -513,16 +564,12 @@ def select_lag_order(
     and the selection is flagged. The full per-order table is always
     returned so a caller can override.
 
-    Each VAR(p) is fitted on its own ``T = n - p`` rows, as :func:`var_fit`
-    fits it, but all orders share one factorization. With ``a_t`` the row
-    ``[1, lags 1..max_p, responses]`` of time ``t`` (zero for lags before
-    the series starts), one QR of the rows ``t >= max_p`` gives ``R`` with
-    ``R'R = sum a_t a_t'``. ``R`` with the rows ``t = max_p - 1, ..., p``
-    below it are VAR(p)'s compressed rows: on its ``2p + 1`` regressor and
-    2 response columns they have exactly the Gram matrix of its rows
-    ``p..n-1``, which is all the least-squares core and its condition guard
-    depend on. Their residuals give the cross-products for AIC and BIC; the
-    Ljung-Box gate takes the real residuals from one product.
+    Each VAR(p) is fitted on its own ``T = n - p`` rows by :func:`var_fit`'s
+    estimator, all from one QR. The whiteness test of an order sums the
+    Ljung-Box statistics of its two residual series up to lag
+    ``h = min(max(10, 2p), T - 2)``, each with ``max(1, h - p)`` degrees
+    of freedom; every order is tested in one pass per lag. The selection
+    keeps each order's solution, so ``run_backtest`` refits none of them.
 
     ``names`` labels the two columns, as for :func:`var_fit`; the table
     does not use them.
@@ -541,47 +588,43 @@ def select_lag_order(
     n = data.shape[0]
     for p in range(1, max_p + 1):
         _require_observations(n, p)
+    A, fits = _fit_orders(data, max_p)
+    orders = range(1, max_p + 1)
 
-    A = np.zeros((n, 2 * max_p + 3))
-    A[:, 0] = 1.0
-    for lag in range(1, max_p + 1):
-        A[lag:, 2 * lag - 1 : 2 * lag + 1] = data[:-lag]
-    A[:, -2:] = data
-    R = np.linalg.qr(A[max_p:], mode="r")
-    compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
+    # Residuals of every order from one product, one row of E per order and
+    # equation, zero before the order's sample and demeaned over the rest.
+    B = np.zeros((2 * max_p + 1, 2 * max_p))
+    for p, (beta, _, _) in zip(orders, fits):
+        B[: 2 * p + 1, 2 * p - 2 : 2 * p] = beta
+    E = B.T @ A[:, : 2 * max_p + 1].T
+    by_order = E.reshape(max_p, 2, n)
+    np.subtract(data.T, by_order, out=by_order)
+    for p in orders:
+        by_order[p - 1, :, :p] = 0.0
+    T = n - np.arange(1, max_p + 1)
+    means = by_order.sum(axis=2) / T[:, None]
+    for p in orders:
+        by_order[p - 1, :, p:] -= means[p - 1, :, None]
+    h = np.minimum(np.maximum(10, 2 * np.arange(1, max_p + 1)), T - 2)
+    q = _ljung_box_q(E, np.repeat(T, 2), np.repeat(h, 2)).reshape(max_p, 2)
 
     rows = []
-    for p in range(1, max_p + 1):
-        k = 2 * p + 1
-        T = n - p
-        C = compressed[: len(R) + max_p - p]
-        beta, _ = _svd_solve(C[:, :k], C[:, -2:])
-        E = C[:, -2:] - C[:, :k] @ beta
-        det = float(np.linalg.det(E.T @ E / T))
+    for p, (_, _, sscp), T, h, (q0, q1) in zip(orders, fits, T.tolist(), h.tolist(),
+                                               q.tolist()):
+        (s00, s01), (s10, s11) = (sscp / T).tolist()
+        det = s00 * s11 - s01 * s10  # of the 2 x 2 residual covariance
         log_det = math.log(det) if det > 0.0 else -math.inf
-        m = 2 * k  # coefficients of both equations
+        m = 2 * (2 * p + 1)  # coefficients of both equations
         # The whiteness gate sums the per-equation Ljung-Box statistics,
         # ignoring cross-series residual correlation at positive lags: a
         # deliberate approximation, adequate for gating a lag order.
-        residuals = data[p:] - A[p:, :k] @ beta
-        h = min(max(10, 2 * p), T - 2)
-        stat, df = 0.0, 0
-        for i in range(2):
-            part = ljung_box(residuals[:, i], h, fitted_lag_count=p)
-            stat += part.statistic
-            df += part.df
+        stat, df = q0 + q1, 2 * max(1, h - p)
         pvalue = chi2_sf(stat, df)
-        rows.append(
-            LagOrderRow(
-                p=p,
-                aic=log_det + 2.0 * m / T,
-                bic=log_det + m * math.log(T) / T,
-                portmanteau_stat=stat,
-                portmanteau_df=df,
-                portmanteau_pvalue=pvalue,
-                passes_whiteness=pvalue > whiteness_alpha,
-            )
-        )
+        rows.append(LagOrderRow(
+            p=p, aic=log_det + 2.0 * m / T, bic=log_det + m * math.log(T) / T,
+            portmanteau_stat=stat, portmanteau_df=df, portmanteau_pvalue=pvalue,
+            passes_whiteness=pvalue > whiteness_alpha,
+        ))
     passing = [row for row in rows if row.passes_whiteness]
     pool = passing if passing else rows
     chosen = min(pool, key=lambda row: (row.bic, row.p))
@@ -590,4 +633,5 @@ def select_lag_order(
         rows=rows,
         whiteness_alpha=whiteness_alpha,
         all_failed_whiteness=not passing,
+        _fits=fits,
     )

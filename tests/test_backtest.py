@@ -9,12 +9,14 @@ import pytest
 
 from minecost import (
     BacktestConfig,
+    BubbleEpisode,
     CostParams,
     DegenerateThresholdWarning,
     DomainError,
     NetworkParams,
     ObservationRecord,
     PairedSeries,
+    RatioStats,
     RewardSchedule,
     build_backtest_series,
     chi2_sf,
@@ -159,6 +161,57 @@ class TestDetectEpisodes:
         stats = ratio_series(_pair_from_ratios(self.RATIOS))
         with pytest.raises(DomainError):
             detect_episodes(stats, min_len=0)
+
+
+
+def _episodes_by_loop(stats, entry_k, min_len):
+    """The per-flag loop detect_episodes ran before it took whole runs at once."""
+    above = stats.ratios > stats.mean + entry_k * stats.std
+    episodes, start = [], None
+    for i, flag in enumerate(np.append(above, False)):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start >= min_len:
+                run = stats.ratios[start:i]
+                offset = int(np.argmax(run))
+                episodes.append(BubbleEpisode(
+                    start_date=stats.dates[start], end_date=stats.dates[i - 1],
+                    peak_ratio=float(run[offset]),
+                    peak_date=stats.dates[start + offset],
+                ))
+            start = None
+    return episodes
+
+
+def _flag_patterns(n=40, seed=31):
+    """Flag patterns with a run at the start, at the end, of length 2, all and none."""
+    rng = np.random.default_rng(seed)
+    patterns = {"start": [True] * 3 + [False] * (n - 3),
+                "end": [False] * (n - 4) + [True] * 4,
+                "exactly-min-len": [False] * 5 + [True] * 2 + [False] * (n - 7),
+                "all": [True] * n, "none": [False] * n}
+    for i in range(8):
+        patterns[f"random-{i}"] = (rng.random(n) < rng.uniform(0.2, 0.8)).tolist()
+    return patterns
+
+
+@pytest.mark.parametrize("min_len", [1, 2, 3])
+@pytest.mark.parametrize("name, flags", list(_flag_patterns().items()))
+def test_episodes_match_the_per_flag_loop(name, flags, min_len):
+    """Ratios above 1.5 are flagged; ties in a run test the first peak."""
+    rng = np.random.default_rng(len(name) + min_len)
+    flags = np.array(flags)
+    ratios = np.where(flags, rng.choice([1.6, 2.5, 2.5, 3.0], flags.size),
+                      rng.uniform(0.5, 1.4, flags.size))
+    stats = RatioStats(dates=tuple(_dates(flags.size)), ratios=ratios, mean=1.0,
+                       std=0.5, min=float(ratios.min()), max=float(ratios.max()))
+    episodes = detect_episodes(stats, entry_k=1.0, min_len=min_len)
+    assert episodes == _episodes_by_loop(stats, 1.0, min_len)
+    runs = {"start": 1, "end": 1, "exactly-min-len": int(min_len <= 2),
+            "all": 1, "none": 0}
+    if name in runs:
+        assert len(episodes) == runs[name]
 
 
 class TestRunBacktest:

@@ -39,15 +39,15 @@ GOLDEN_SHA256 = {
 # report.json of the bundled backtest with --no-provenance-timestamps, by
 # --lags; the default is 2. tests/test_artifact_digests.py reads it too.
 BUNDLED_REPORT_JSON_SHA256 = (
-    "2d4ea49a7ed73c67a7aedcf0e78a0a32a888c01e45827bc307716fec68050869"
+    "38e24879452b70be4476cc8b85da2665ab3f191882942027a55aa9af177c57ca"
 )
 GOLDEN_REPORT_JSON_SHA256 = {
     "2": BUNDLED_REPORT_JSON_SHA256,
-    "auto": "aba6e5ccdea4d82adf0914a81a0445f94fe36fe506a03bdeae9e2ba2173c75eb",
+    "auto": "99e8c11d2178d1ae7de1cb272912aa60fa7f2a451170e1158b133f67e24ce4f6",
 }
 # --format json stdout of the analysis subcommands on the bundled data.
 GOLDEN_JSON_STDOUT_SHA256 = {
-    "var": "f5e13b2306a33854765432932c1faf81ab922807312e1f64752c9e7a9d760e9c",
+    "var": "dfe74e6cce027a1e3e1fb1140d23c24afe65ec8dedcdbfc8fe2b1d0eb39391a9",
     "ratio": "ffca58635fd626a959e40b29b7681b8748614dcce3c46061cbe4f15c4ed17e06",
     "regress": "d352c141ee607b3341b49220a9b2d2ad0634e54a0399c682c7e637986be9bf78",
 }

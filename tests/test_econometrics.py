@@ -25,11 +25,11 @@ from minecost import (
     var_fit,
 )
 from minecost.econometrics import (
-    _lagged_design,
     _least_squares,
     var_min_observations,
 )
 from tests.simulation import independent_ar1_pair, one_way_coupled_pair, simulate_var
+from tests.test_lag_scan import _lagged_design
 
 
 class TestChiSquareTail:

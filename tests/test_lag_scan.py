@@ -3,7 +3,9 @@
 The scan fits every order from one QR factorization of the max-lag design.
 The oracle here fits each VAR(p) separately with ``np.linalg.lstsq`` on the
 ``n - p`` rows of ``_lagged_design(data, p)`` and takes the textbook
-criteria, so the two share no least-squares code.
+criteria, so the two share no least-squares code. The same oracle checks
+the VAR that the scan and var_fit hand back, and a per-lag Python loop
+checks the Ljung-Box kernel.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from minecost import (
+    BacktestConfig,
     InsufficientDataError,
     SingularityError,
     build_backtest_series,
@@ -20,13 +23,25 @@ from minecost import (
     ljung_box,
     load_bundled,
     log_transform,
+    run_backtest,
     select_lag_order,
+    var_fit,
 )
-from minecost import econometrics
-from minecost.econometrics import _lagged_design, var_min_observations
+from minecost import backtest, econometrics
+from minecost.econometrics import var_min_observations
 
 RTOL = 1e-10
 MAX_P = 8
+
+
+def _lagged_design(data, p):
+    """``(Y, Z)`` of VAR(p): the responses from t = p and their stacked lags."""
+    n = data.shape[0]
+    T = n - p
+    blocks = [np.ones((T, 1))]
+    for lag in range(1, p + 1):
+        blocks.append(data[p - lag : n - lag, :])
+    return data[p:, :], np.hstack(blocks)
 
 
 def _bundled_logs():
@@ -122,3 +137,113 @@ def test_the_scan_makes_no_var_fit_call(monkeypatch):
 
     monkeypatch.setattr(econometrics, "var_fit", refuse)
     assert select_lag_order(_bundled_logs(), MAX_P).chosen_p == 2
+
+
+def _oracle_model(data, p):
+    """Coefficients, residuals and covariances of VAR(p) from lstsq."""
+    Y, Z = _lagged_design(data, p)
+    T, k = Z.shape
+    beta = np.linalg.lstsq(Z, Y, rcond=None)[0]
+    E = Y - Z @ beta
+    resid_cov = E.T @ E / (T - k)
+    _, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    ztz_inv = (Vt.T / s**2) @ Vt
+    coef_cov = np.array([resid_cov[i, i] * ztz_inv for i in range(2)])
+    return beta, E, resid_cov, coef_cov, T
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_bundled_logs(), id="bundled"),
+    pytest.param(_random_walk(2000, 7), id="random-walk-2000"),
+    pytest.param(_random_walk(var_min_observations(MAX_P), 8), id="shortest"),
+])
+def test_the_scan_and_var_fit_hand_back_the_least_squares_var(data):
+    selection = select_lag_order(data, MAX_P, names=("a", "b"))
+    for p in range(1, MAX_P + 1):
+        beta, E, resid_cov, coef_cov, T = _oracle_model(data, p)
+        scanned = selection._model(data, p, ("a", "b"))
+        for model in (scanned, var_fit(data, p, ("a", "b"))):
+            assert (model.lag_order, model.names, model.nobs) == (p, ("a", "b"), T)
+            close = dict(rtol=RTOL, atol=0.0, err_msg=f"p={p}")
+            np.testing.assert_allclose(model.intercepts, beta[0], **close)
+            for lag in range(p):
+                np.testing.assert_allclose(model.coef_matrices[lag],
+                                           beta[1 + 2 * lag : 3 + 2 * lag].T, **close)
+            # A residual near zero is the difference of two values of the
+            # data's size and keeps their rounding: compare the whole array.
+            assert np.linalg.norm(model.residuals - E) <= RTOL * np.linalg.norm(E)
+            np.testing.assert_allclose(model.resid_cov, resid_cov, **close)
+            np.testing.assert_allclose(model.coef_cov, coef_cov, **close)
+
+
+@pytest.mark.parametrize("lags, refits",
+                         [(None, []), (2, []), (MAX_P + 1, [MAX_P + 1])])
+def test_run_backtest_refits_only_a_pinned_order_above_the_scan(monkeypatch, lags,
+                                                                 refits):
+    calls = []
+
+    def counted(data, p, **kwargs):
+        calls.append(p)
+        return var_fit(data, p, **kwargs)
+
+    monkeypatch.setattr(backtest, "var_fit", counted)
+    records, schedule, table = load_bundled()
+    config = BacktestConfig(lags=lags, max_p=MAX_P, include_timestamp=False)
+    report = run_backtest(records, schedule, table, config)
+    assert calls == refits
+    p = report.lag_selection.chosen_p if lags is None else lags
+    expected = var_fit(_bundled_logs(), p, names=("market", "model"))
+    assert report.var_model.lag_order == p
+    np.testing.assert_allclose(report.var_model.coef_matrices, expected.coef_matrices,
+                               rtol=RTOL, atol=0.0)
+
+
+def test_the_scan_makes_no_ljung_box_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("select_lag_order called ljung_box")
+
+    monkeypatch.setattr(econometrics, "ljung_box", refuse)
+    assert select_lag_order(_bundled_logs(), MAX_P).chosen_p == 2
+
+
+def _textbook_q(x, h):
+    """Ljung-Box Q of ``x`` up to lag ``h``, one lag at a time in Python."""
+    e = [v - sum(x) / len(x) for v in x]
+    n, c0 = len(e), sum(v * v for v in e)
+    if c0 == 0.0:
+        return 0.0
+    q = 0.0
+    for k in range(1, h + 1):
+        r = sum(e[t] * e[t - k] for t in range(k, n)) / c0
+        q += r * r / (n - k)
+    return n * (n + 2) * q
+
+
+@pytest.mark.parametrize("h", [1, 5, 10, 16, 38])
+def test_ljung_box_matches_a_per_lag_loop(h):
+    x = np.random.default_rng(h).normal(size=40).cumsum()
+    result = ljung_box(x, h, fitted_lag_count=2)
+    assert result.statistic == pytest.approx(_textbook_q(x.tolist(), h), rel=RTOL)
+    assert (result.df, result.lags) == (max(1, h - 2), h)
+    assert result.p_value == chi2_sf(result.statistic, result.df)
+
+
+@pytest.mark.parametrize("h", [1, 10])
+def test_a_zero_variance_series_has_no_autocorrelation(h):
+    result = ljung_box(np.zeros(30), h)
+    assert (result.statistic, result.p_value) == (0.0, 1.0)
+
+
+def test_the_kernel_tests_each_row_on_its_own_values():
+    """Leading zeros pad a row to the longest; a zero row has Q = 0."""
+    rng = np.random.default_rng(11)
+    series = [rng.normal(size=n) for n in (50, 44, 37)] + [np.zeros(30)]
+    T = np.array([len(x) for x in series])
+    h = np.array([12, 3, 20, 5])
+    E = np.zeros((len(series), T.max()))
+    for row, x in zip(E, series):
+        row[len(row) - len(x):] = x - x.mean()
+    q = econometrics._ljung_box_q(E, T, h)
+    expected = [_textbook_q(x.tolist(), k) for x, k in zip(series, h.tolist())]
+    np.testing.assert_allclose(q, expected, rtol=RTOL, atol=0.0)
+    assert q[-1] == 0.0

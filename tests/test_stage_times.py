@@ -28,3 +28,10 @@ def test_every_stage_is_timed(capsys):
     assert (result["rows"], result["repeat"], result["variant"]) == (200, 1, 3)
     assert set(result["ms"]) == STAGES
     assert all(ms > 0.0 for ms in result["ms"].values())
+
+
+def test_the_lag_scan_is_timed_as_a_layer(capsys):
+    assert stage_times.main(["--rows", "200", "--repeat", "1"]) == 0
+    layers = json.loads(capsys.readouterr().out)["layers_ms"]
+    assert set(layers) == {"select_lag_order"}
+    assert layers["select_lag_order"] > 0.0

@@ -19,6 +19,11 @@ printed, in milliseconds, as JSON:
 * ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
   ``backtest``'s artifacts.
 
+Layers inside ``run_backtest`` are timed on their own under ``layers_ms``:
+
+* ``select_lag_order``: the lag scan (orders 1..8) on the history's log
+  market and model prices.
+
 Compare two checkouts by running both on the same machine, alternately.
 """
 
@@ -32,7 +37,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from minecost import backtest, cli, dataset
+import numpy as np
+
+from minecost import backtest, cli, dataset, econometrics
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
@@ -62,7 +69,8 @@ def fastest(call, repeat: int) -> float:
     return 1e3 * best
 
 
-def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
+def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
+    """Fastest ms of each stage, and of each layer inside ``run_backtest``."""
     schedule = dataset.load_reward_schedule(paths["rewards"])
     table = dataset.load_efficiency_table(paths["efficiency"])
     config = backtest.BacktestConfig(lags=None, include_timestamp=False)
@@ -85,7 +93,11 @@ def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
     times["report_json"] = fastest(lambda: cli.report_json(report, text), repeat)
     times["figure_csvs"] = fastest(
         lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
-    return times
+    logs = np.log(np.column_stack([report.pair.market_prices,
+                                   report.pair.model_prices]))
+    layers = {"select_lag_order": fastest(
+        lambda: econometrics.select_lag_order(logs, config.max_p), repeat)}
+    return times, layers
 
 
 def main(argv=None) -> int:
@@ -96,9 +108,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         paths = write_history(args.variant, args.rows, Path(scratch))
-        times = stage_times(paths, args.repeat)
+        times, layers = stage_times(paths, args.repeat)
     result = {"rows": args.rows, "repeat": args.repeat, "variant": args.variant,
-              "ms": {name: round(ms, 3) for name, ms in times.items()}}
+              "ms": {name: round(ms, 3) for name, ms in times.items()},
+              "layers_ms": {name: round(ms, 3) for name, ms in layers.items()}}
     print(json.dumps(result, indent=2))
     return 0
 
