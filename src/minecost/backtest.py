@@ -36,6 +36,7 @@ from .econometrics import (
     ols_fit,
     select_lag_order,
     var_fit,
+    var_max_order,
     var_min_observations,
 )
 from .errors import DegenerateThresholdWarning, DomainError
@@ -290,8 +291,7 @@ def run_backtest(
     Granger directions, and detects episodes. Only a pinned order above the
     scanned ones is fitted on its own, by :func:`var_fit`.
     A series of n observations too short for VAR(max_p) scans orders up to
-    the largest p with ``var_min_observations(p) <= n`` instead, under one
-    UserWarning.
+    ``var_max_order(n)`` instead, under one UserWarning.
 
     ``input_files`` is recorded verbatim in the provenance block.
     """
@@ -310,9 +310,7 @@ def run_backtest(
     # A short series scans fewer orders instead of failing a pinned lag
     # order it could fit.
     max_p, n = config.max_p, len(pair)
-    supported = max(
-        (p for p in range(1, max_p + 1) if var_min_observations(p) <= n), default=0
-    )
+    supported = min(max_p, var_max_order(n))
     if 1 <= supported < max_p:
         warnings.warn(
             f"max_p {max_p} needs {var_min_observations(max_p)} observations but "
@@ -324,7 +322,7 @@ def run_backtest(
     selection = select_lag_order(logs, max_p, names=(MARKET, MODEL))
     lag_order = config.lags if config.lags is not None else selection.chosen_p
     if lag_order <= len(selection.rows):
-        model = selection._model(logs, lag_order, names=(MARKET, MODEL))
+        model = selection._model(lag_order)
     else:  # a pinned order above the scanned ones
         model = var_fit(logs, lag_order, names=(MARKET, MODEL))
     granger = (

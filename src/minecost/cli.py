@@ -44,7 +44,7 @@ from .backtest import (
     regression_to_dict,
     run_backtest,
 )
-from .dataset import _load_columns, build_backtest_series
+from .dataset import _load_columns, _utf8_text, build_backtest_series
 # perfbench/tracing.py patches these names here, so they stay imported.
 from .dataset import (  # noqa: F401
     load_efficiency_table,
@@ -114,13 +114,7 @@ OPTIONS_BY_KEY = {opt.key: opt for opt in DATASET_OPTIONS}
 def parse_config_file(path) -> dict:
     """Read a ``key = value`` file into converted values; '#' starts a comment."""
     values = {}
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(
-            f"{path}:{line_no}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        ) from None
+    text = _utf8_text(Path(path).read_bytes(), path, ValidationError)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

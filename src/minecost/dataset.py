@@ -369,23 +369,25 @@ def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | No
     return _Observations(days, difficulty, price, efficiency) if ok.all() else None
 
 
-def _checked_rows(lines, dates, difficulty, price, efficiency) -> list[ObservationRecord]:
-    """The fields as records, one row at a time; raises for the first bad row."""
-    records = []
+def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:
+    """Raise the error of the first row whose fields fail the row checks.
+
+    Called once :func:`_checked_columns` has found a bad field, so some row
+    fails. Each row's record is built only for its checks and then dropped.
+    """
     rows = zip(lines, dates, difficulty, price, efficiency or repeat(""))
     for line, date, row_difficulty, row_price, row_efficiency in rows:
         row_efficiency = row_efficiency.strip()
         try:
-            records.append(ObservationRecord(
+            ObservationRecord(
                 _parse_date(date, line),
                 _parse_float(row_difficulty, "difficulty", line),
                 _parse_float(row_price, "price_usd", line),
                 _parse_float(row_efficiency, "eff_w_per_ghs", line)
                 if row_efficiency else None,
-            ))
+            )
         except ValidationError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
-    return records
 
 
 def _parse_observation_columns(source) -> _Observations:
@@ -393,7 +395,7 @@ def _parse_observation_columns(source) -> _Observations:
     lines, fields, malformed = _read_table(source, OBSERVATION_COLUMNS, required=3)
     observations = _checked_columns(*fields)
     if observations is None:
-        observations = _Observations.of(_checked_rows(lines, *fields))
+        _checked_rows(lines, *fields)
     if malformed:
         raise malformed
     if not observations:
@@ -505,6 +507,17 @@ def load_efficiency_table(path) -> EfficiencyTable:
     return _load(path, parse_efficiency_table)
 
 
+def _utf8_text(data: bytes, source, error: type[Exception]) -> str:
+    """``data`` decoded as UTF-8, else ``error`` naming ``source`` and the line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+
+
 def _load(path, parse):
     """Parse the UTF-8 file ``path`` (a path or packaged resource).
 
@@ -516,13 +529,7 @@ def _load(path, parse):
     """
     source = path if hasattr(path, "read_bytes") else Path(path)
     data = source.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        ) from None
+    _utf8_text(data, source, ParseError)
     try:
         # Decoded as read: a StringIO of the whole text would hold 4 bytes
         # per character while the reader holds every row.

@@ -19,12 +19,13 @@ Conventions, fixed once for the whole package:
 * VARs include intercepts and no trend. Coefficient covariance is the
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
-* Least squares runs on one thin SVD of the design after scaling each
-  regressor column to unit norm (1 + 2p columns for a bivariate VAR(p), so
-  17 at VAR(8); both equations are fitted in one call). A condition
-  estimate above 1e12 for the scaled normal-equations matrix, computed as
-  (s_max / s_min)^2, raises SingularityError. The scaling makes the
-  threshold respond to genuine collinearity rather than to units.
+* One least-squares core, _svd_solve, fits ols_fit and every VAR on one
+  thin SVD of the design, each column scaled to unit norm. A condition
+  estimate (s_max / s_min)^2 above 1e12 for the scaled normal matrix raises
+  SingularityError: the scaling makes the threshold respond to genuine
+  collinearity rather than to units.
+* One sample bound, var_min_observations(p) and its inverse
+  var_max_order(n); _order checks every order argument.
 * One VAR estimator fits each order of a lag scan from one QR of the
   max-lag design, each on its own n - p rows, with one SVD and the
   condition guard per order; var_fit is the scan of one order. The scan
@@ -49,6 +50,13 @@ CONDITION_LIMIT = 1.0e12
 # ---------------------------------------------------------------------------
 # Chi-square tail probability
 # ---------------------------------------------------------------------------
+
+
+def _order(name: str, value) -> int:
+    """``value`` as an int, if it is an integer >= 1; else DomainError."""
+    if int(value) != value or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -79,9 +87,7 @@ def chi2_sf(x: float, df: int) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"chi-square statistic must be finite and >= 0, got {x!r}")
-    if int(df) != df or df < 1:
-        raise DomainError(f"degrees of freedom must be an integer >= 1, got {df!r}")
-    df = int(df)
+    df = _order("degrees of freedom", df)
     h = x / 2.0
     if h == 0.0:  # x == 0, or x so small that x/2 rounds to 0
         return 1.0
@@ -102,37 +108,13 @@ def chi2_sf(x: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _least_squares(X: np.ndarray, Y: np.ndarray):
-    """Least squares of ``Y`` on the columns of ``X`` via one thin SVD.
-
-    ``Y`` is one response, shape (n,), or several in columns, shape (n, m),
-    all fitted on the same design. The column-scaled design is factorized
-    once as ``U diag(s) V'``, so the normal matrix, whose conditioning is
-    the square of the design's, is never formed or solved.
-
-    Returns ``(beta, residuals, xtx_inv)``: ``beta`` of shape (k,) or
-    (k, m), ``residuals`` shaped like ``Y``, and ``xtx_inv`` the inverse
-    normal matrix in the original coordinates, ready for classical
-    coefficient covariances ``s2 * xtx_inv``.
-
-    Raises:
-        DomainError: non-finite values in ``X`` or ``Y``.
-        SingularityError: see :func:`_svd_solve`.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise DomainError("regression inputs must be finite")
-    beta, W = _svd_solve(X, Y)
-    return beta, Y - X @ beta, W @ W.T
-
-
 def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     """``(beta, W)`` of the least-squares fit of finite ``Y`` on ``X``.
 
-    ``W = diag(1/norms) V diag(1/s)`` from the thin SVD ``U diag(s) V'`` of
-    ``X`` scaled to unit column norms, so ``beta = W U'Y`` and the inverse
-    normal matrix is ``W W'``. Both depend on ``X`` and ``Y`` only through
+    ``Y`` is one response or several in columns. ``W = diag(1/norms) V
+    diag(1/s)`` from the thin SVD ``U diag(s) V'`` of ``X`` scaled to unit
+    column norms, so ``beta = W U'Y`` and the inverse normal matrix is
+    ``W W'``. Both depend on ``X`` and ``Y`` only through
     their cross-products, so any rows with the Gram matrix of ``[X, Y]``
     give the same fit. ``norms``, the column norms of ``X``, are computed
     unless the caller has them.
@@ -184,8 +166,8 @@ class RegressionResult:
 def ols_fit(x, y) -> RegressionResult:
     """Ordinary least squares of ``y`` on ``x`` with an intercept.
 
-    R-squared is ``1 - SSE/SST``; coefficient standard errors use the
-    unbiased residual variance with ``n - 2`` degrees of freedom.
+    R-squared is ``1 - SSE/SST``; standard errors use the residual variance
+    with ``n - 2`` degrees of freedom, and the fit is :func:`_svd_solve`'s.
 
     Raises:
         InsufficientDataError: fewer than 3 observations.
@@ -201,8 +183,11 @@ def ols_fit(x, y) -> RegressionResult:
     n = x.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("regression inputs must be finite")
     X = np.column_stack([np.ones(n), x])
-    beta, residuals, xtx_inv = _least_squares(X, y)
+    beta, W = _svd_solve(X, y)
+    residuals = y - X @ beta
     sse = float(residuals @ residuals)
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
@@ -211,7 +196,7 @@ def ols_fit(x, y) -> RegressionResult:
         r_squared = min(1.0, max(0.0, 1.0 - sse / sst))
         degenerate = False
     s2 = sse / (n - 2)
-    cov = s2 * xtx_inv
+    cov = s2 * (W @ W.T)
     return RegressionResult(
         slope=float(beta[1]),
         intercept=float(beta[0]),
@@ -347,6 +332,11 @@ def var_min_observations(p: int) -> int:
     return max(2 * p + 10, 3 * p + 3)
 
 
+def var_max_order(n: int) -> int:
+    """Highest p with ``var_min_observations(p) <= n``, or 0 if there is none."""
+    return max(0, min((n - 10) // 2, (n - 3) // 3))
+
+
 def _var_series(data) -> np.ndarray:
     """``data`` as a finite float array of shape (n, 2), else DomainError."""
     data = np.asarray(data, dtype=float)
@@ -386,9 +376,7 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
         SingularityError: rank-deficient regressor matrix.
     """
     data = _var_series(data)
-    if int(p) != p or p < 1:
-        raise DomainError(f"lag order must be an integer >= 1, got {p!r}")
-    p = int(p)
+    p = _order("lag order", p)
     _require_observations(data.shape[0], p)
     _, (fit,) = _fit_orders(data, p, min_p=p)
     return _var_model(data, p, fit, names)
@@ -505,9 +493,7 @@ def ljung_box(residuals, lags: int, fitted_lag_count: int = 0) -> LjungBoxResult
     """
     e = np.asarray(residuals, dtype=float).ravel()
     n = e.size
-    if int(lags) != lags or lags < 1:
-        raise DomainError(f"lags must be an integer >= 1, got {lags!r}")
-    lags = int(lags)
+    lags = _order("lags", lags)
     if lags >= n:
         raise DomainError(f"lags ({lags}) must be smaller than the series ({n})")
     if not np.all(np.isfinite(e)):
@@ -537,17 +523,18 @@ class LagOrderRow:
 
 @dataclass
 class LagSelection:
-    """Outcome of the lag-order search; the full table allows overrides."""
+    """Lag-order search outcome: the full table, and the scan ``_model`` reads."""
 
     chosen_p: int
     rows: list[LagOrderRow]
     whiteness_alpha: float
     all_failed_whiteness: bool
-    _fits: list = field(default_factory=list, repr=False, compare=False)
+    _scan: tuple = field(default=(), repr=False, compare=False)
 
-    def _model(self, data, p: int, names: tuple[str, str]) -> VarModel:
-        """VAR(p) of ``data``, the series scanned, from the scan's solution."""
-        return _var_model(np.asarray(data, dtype=float), p, self._fits[p - 1], names)
+    def _model(self, p: int) -> VarModel:
+        """VAR(p) of the series scanned, labelled with the scan's names."""
+        data, names, fits = self._scan
+        return _var_model(data, p, fits[p - 1], names)
 
 
 def select_lag_order(
@@ -568,11 +555,10 @@ def select_lag_order(
     estimator, all from one QR. The whiteness test of an order sums the
     Ljung-Box statistics of its two residual series up to lag
     ``h = min(max(10, 2p), T - 2)``, each with ``max(1, h - p)`` degrees
-    of freedom; every order is tested in one pass per lag. The selection
-    keeps each order's solution, so ``run_backtest`` refits none of them.
+    of freedom; every order is tested in one pass per lag.
 
-    ``names`` labels the two columns, as for :func:`var_fit`; the table
-    does not use them.
+    ``names`` labels the two columns, as for :func:`var_fit`. The table does
+    not use them; the VARs the selection hands back, unrefitted, carry them.
 
     Raises:
         DomainError: ``max_p < 1``, bad shape or non-finite values.
@@ -581,13 +567,10 @@ def select_lag_order(
             order the series is too short for.
         SingularityError: rank-deficient regressors at some order.
     """
-    if int(max_p) != max_p or max_p < 1:
-        raise DomainError(f"max_p must be an integer >= 1, got {max_p!r}")
-    max_p = int(max_p)
+    max_p = _order("max_p", max_p)
     data = _var_series(data)
     n = data.shape[0]
-    for p in range(1, max_p + 1):
-        _require_observations(n, p)
+    _require_observations(n, min(max_p, var_max_order(n) + 1))
     A, fits = _fit_orders(data, max_p)
     orders = range(1, max_p + 1)
 
@@ -633,5 +616,5 @@ def select_lag_order(
         rows=rows,
         whiteness_alpha=whiteness_alpha,
         all_failed_whiteness=not passing,
-        _fits=fits,
+        _scan=(data, tuple(names), fits),
     )

@@ -12,9 +12,10 @@ the tests talk only to a loopback server.
 The endpoint layout is ``{base_url}/{chart_name}?format=csv`` with the chart
 name one of :data:`CHART_KINDS`. Base URL and cache directory can be set per
 call, via MINECOST_BASE_URL / MINECOST_CACHE_DIR, or left to defaults.
-Payloads must be UTF-8 and are cached under ``{kind}-{YYYYMMDD}.csv``; a
-same-day repeat is served from the cache without a network call, and
-nothing is written unless the download succeeded.
+Payloads must be UTF-8 and are cached, as the bytes received, under
+``{kind}-{YYYYMMDD}.csv``; a same-day repeat is served from the cache
+without a network call, and nothing is written unless the download
+succeeded. Neither side of the cache goes through the locale's codec.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import tempfile
 from operator import itemgetter
 from pathlib import Path
 
-from .dataset import ObservationRecord
+from .dataset import ObservationRecord, _utf8_text
 from .errors import FetchError
 
 DEFAULT_BASE_URL = "https://api.blockchain.info/charts"
@@ -68,13 +69,14 @@ def fetch_remote_series(
 
     Raises:
         FetchError: transport failure or timeout, a status other than 200,
-            or an empty or non-UTF-8 payload; the cache is left untouched.
+            or an empty or non-UTF-8 payload, the cache left untouched; or
+            today's cache file is not UTF-8, naming it and the line.
     """
     if kind not in CHART_KINDS:
         raise FetchError(f"unknown chart kind {kind!r}; choose from {CHART_KINDS}")
     cache_path = cache_file_for(kind, cache_dir)
     if cache_path.exists():
-        return cache_path.read_text()
+        return _utf8_text(cache_path.read_bytes(), cache_path, FetchError)
 
     # Imported here: they cost every other command tens of milliseconds.
     import http.client
@@ -107,8 +109,8 @@ def fetch_remote_series(
     cache_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as tmp:
-            tmp.write(payload)
+        with os.fdopen(fd, "wb") as tmp:
+            tmp.write(body)
         os.replace(tmp_name, cache_path)
     except BaseException:
         if os.path.exists(tmp_name):

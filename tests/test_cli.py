@@ -568,6 +568,33 @@ class TestFetchCommand:
         assert captured.err.startswith("error[fetch]: ")
         assert not any(tmp_path.iterdir())
 
+    def test_a_cache_file_that_is_not_utf8_is_one_fetch_error(self, tmp_path, capsys):
+        cached = cache_file_for("difficulty", tmp_path)
+        cached.write_bytes(b"2017-01-01,1\xff\n")
+        rc = main(["fetch", "--kinds", "difficulty", "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[fetch]: {cached}:1: not UTF-8 text (byte 0xff)\n"
+        )
+
+    def test_a_non_ascii_payload_is_cached_whatever_the_locale(self, tmp_path,
+                                                                chart_server):
+        text = "2017-01-01 00:00:00,317700000000 \u00b5\n"
+        chart_server.body = text.encode("utf-8")
+        fetch_twice = (
+            "import sys; from minecost import fetch_remote_series as fetch; "
+            "texts = [fetch('difficulty', base_url=sys.argv[1], cache_dir=sys.argv[2]) "
+            "for _ in range(2)]; print(ascii(texts))"
+        )
+        result = _python("-c", fetch_twice, chart_server.url, str(tmp_path),
+                         LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"{ascii([text, text])}\n"
+        assert len(chart_server.paths) == 1
+        assert cache_file_for("difficulty", tmp_path).read_bytes() == chart_server.body
+
 
 @pytest.mark.parametrize(
     "key, flag, value",

@@ -25,7 +25,7 @@ from minecost import (
     var_fit,
 )
 from minecost.econometrics import (
-    _least_squares,
+    _svd_solve,
     var_min_observations,
 )
 from tests.simulation import independent_ar1_pair, one_way_coupled_pair, simulate_var
@@ -171,6 +171,8 @@ class TestOls:
 
 
 class TestLeastSquaresCore:
+    """_svd_solve, the one least-squares core of ols_fit and the VAR scan."""
+
     def test_near_collinear_design_with_exact_responses(self):
         """Integer data keep X @ beta exact, so any error is the solver's.
 
@@ -186,20 +188,22 @@ class TestLeastSquaresCore:
         Xs = X / np.linalg.norm(X, axis=0)
         assert 1e10 < np.linalg.cond(Xs.T @ Xs) < 1e11
         truth = np.array([3.0, -2.0, 5.0])
-        beta, _, _ = _least_squares(X, X @ truth)
+        beta, _ = _svd_solve(X, X @ truth)
         assert np.all(np.abs(beta - truth) <= 1e-9 * np.abs(truth))
 
     def test_responses_in_columns_match_one_at_a_time(self):
+        """The lag scan fits both VAR equations in one call, as columns."""
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
         Y = rng.normal(size=(40, 2))
-        beta, residuals, xtx_inv = _least_squares(X, Y)
-        assert beta.shape == (5, 2) and residuals.shape == (40, 2)
+        beta, W = _svd_solve(X, Y)
+        residuals = Y - X @ beta
+        assert beta.shape == (5, 2) and W.shape == (5, 5)
         for i in range(2):
-            b, r, inv = _least_squares(X, Y[:, i])
+            b, w = _svd_solve(X, Y[:, i])
             assert np.allclose(beta[:, i], b, rtol=1e-12, atol=1e-14)
-            assert np.allclose(residuals[:, i], r, rtol=1e-12, atol=1e-14)
-            assert np.array_equal(xtx_inv, inv)
+            assert np.allclose(residuals[:, i], Y[:, i] - X @ b, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(W, w)
 
 
 class TestLogTransform:
@@ -297,7 +301,7 @@ class TestVarFit:
         Y, Z = _lagged_design(data, 10)
         assert Z.shape == (20, 21)
         with pytest.raises(SingularityError):
-            _least_squares(Z, Y)
+            _svd_solve(Z, Y)
 
     @pytest.mark.parametrize("p, n_min", [(1, 12), (8, 27), (9, 30), (10, 33)])
     def test_sample_bound_leaves_residual_degrees_of_freedom(self, p, n_min):

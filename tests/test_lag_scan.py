@@ -28,7 +28,7 @@ from minecost import (
     var_fit,
 )
 from minecost import backtest, econometrics
-from minecost.econometrics import var_min_observations
+from minecost.econometrics import var_max_order, var_min_observations
 
 RTOL = 1e-10
 MAX_P = 8
@@ -131,6 +131,38 @@ def test_a_short_series_names_the_first_order_it_cannot_fit(n, p):
         select_lag_order(_random_walk(n, 10), MAX_P)
 
 
+def test_the_highest_supported_order_is_the_largest_that_fits():
+    """var_max_order, clamped to max_p, is the scan over every order."""
+    for n in range(401):
+        for max_p in range(1, 31):
+            scanned = max((p for p in range(1, max_p + 1)
+                           if var_min_observations(p) <= n), default=0)
+            assert min(max_p, var_max_order(n)) == scanned, (n, max_p)
+
+
+def test_a_short_series_names_the_same_order_as_a_scan_over_every_order(monkeypatch):
+    class Fitted(Exception):
+        pass
+
+    def fitted(*args, **kwargs):
+        raise Fitted
+
+    monkeypatch.setattr(econometrics, "_fit_orders", fitted)
+    data = np.ones((400, 2))
+    for n in range(401):
+        for max_p in range(1, 31):
+            short = next((p for p in range(1, max_p + 1)
+                          if var_min_observations(p) > n), None)
+            if short is None:
+                with pytest.raises(Fitted):
+                    select_lag_order(data[:n], max_p)
+                continue
+            message = (f"need at least {var_min_observations(short)} observations "
+                       f"for p={short}, got {n}")
+            with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$"):
+                select_lag_order(data[:n], max_p)
+
+
 def test_the_scan_makes_no_var_fit_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("select_lag_order called var_fit")
@@ -161,7 +193,7 @@ def test_the_scan_and_var_fit_hand_back_the_least_squares_var(data):
     selection = select_lag_order(data, MAX_P, names=("a", "b"))
     for p in range(1, MAX_P + 1):
         beta, E, resid_cov, coef_cov, T = _oracle_model(data, p)
-        scanned = selection._model(data, p, ("a", "b"))
+        scanned = selection._model(p)
         for model in (scanned, var_fit(data, p, ("a", "b"))):
             assert (model.lag_order, model.names, model.nobs) == (p, ("a", "b"), T)
             close = dict(rtol=RTOL, atol=0.0, err_msg=f"p={p}")
@@ -174,6 +206,20 @@ def test_the_scan_and_var_fit_hand_back_the_least_squares_var(data):
             assert np.linalg.norm(model.residuals - E) <= RTOL * np.linalg.norm(E)
             np.testing.assert_allclose(model.resid_cov, resid_cov, **close)
             np.testing.assert_allclose(model.coef_cov, coef_cov, **close)
+
+
+@pytest.mark.parametrize("kwargs, names", [({}, ("y0", "y1")),
+                                           ({"names": ("a", "b")}, ("a", "b"))])
+def test_the_selection_labels_its_models_with_the_names_it_scanned(kwargs, names):
+    data = _bundled_logs()
+    selection = select_lag_order(data, 3, **kwargs)
+    for p in range(1, 4):
+        model = selection._model(p)
+        assert model.names == names
+        assert model.nobs == len(data) - p
+        np.testing.assert_allclose(model.coef_matrices,
+                                   var_fit(data, p, names).coef_matrices,
+                                   rtol=RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("lags, refits",

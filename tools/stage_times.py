@@ -12,10 +12,9 @@ stage runs ``--repeat`` times in this process and its fastest call is
 printed, in milliseconds, as JSON:
 
 * ``load_observations``: the records the library returns;
-* ``load_observation_columns``: the columns the CLI reads (left out for a
-  checkout that reads only records);
+* ``load_observation_columns``: the columns the CLI reads;
 * ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on the
-  CLI's input, columns or records;
+  CLI's input, the columns;
 * ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
   ``backtest``'s artifacts.
 
@@ -76,13 +75,9 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     config = backtest.BacktestConfig(lags=None, include_timestamp=False)
     times = {"load_observations": fastest(
         lambda: dataset.load_observations(paths["observations"]), repeat)}
-    load_columns = getattr(dataset, "_load_observation_columns", None)
-    if load_columns is None:
-        observations = dataset.load_observations(paths["observations"])
-    else:
-        observations = load_columns(paths["observations"])
-        times["load_observation_columns"] = fastest(
-            lambda: load_columns(paths["observations"]), repeat)
+    observations = dataset._load_observation_columns(paths["observations"])
+    times["load_observation_columns"] = fastest(
+        lambda: dataset._load_observation_columns(paths["observations"]), repeat)
     times["build_backtest_series"] = fastest(
         lambda: dataset.build_backtest_series(observations, schedule, table), repeat)
     times["run_backtest"] = fastest(
