@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -184,9 +185,11 @@ def _load_inputs(options: dict):
     return (*_load_columns(**paths), labels)
 
 
-def _run_report(config: BacktestConfig, options: dict) -> BacktestReport:
+def _run_report(config: BacktestConfig, options: dict):
+    """The backtest's report, and the observation columns it ran on."""
     observations, schedule, table, input_files = _load_inputs(options)
-    return run_backtest(observations, schedule, table, config, input_files=input_files)
+    report = run_backtest(observations, schedule, table, config, input_files=input_files)
+    return report, observations
 
 
 def _load_pair(config: BacktestConfig, options: dict):
@@ -366,48 +369,57 @@ def _json_text(payload: dict) -> str:
     return _encode(payload, 0) + "\n"
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-# JSON spells the non-finite floats differently from repr; CSV cells use repr.
-_CSV_FLOATS = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
-def _json_items(values: list) -> list[str]:
-    """JSON text of each value, from one C encoder call.
+def _json_items(values: list[float]) -> list[str]:
+    """JSON text of each float, from one C encoder call.
 
-    The values must encode without a comma: floats (written as ``repr``
-    writes them when finite) and ISO dates.
+    The text of a finite float is its ``repr``, so the CSV writers take it
+    as it is; a non-finite value raises ValueError.
     """
     return _COMPACT.encode(values)[1:-1].split(",") if values else []
 
 
-def _csv_floats(texts: list[str]) -> list[str]:
-    """``repr`` of each float, from its JSON text."""
-    return [_CSV_FLOATS.get(text, text) for text in texts]
+def _json_dates(texts) -> list[str]:
+    """JSON text of each ISO date: the text in quotes, as it needs no escape."""
+    return [f'"{text}"' for text in texts]
 
 
 class SeriesText(NamedTuple):
     """A report's per-date series as text, each date and float formatted once.
 
-    Dates are ISO 8601; prices and ratios are JSON number texts. The
-    report.json and figure writers all take theirs from one instance.
+    Dates are ISO 8601; prices and ratios are ``repr`` texts, which are also
+    their JSON texts. The report.json and figure writers all take theirs
+    from one instance.
     """
 
-    dates: list[str]
-    ratio_dates: list[str]
-    market: list[str]
+    dates: Sequence[str]
+    ratio_dates: Sequence[str]
+    market: Sequence[str]
     model: list[str]
     ratio: list[str]
 
     @classmethod
-    def of(cls, report: BacktestReport) -> "SeriesText":
+    def of(cls, report: BacktestReport, dates: Sequence[str] | None = None,
+           market: Sequence[str] | None = None) -> "SeriesText":
+        """The texts of ``report``'s series; only those not given are formatted.
+
+        ``dates`` and ``market``, when given, must be the texts this would
+        make of ``report.pair.dates`` and ``report.pair.market_prices``, as
+        the input texts the observations reader keeps are.
+        """
         pair, stats = report.pair, report.ratio_stats
-        dates = list(map(dt.date.isoformat, pair.dates))
+        if dates is None:
+            dates = list(map(dt.date.isoformat, pair.dates))
+        if market is None:
+            market = _json_items(pair.market_prices.tolist())
         ratio_dates = (dates if stats.dates == pair.dates
                        else list(map(dt.date.isoformat, stats.dates)))
         return cls(
             dates,
             ratio_dates,
-            _json_items(pair.market_prices.tolist()),
+            market,
             _json_items(pair.model_prices.tolist()),
             _json_items(stats.ratios.tolist()),
         )
@@ -421,8 +433,8 @@ def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
     (formatted here when not given).
     """
     text = text or SeriesText.of(report)
-    dates = _json_items(text.dates)
-    ratio_dates = dates if text.ratio_dates is text.dates else _json_items(text.ratio_dates)
+    dates = _json_dates(text.dates)
+    ratio_dates = dates if text.ratio_dates is text.dates else _json_dates(text.ratio_dates)
     return _json_text(report._document(
         prices=_Rows(date=dates, market=text.market, model=text.model),
         series=_Rows(date=ratio_dates, ratio=text.ratio),
@@ -436,14 +448,13 @@ def _csv(header: str, *columns: list[str]) -> str:
 def figure1_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
     """figure1.csv: one ``date,ratio`` line per date, floats as ``repr``."""
     text = text or SeriesText.of(report)
-    return _csv("date,ratio", text.ratio_dates, _csv_floats(text.ratio))
+    return _csv("date,ratio", text.ratio_dates, text.ratio)
 
 
 def figure2_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
     """figure2.csv: one ``date,market,model`` line per date, floats as ``repr``."""
     text = text or SeriesText.of(report)
-    return _csv("date,market,model", text.dates,
-                _csv_floats(text.market), _csv_floats(text.model))
+    return _csv("date,market,model", text.dates, text.market, text.model)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +475,10 @@ def cmd_price(args) -> int:
 
 def cmd_backtest(args) -> int:
     config, options = resolve_options(args)
-    report = _run_report(config, options)
+    report, observations = _run_report(config, options)
     out_dir = options.get("out_dir", Path("."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = SeriesText.of(report)
+    text = SeriesText.of(report, observations.date_text, observations.price_text)
     artifacts = {
         "report.txt": render_report(report),
         "report.json": report_json(report, text),
@@ -505,7 +516,7 @@ def cmd_regress(args) -> int:
 
 def cmd_var(args) -> int:
     config, options = resolve_options(args)
-    report = _run_report(config, options)
+    report, _ = _run_report(config, options)
     if options["format"] == "json":
         document = report._document(prices=[], series=[])
         sys.stdout.write(_json_text(
@@ -532,7 +543,7 @@ def cmd_ratio(args) -> int:
     stats = ratio_series(pair)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
     if options["format"] == "json":
-        series = _Rows(date=_json_items(list(map(dt.date.isoformat, stats.dates))),
+        series = _Rows(date=_json_dates(map(dt.date.isoformat, stats.dates)),
                        ratio=_json_items(stats.ratios.tolist()))
         sys.stdout.write(_json_text({"ratio": ratio_to_dict(stats, series),
                                      "episodes": episodes_to_dict(episodes)}))

@@ -27,6 +27,13 @@ checked one by one, so the error names the first bad row and its line.
 Pairing looks up every date's reward and table efficiency at once
 (``np.searchsorted`` over date ordinals), with no per-row Python work.
 
+The date and ``price_usd`` columns also keep their text when one check
+over the whole column shows it is the text the artifact writers would
+produce (``date.isoformat`` and ``repr``), so ``backtest`` writes those
+texts back instead of formatting them again. The check is all or nothing
+per column: one field in another form, such as ``94.880``, ``9.488e1``
+or ``20090109``, leaves that column to be formatted.
+
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
 """
@@ -37,6 +44,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -141,14 +149,19 @@ class _Observations(Sequence):
 
     ``dates`` is a tuple of dates; the other three are float arrays, and
     ``efficiency`` is NaN where a row has none (a record never holds NaN).
-    A record is built only when one is read.
+    A record is built only when one is read. ``date_text`` and
+    ``price_text`` are the input texts of the dates and market prices when
+    each is its value's ``date.isoformat()`` or ``repr``, else None.
     """
 
-    def __init__(self, dates, difficulty, market_price, efficiency):
+    def __init__(self, dates, difficulty, market_price, efficiency,
+                 date_text=None, price_text=None):
         self.dates = dates
         self.difficulty = difficulty
         self.market_price = market_price
         self.efficiency = efficiency
+        self.date_text = date_text
+        self.price_text = price_text
 
     @classmethod
     def of(cls, records: Sequence[ObservationRecord]) -> "_Observations":
@@ -344,17 +357,55 @@ def _positive_finite(values: np.ndarray) -> np.ndarray:
     return (0.0 < values) & (values < math.inf)
 
 
+def _iso_texts(texts: Sequence[str]) -> Sequence[str] | None:
+    """``texts`` if each is ``YYYY-MM-DD`` in ASCII, else None.
+
+    The texts must be ones ``date.fromisoformat`` reads; such a text in
+    this form is its date's ``isoformat()``. One check of the joined
+    column: its length is 11n - 1 with ``,`` at every 11th character only
+    if every field is 10 characters long, as no date text holds a comma.
+    """
+    joined, n = ",".join(texts), len(texts)
+    if (len(joined) == 11 * n - 1 and joined.isascii()
+            and joined[10::11] == "," * (n - 1)
+            and joined[4::11] == joined[7::11] == "-" * n):
+        return texts
+    return None
+
+
+# A number that is its own repr, the shortest text that reads back as the
+# same double: no sign, space, exponent or redundant zero; at most 16
+# characters, so at most 15 significant digits, which a double keeps; and
+# inside repr's fixed notation, from 1e-4 (no "0.0000" prefix) up to 1e16
+# (16 characters with a point stay below 1e14).
+_REPR_FIELD = r"(?!0\.0000)(?=[^,]{1,16}(?:,|\Z))(?:0|[1-9][0-9]*)\.(?:[0-9]*[1-9]|0)"
+# Compiled on first use (re caches it), so a run that reads no observations
+# does not pay for it.
+_REPR_COLUMN = rf"{_REPR_FIELD}(?:,{_REPR_FIELD})*"
+
+
+def _repr_texts(texts: Sequence[str]) -> Sequence[str] | None:
+    """``texts`` if each has the form above, else None (one regex match).
+
+    Only a text equal to ``repr(float(text))`` has that form; some such
+    texts, of 16 or 17 significant digits, do not, and are formatted.
+    """
+    return texts if re.fullmatch(_REPR_COLUMN, ",".join(texts)) else None
+
+
 def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | None:
     """The observation fields as columns, or None if any field fails its check.
 
     Each column goes through the function the row loop applies to one field
     (``date.fromisoformat`` of the stripped text, ``float`` with no ``_``),
     then one positive-and-finite mask, so a field passes here exactly when
-    it passes there.
+    it passes there. The date and price texts are kept when
+    :func:`_iso_texts` and :func:`_repr_texts` pass them.
     """
     try:
-        days = tuple(map(dt.date.fromisoformat, map(str.strip, dates)))
-        difficulty, price = _floats(difficulty), _floats(price)
+        date_texts = list(map(str.strip, dates))
+        days = tuple(map(dt.date.fromisoformat, date_texts))
+        difficulty, market = _floats(difficulty), _floats(price)
         if efficiency is None:
             blank = np.ones(len(days), dtype=bool)
             efficiency = np.full(len(days), math.nan)
@@ -364,9 +415,12 @@ def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | No
             efficiency = _floats([text or "nan" for text in texts])
     except ValueError:
         return None
-    ok = (_positive_finite(difficulty) & _positive_finite(price)
+    ok = (_positive_finite(difficulty) & _positive_finite(market)
           & (_positive_finite(efficiency) | blank))
-    return _Observations(days, difficulty, price, efficiency) if ok.all() else None
+    if not ok.all():
+        return None
+    return _Observations(days, difficulty, market, efficiency,
+                         _iso_texts(date_texts), _repr_texts(price))
 
 
 def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,9 @@ from minecost import (
     bundled_data_path,
     cache_file_for,
     load_bundled,
+    serialize_observations,
 )
+from minecost import dataset
 from minecost.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -240,6 +243,52 @@ class TestBacktestCommand:
         built.clear()
         assert main(["backtest", "--out-dir", str(tmp_path)]) == 0
         assert built == []
+
+    @pytest.mark.parametrize("columns", [("date", "price_usd"), ("date",), ("price_usd",)])
+    def test_input_texts_in_other_forms_give_the_same_bytes(self, columns, tmp_path, capsys):
+        """Equal observations written in other forms give the same bytes.
+
+        The first run reads the bundled observations in the writers' own
+        form, whose texts the artifacts reuse. The second reads the same
+        values at the same path, with the named columns in other forms,
+        which the artifacts must format to the same bytes.
+        """
+        records = load_bundled()[0]
+        observations, out_dir = tmp_path / "obs.csv", tmp_path / "out"
+
+        def backtest_outputs():
+            assert main(["backtest", "--observations", str(observations),
+                         "--out-dir", str(out_dir), "--no-provenance-timestamps"]) == 0
+            artifacts = ("report.txt", "report.json", "figure1.csv", "figure2.csv")
+            return capsys.readouterr().out, [(out_dir / name).read_bytes()
+                                             for name in artifacts]
+
+        def other_date(i, date):  # padded, or the basic ISO form
+            return f" {date} " if i % 2 else date.strftime("%Y%m%d")
+
+        def other_price(i, price):  # a trailing zero, an exponent, one of 17 digits
+            if i == 5:
+                return f"{price:.17g}"
+            return f"{price!r}0" if i % 2 else f"{Decimal(repr(price)):e}"
+
+        lines = ["date,difficulty,price_usd"]
+        for i, r in enumerate(records):
+            date = other_date(i, r.date) if "date" in columns else r.date.isoformat()
+            price = (other_price(i, r.market_price) if "price_usd" in columns
+                     else repr(r.market_price))
+            lines.append(f"{date},{r.difficulty!r},{price}")
+        assert len(f"{records[5].market_price:.17g}".replace(".", "")) == 17
+
+        observations.write_text(serialize_observations(records))
+        kept = dataset._load_observation_columns(observations)
+        assert kept.date_text is not None and kept.price_text is not None
+        expected = backtest_outputs()
+        observations.write_text("\n".join(lines) + "\n")
+        other = dataset._load_observation_columns(observations)
+        assert list(other) == records
+        assert (other.date_text is None) == ("date" in columns)
+        assert (other.price_text is None) == ("price_usd" in columns)
+        assert backtest_outputs() == expected
 
     def test_timestamps_present_by_default(self, tmp_path):
         rc = main(["backtest", "--out-dir", str(tmp_path)])

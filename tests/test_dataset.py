@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minecost import (
@@ -317,6 +317,112 @@ class TestColumnarIngress:
         expected = _row_by_row(text)
         monkeypatch.setattr(dataset, "_checked_rows", refuse)
         assert parse_observations(text) == expected
+
+
+def _kept_texts(text):
+    """The (date, price) texts the columnar reader keeps for ``text``."""
+    observations = dataset._parse_observation_columns(text)
+    return observations.date_text, observations.price_text
+
+
+def _reads_as_date(text):
+    try:
+        dt.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Candidate texts for the two checks: the writers' own forms, other forms of
+# the same values, and digit strings cut by a point anywhere, so that the
+# 15/16/17-digit and 1e-4 edges are crossed often.
+PRICE_TEXTS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.builds(lambda x, places: f"{x:.{places}f}",
+              st.floats(min_value=1e-6, max_value=1e17), st.integers(0, 20)),
+    st.builds(lambda digits, at: f"{digits[:at]}.{digits[at:]}",
+              st.text("0123456789", min_size=1, max_size=18), st.integers(0, 18)),
+    st.builds(lambda digits, at: f"{digits[:at] or 0}.{digits[at:] or 0}",
+              st.integers(1, 18).flatmap(
+                  lambda k: st.integers(10 ** (k - 1), 10 ** k - 1)).map(str),
+              st.integers(0, 18)),
+    # The last: 16 digits that a double does not keep (repr 9.000000000000002).
+    st.sampled_from(["0.0001", "0.00009999", "12345678901234.5", "9.000000000000001"]),
+)
+DATE_TEXTS = st.one_of(
+    st.dates().map(dt.date.isoformat),
+    st.dates().map(lambda d: f"{d.year:04d}{d.month:02d}{d.day:02d}"),
+    st.dates().map(lambda d: "{:04d}-W{:02d}-{}".format(*d.isocalendar())),
+    st.text("0123456789-W", min_size=8, max_size=10),
+).filter(_reads_as_date)
+
+
+class TestKeptTexts:
+    """The reader keeps a column's text only where it is the writers' text."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(PRICE_TEXTS, min_size=1, max_size=4))
+    @example(["9.000000000000001"])
+    @example(["0.00009999", "1.5"])
+    def test_every_kept_price_text_is_its_repr(self, texts):
+        accepted = [dataset._repr_texts([text]) is not None for text in texts]
+        kept = dataset._repr_texts(texts)
+        assert (kept is not None) == all(accepted)
+        for text, ok in zip(texts, accepted):
+            if ok:
+                assert repr(float(text)) == text
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(DATE_TEXTS, min_size=1, max_size=4))
+    def test_every_kept_date_text_is_its_isoformat(self, texts):
+        accepted = [dataset._iso_texts([text]) is not None for text in texts]
+        kept = dataset._iso_texts(texts)
+        assert (kept is not None) == all(accepted)
+        for text, ok in zip(texts, accepted):
+            if ok:
+                assert dt.date.fromisoformat(text).isoformat() == text
+
+    def test_a_canonical_file_keeps_both_columns(self):
+        rows = _daily_observations(50)
+        assert _kept_texts(_csv_text(rows)) == (
+            [row[0] for row in rows], tuple(row[2] for row in rows))
+        bundled = dataset._load_observation_columns(bundled_data_path("observations.csv"))
+        assert bundled.date_text is not None and bundled.price_text is not None
+
+    @pytest.mark.parametrize("accepted", [
+        "94.88", "0.0001", "21340000.0", "12345678901234.5", "0.0510219077"])
+    def test_repr_texts_are_kept(self, accepted):
+        assert repr(float(accepted)) == accepted
+        assert dataset._repr_texts(["1.5", accepted]) is not None
+
+    @pytest.mark.parametrize("field", [
+        "0.10", "94", "094.5", "0.00001", "1e5", "+1.5", " 1.5", "0.30000000000000004"])
+    def test_a_price_in_another_form_leaves_the_column_to_be_formatted(self, field):
+        assert dataset._repr_texts([field]) is None
+        rows = _daily_observations(10)
+        rows[6][2] = field
+        dates, prices = _kept_texts(_csv_text(rows))
+        assert prices is None
+        assert dates == [row[0] for row in rows]
+
+    def test_a_date_in_another_form_leaves_the_column_to_be_formatted(self):
+        rows = _daily_observations(10)
+        assert rows[6][0] == "2009-01-09"
+        rows[6][0] = "20090109"
+        dates, prices = _kept_texts(_csv_text(rows))
+        assert dates is None
+        assert prices == tuple(row[2] for row in rows)
+
+    def test_full_width_digits_are_not_kept(self):
+        assert dataset._iso_texts(["\uff12\uff10\uff10\uff19-01-09"]) is None
+        assert dataset._repr_texts(["\uff19\uff14.88"]) is None
+
+    def test_a_header_only_file_keeps_no_text(self):
+        _, fields, _ = dataset._read_table(
+            "date,difficulty,price_usd\n", OBSERVATION_COLUMNS, required=3)
+        observations = dataset._checked_columns(*fields)
+        assert len(observations) == 0
+        assert observations.date_text is None and observations.price_text is None
 
 
 class TestRewardSchedule:

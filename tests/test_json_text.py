@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from minecost import BacktestConfig, ObservationRecord, RewardSchedule, load_bundled, run_backtest
 from minecost.cli import (
-    _csv_floats,
+    _json_dates,
     _json_items,
     _json_text,
     _Rows,
@@ -85,11 +85,27 @@ def test_column_rows_equal_json_dumps_of_row_dicts(rows, keys, depth):
     isos = [day.isoformat() for day, _, _ in rows]
     xs = [x for _, x, _ in rows]
     ys = [y for _, _, y in rows]
-    columns = _Rows(**dict(zip(keys, map(_json_items, (isos, xs, ys)))))
+    texts = ([json.dumps(value) for value in column] for column in (isos, xs, ys))
+    columns = _Rows(**dict(zip(keys, texts)))
     row_dicts = [dict(zip(keys, row)) for row in zip(isos, xs, ys)]
     expected = json.dumps(_nest(row_dicts, depth), sort_keys=True, indent=2) + "\n"
     assert _json_text(_nest(columns, depth)) == expected
-    assert _csv_floats(_json_items(xs)) == list(map(repr, xs))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)), st.lists(st.dates()))
+@example([-0.0, 5e-324, 1e308, 1e-05, 1e16, 0.30000000000000004], [dt.date(1, 1, 1)])
+def test_series_texts_are_the_json_text_and_repr_of_each_value(xs, days):
+    texts = [json.dumps(x) for x in xs]
+    assert _json_items(xs) == texts == list(map(repr, xs))
+    isos = [day.isoformat() for day in days]
+    assert _json_dates(isos) == [json.dumps(iso) for iso in isos]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_items_rejects_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_items([1.5, bad])
 
 
 def _long_history(n=6000):

@@ -12,7 +12,8 @@ stage_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stage_times)
 
 STAGES = {"load_observations", "load_observation_columns", "build_backtest_series",
-          "run_backtest", "series_text", "report_json", "figure_csvs"}
+          "run_backtest", "series_text", "series_text_formatted", "report_json",
+          "figure_csvs"}
 
 
 def test_the_history_is_cut_to_the_rows_asked_for(tmp_path):

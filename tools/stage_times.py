@@ -16,7 +16,10 @@ printed, in milliseconds, as JSON:
 * ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on the
   CLI's input, the columns;
 * ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
-  ``backtest``'s artifacts.
+  ``backtest``'s artifacts, ``series_text`` given the input texts the
+  columns kept, as ``backtest`` gives them;
+* ``series_text_formatted``: the same texts with every column formatted,
+  as for a library caller or an input in another form.
 
 Layers inside ``run_backtest`` are timed on their own under ``layers_ms``:
 
@@ -83,8 +86,10 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     times["run_backtest"] = fastest(
         lambda: backtest.run_backtest(observations, schedule, table, config), repeat)
     report = backtest.run_backtest(observations, schedule, table, config)
-    times["series_text"] = fastest(lambda: cli.SeriesText.of(report), repeat)
-    text = cli.SeriesText.of(report)
+    kept = (observations.date_text, observations.price_text)
+    times["series_text"] = fastest(lambda: cli.SeriesText.of(report, *kept), repeat)
+    times["series_text_formatted"] = fastest(lambda: cli.SeriesText.of(report), repeat)
+    text = cli.SeriesText.of(report, *kept)
     times["report_json"] = fastest(lambda: cli.report_json(report, text), repeat)
     times["figure_csvs"] = fastest(
         lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
