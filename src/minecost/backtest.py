@@ -40,7 +40,7 @@ from .econometrics import (
     var_min_observations,
 )
 from .errors import DegenerateThresholdWarning, DomainError
-from .pricing import DEFAULT_ELECTRICITY_USD_PER_KWH, _require_positive_finite
+from .pricing import BacktestConfig, _require_positive_finite
 
 MARKET, MODEL = "market", "model"
 
@@ -79,33 +79,6 @@ class BubbleEpisode:
     end_date: dt.date
     peak_ratio: float
     peak_date: dt.date
-
-
-@dataclass
-class BacktestConfig:
-    """Knobs for a backtest run; defaults mirror the reference analysis.
-
-    Raises:
-        DomainError: on construction, when a knob is out of range or a
-            price or threshold is not finite.
-    """
-
-    electricity_price: float = DEFAULT_ELECTRICITY_USD_PER_KWH
-    lags: int | None = 2  # None selects by BIC + whiteness
-    max_p: int = 8
-    entry_k: float = 2.0
-    min_len: int = 2
-    include_timestamp: bool = True
-
-    def __post_init__(self):
-        _require_positive_finite("electricity_price", self.electricity_price)
-        if self.lags is not None and self.lags < 1:
-            raise DomainError("lags must be >= 1 or 'auto'")
-        if self.max_p < 1:
-            raise DomainError("max_p must be >= 1")
-        _require_positive_finite("entry_k", self.entry_k)
-        if self.min_len < 1:
-            raise DomainError("min_len must be >= 1")
 
 
 def ratio_series(pair: PairedSeries) -> RatioStats:

@@ -30,40 +30,59 @@ import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import fields
+from importlib import import_module
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .backtest import (
-    BacktestConfig,
-    BacktestReport,
-    detect_episodes,
-    episodes_to_dict,
-    ratio_series,
-    ratio_to_dict,
-    regression_to_dict,
-    run_backtest,
-)
-from .dataset import _load_columns, _utf8_text, build_backtest_series
-# perfbench/tracing.py patches these names here, so they stay imported.
-from .dataset import (  # noqa: F401
-    load_efficiency_table,
-    load_observations,
-    load_reward_schedule,
-    parse_efficiency_table,
-    parse_observations,
-    parse_reward_schedule,
-)
-from .econometrics import log_transform, ols_fit
 from .errors import DomainError, MinecostError, ValidationError
-from .fetch import CHART_KINDS, cache_file_for, fetch_remote_series
 from .pricing import (
     DEFAULT_ELECTRICITY_USD_PER_KWH,
+    BacktestConfig,
     CostParams,
     NetworkParams,
     model_price,
 )
+
+if TYPE_CHECKING:
+    from .backtest import BacktestReport
+
+
+def _deferred(module: str, name: str) -> Callable:
+    """A call of ``minecost.<module>.<name>`` that imports the module when made.
+
+    A subcommand then loads only the modules it runs: ``price`` needs no
+    numpy. The forwarders are names of this module, not imports inside the
+    handlers, because perfbench/tracing.py patches the names here.
+    """
+    def forward(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+detect_episodes = _deferred("backtest", "detect_episodes")
+episodes_to_dict = _deferred("backtest", "episodes_to_dict")
+ratio_series = _deferred("backtest", "ratio_series")
+ratio_to_dict = _deferred("backtest", "ratio_to_dict")
+regression_to_dict = _deferred("backtest", "regression_to_dict")
+run_backtest = _deferred("backtest", "run_backtest")
+_load_columns = _deferred("dataset", "_load_columns")
+_utf8_text = _deferred("dataset", "_utf8_text")
+build_backtest_series = _deferred("dataset", "build_backtest_series")
+# perfbench/tracing.py patches these names here; the CLI calls none of them.
+load_efficiency_table = _deferred("dataset", "load_efficiency_table")
+load_observations = _deferred("dataset", "load_observations")
+load_reward_schedule = _deferred("dataset", "load_reward_schedule")
+parse_efficiency_table = _deferred("dataset", "parse_efficiency_table")
+parse_observations = _deferred("dataset", "parse_observations")
+parse_reward_schedule = _deferred("dataset", "parse_reward_schedule")
+log_transform = _deferred("econometrics", "log_transform")
+ols_fit = _deferred("econometrics", "ols_fit")
+cache_file_for = _deferred("fetch", "cache_file_for")
+fetch_remote_series = _deferred("fetch", "fetch_remote_series")
 
 FORMATS = ("table", "json")
 INPUT_FILES = ("observations", "efficiency", "rewards")
@@ -562,7 +581,11 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    from .fetch import CHART_KINDS
+
+    kinds = CHART_KINDS if args.kinds is None else [
+        k.strip() for k in args.kinds.split(",") if k.strip()
+    ]
     for kind in kinds:
         fetch_remote_series(
             kind,
@@ -637,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     fetch = commands.add_parser("fetch", help="download raw chart series")
     fetch.add_argument("--base-url", dest="base_url", metavar="URL",
                        help="chart endpoint root (or MINECOST_BASE_URL)")
-    fetch.add_argument("--kinds", default=",".join(CHART_KINDS),
+    fetch.add_argument("--kinds",
                        help="comma-separated chart kinds (default: all)")
     fetch.add_argument("--cache-dir", dest="cache_dir", metavar="DIR",
                        help="cache directory (or MINECOST_CACHE_DIR)")

@@ -16,6 +16,10 @@ Three closed-form quantities, all pure functions of value types:
 Everything here is double precision; the largest intermediate products
 (difficulty 1e14 times 2^32) stay below 1e24, far inside float range.
 Inputs whose price would overflow or underflow raise DomainError.
+
+:class:`BacktestConfig`, the backtest's knobs, lives here beside the default
+electricity price and the check it validates with, so that the CLI can
+build it without loading numpy (``minecost.backtest`` re-exports it).
 """
 
 from __future__ import annotations
@@ -190,3 +194,30 @@ def model_price(cost: CostParams, net: NetworkParams) -> float:
             f"model price is {price!r}: the inputs overflow or underflow double precision"
         )
     return price
+
+
+@dataclass
+class BacktestConfig:
+    """Knobs for a backtest run; defaults mirror the reference analysis.
+
+    Raises:
+        DomainError: on construction, when a knob is out of range or a
+            price or threshold is not finite.
+    """
+
+    electricity_price: float = DEFAULT_ELECTRICITY_USD_PER_KWH
+    lags: int | None = 2  # None selects by BIC + whiteness
+    max_p: int = 8
+    entry_k: float = 2.0
+    min_len: int = 2
+    include_timestamp: bool = True
+
+    def __post_init__(self):
+        _require_positive_finite("electricity_price", self.electricity_price)
+        if self.lags is not None and self.lags < 1:
+            raise DomainError("lags must be >= 1 or 'auto'")
+        if self.max_p < 1:
+            raise DomainError("max_p must be >= 1")
+        _require_positive_finite("entry_k", self.entry_k)
+        if self.min_len < 1:
+            raise DomainError("min_len must be >= 1")
