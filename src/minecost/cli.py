@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import os
 import sys
@@ -624,6 +625,7 @@ def _add_dataset_options(sub, with_outputs=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the six subcommands."""
     parser = argparse.ArgumentParser(
         prog="minecost",
         description="Production-cost pricing model for bitcoin and its backtest.",
@@ -674,9 +676,18 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning[{category.__name__}]: {message}\n"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call in a process.
+
+    Parsing changes no state of the parser, so one serves every call, and
+    a process that calls :func:`main` many times builds it once.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Only the text changes: a caller that records warnings still gets them.
     default_format = warnings.formatwarning
     warnings.formatwarning = _format_warning

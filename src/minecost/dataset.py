@@ -1,4 +1,4 @@
-"""Difficulty-epoch dataset: parsing, validation, lookups, series building.
+r"""Difficulty-epoch dataset: parsing, validation, lookups, series building.
 
 The backtest consumes one observation per difficulty retarget (roughly every
 two weeks): date, protocol difficulty, observed market price, and the
@@ -21,9 +21,17 @@ and finite, and dates strictly increase. Each reward halves the one before;
 a rising efficiency only warns. The records, step tables and paired series
 the library builds enforce the same value, order and halving rules.
 
-Observations are read as columns. Each column is checked in one pass by
-the same functions the row checks use; if any field fails, the rows are
-checked one by one, so the error names the first bad row and its line.
+Every table is read as columns, exactly as ``csv.reader`` reads it. The
+header is read by csv. A text with no ``"``, ``\r`` or NUL whose rows all
+hold one field per column has its rows split into columns at ``,`` and
+``\n`` by string methods, with no list per row. Any other text (quoted
+fields, CR line ends, blank or ragged rows) and an iterable of lines are
+read by ``csv.reader`` row by row; a field csv refuses, such as one over
+``csv.field_size_limit()``, is a ParseError on its line.
+
+Each column is checked in one pass by the same functions the row checks
+use; if any field fails, the rows are checked one by one, so the error
+names the first bad row and its line.
 Pairing looks up every date's reward and table efficiency at once
 (``np.searchsorted`` over date ordinals), with no per-row Python work.
 
@@ -306,8 +314,42 @@ def _parse_float(text: str, name: str, line: int) -> float:
     raise ParseError(f"bad {name} value {text!r}", line)
 
 
+# One line of a text as ``TextIOWrapper(newline="")`` reads it, which is how
+# csv reads a file: up to and including "\r\n", "\r" or "\n".
+_TEXT_LINE = r"[^\r\n]*(?:\r\n|[\r\n])|[^\r\n]+"
+
+
+def _csv_rows(lines):
+    """``csv.reader(lines)``, its csv.Error a ParseError on the reader's line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:  # for example a field over csv.field_size_limit()
+        raise ParseError(str(exc), reader.line_num) from None
+
+
+def _split_columns(body: str, width: int) -> list[tuple[str, ...]] | None:
+    r"""The ``width`` columns of ``body``; None unless each line has ``width`` fields.
+
+    ``body`` holds no ``"``, ``\r`` or NUL, so csv would end a row only at
+    ``\n`` and a field only at ``,``. With each ``\n`` made a token of its
+    own, the lines all hold ``width`` fields exactly when the n newline
+    tokens are every ``(width + 1)``-th of ``(width + 1) * n`` tokens. A
+    blank line is one empty field, never ``width`` of them, as every table
+    has at least two columns; it goes to csv, which skips it.
+    """
+    if body and not body.endswith("\n"):
+        body += "\n"
+    rows, step = body.count("\n"), width + 1
+    tokens = body.replace("\n", ",\n,").split(",")
+    tokens.pop()  # the empty text after the final newline
+    if len(tokens) != step * rows or tokens[width::step].count("\n") != rows:
+        return None
+    return [tuple(tokens[i::step]) for i in range(width)]
+
+
 def _read_table(source, columns: Sequence[str], required: int):
-    """``(lines, fields, malformed)`` of a CSV string or iterable of lines.
+    r"""``(lines, fields, malformed)`` of a CSV string or iterable of lines.
 
     The header names columns from ``columns`` once each, in any order, and
     names the first ``required``; empty input or an unknown, repeated or
@@ -317,9 +359,13 @@ def _read_table(source, columns: Sequence[str], required: int):
     number. Row width is checked over the whole file at once: a row of the
     wrong width ends the table, and ``malformed`` is its ParseError, for the
     caller to raise once the rows before it pass (None if every row fits).
+    The rows of a string with no ``"``, ``\r`` or NUL are split by
+    :func:`_split_columns` when every row fits; csv reads all other rows.
     """
-    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
-    header = next(reader, None)
+    text = source if isinstance(source, str) else None
+    rows = _csv_rows(source if text is None else
+                     map(re.Match.group, re.finditer(_TEXT_LINE, text)))
+    header = next(rows, None)
     if header is None:
         raise ParseError("empty input: missing header row", 1)
     names = [name.strip() for name in header]
@@ -332,17 +378,26 @@ def _read_table(source, columns: Sequence[str], required: int):
         if name not in names:
             raise ParseError(f"missing {name!r} column in header {names!r}", 1)
     width = len(names)
-    rows = list(reader)
-    lines, malformed = range(2, len(rows) + 2), None
-    if set(map(len, rows)) - {width}:  # blank rows, or a row of the wrong width
-        kept = [(line, row) for line, row in zip(lines, rows) if row]
-        end = next((i for i, (_, row) in enumerate(kept) if len(row) != width), None)
-        if end is not None:
-            line, row = kept[end]
-            malformed = ParseError(f"expected {width} fields, got {len(row)}", line)
-            kept = kept[:end]
-        lines, rows = [line for line, _ in kept], [row for _, row in kept]
-    by_name = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+    split = None
+    # csv before Python 3.11 refuses a NUL, so a text with one is left to it.
+    if text is not None and not ('"' in text or "\r" in text or "\0" in text):
+        split = _split_columns(text.partition("\n")[2], width)
+    if split is not None:
+        lines, malformed = range(2, len(split[0]) + 2), None
+        by_name = dict(zip(names, split))
+    else:
+        rows = list(rows)
+        lines, malformed = range(2, len(rows) + 2), None
+        if set(map(len, rows)) - {width}:  # blank rows, or a row of the wrong width
+            kept = [(line, row) for line, row in zip(lines, rows) if row]
+            end = next((i for i, (_, row) in enumerate(kept) if len(row) != width),
+                       None)
+            if end is not None:
+                line, row = kept[end]
+                malformed = ParseError(f"expected {width} fields, got {len(row)}", line)
+                kept = kept[:end]
+            lines, rows = [line for line, _ in kept], [row for _, row in kept]
+        by_name = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
     return lines, tuple(by_name.get(name) for name in columns), malformed
 
 
@@ -498,10 +553,15 @@ def _parse_steps(source, value_column: str):
     lines, (dates, values), malformed = _read_table(
         source, ("date", value_column), required=2
     )
-    entries = tuple(
-        (_parse_date(date, line), _parse_float(value, value_column, line))
-        for line, date, value in zip(lines, dates, values)
-    )
+    try:
+        entries = tuple(zip(map(dt.date.fromisoformat, map(str.strip, dates)),
+                            _floats(values).tolist()))
+    except ValueError:
+        entries = None
+    if entries is None:  # some field fails: raise the first bad row's error
+        for line, date, value in zip(lines, dates, values):
+            _parse_date(date, line)
+            _parse_float(value, value_column, line)
     if malformed:
         raise malformed
     return entries
@@ -582,12 +642,11 @@ def _load(path, parse):
         ValidationError: one of ``parse``, its message prefixed with the file.
     """
     source = path if hasattr(path, "read_bytes") else Path(path)
-    data = source.read_bytes()
-    _utf8_text(data, source, ParseError)
+    text = _utf8_text(source.read_bytes(), source, ParseError)
     try:
-        # Decoded as read: a StringIO of the whole text would hold 4 bytes
-        # per character while the reader holds every row.
-        return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        # The decoded text itself: the parser splits it or hands csv its
+        # lines, and builds no StringIO, which holds 4 bytes per character.
+        return parse(text)
     except (ParseError, ValidationError) as exc:
         named = type(exc)(f"{source}: {exc}")
         named.__dict__.update(vars(exc))  # ParseError's line

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface (loopback HTTP only)."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -27,7 +28,7 @@ from minecost import (
     load_bundled,
     serialize_observations,
 )
-from minecost import dataset
+from minecost import cli, dataset
 from minecost.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -463,6 +464,24 @@ class TestOtherSubcommandsAndErrors:
             f"error[parse]: {path}: line 2: bad {name} value '{edited}'\n"
         )
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_oversize_field_is_one_parse_line(self, quote, tmp_path, capsys):
+        """csv refuses a field over its size limit; the split rows have none."""
+        field = "x" * (csv.field_size_limit() + 1)
+        lines = bundled_data_path("observations.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[2] = f"{quote}{field}{quote}"
+        lines[3] = ",".join(row)
+        path = tmp_path / "observations.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["ratio", "--observations", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        message = (f"bad price_usd value {field!r}" if not quote else
+                   f"field larger than field limit ({csv.field_size_limit()})")
+        assert captured.err == f"error[parse]: {path}: line 4: {message}\n"
+
     def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
         obs = _non_ascii_observations(tmp_path)
         runs = {}
@@ -643,6 +662,29 @@ class TestFetchCommand:
         assert result.stdout == f"{ascii([text, text])}\n"
         assert len(chart_server.paths) == 1
         assert cache_file_for("difficulty", tmp_path).read_bytes() == chart_server.body
+
+
+def test_one_parser_serves_calls_as_fresh_processes_do(tmp_path, capsys):
+    """``main`` builds its parser once; each call still runs as a new process."""
+    price = ["price", "--difficulty", "1e12", "--efficiency", "0.1", "--reward", "12.5"]
+    runs = [
+        price,
+        ["ratio", "--format", "json"],
+        ["backtest", "--no-such-flag"],
+        ["var", "--lags", "auto", "--format", "json"],
+        ["backtest", "--lags", "x", "--out-dir", str(tmp_path)],
+        [*price, "--format", "json"],
+        ["regress", "--electricity", "0.1"],
+    ]
+    for argv in runs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # a usage error
+            rc = exc.code
+        fresh = _python("-m", "minecost.cli", *argv)
+        assert (rc, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize(

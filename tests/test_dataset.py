@@ -319,6 +319,107 @@ class TestColumnarIngress:
         assert parse_observations(text) == expected
 
 
+def _csv_table(source, columns, required):
+    """``_read_table``'s result from the rows ``csv.reader`` reads: the reference.
+
+    A string is read as csv reads a file opened with ``newline=""``; any
+    other source is handed to csv as it is. A header csv would reject, or a
+    csv.Error, is the expected ParseError's line.
+    """
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str)
+                        else source)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        return ParseError(str(exc), reader.line_num)
+    names = [name.strip() for name in rows[0]] if rows else []
+    if (not rows or len(set(names)) < len(names) or set(names) - set(columns)
+            or set(columns[:required]) - set(names)):
+        return ParseError("header", 1)
+    numbered = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    end = next((i for i, (_, row) in enumerate(numbered) if len(row) != len(names)),
+               len(numbered))
+    malformed = None
+    if end < len(numbered):
+        line, row = numbered[end]
+        malformed = f"line {line}: expected {len(names)} fields, got {len(row)}"
+    kept = numbered[:end]
+    fields = tuple(tuple(row[names.index(name)] for _, row in kept)
+                   if name in names else None for name in columns)
+    return [line for line, _ in kept], fields, malformed
+
+
+def _assert_reads_as_csv(source, columns=OBSERVATION_COLUMNS, required=3):
+    """``_read_table(source)`` reads what csv reads, or fails on the same line."""
+    expected = _csv_table(source, columns, required)
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as info:
+            dataset._read_table(source, columns, required)
+        assert info.value.line == expected.line
+        if expected.line != 1:
+            assert str(info.value) == str(expected)
+        return
+    lines, fields, malformed = dataset._read_table(source, columns, required)
+    assert (list(lines), fields, malformed and str(malformed)) == expected
+
+
+HEADER = "date,difficulty,price_usd,eff_w_per_ghs\n"
+TEXT_ALPHABET = ',"\r\n\x0b 0123456789.-'
+
+
+class TestReaderMatchesCsv:
+    """Rows split from the text, or read by csv, are what csv reads."""
+
+    @pytest.mark.parametrize("text", [
+        HEADER + '2009-01-03,"1,5",2.0,0.5\n2009-01-04,1.0,"2.0",\n',
+        HEADER + "2009-01-03,1.0,2.0,0.5\r\n2009-01-04,1.0,2.0,\r\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5\r2009-01-04,1.0,2.0,\r",
+        HEADER + "2009-01-03,1.0,2.0,0.5\n\n2009-01-04,1.0,2.0,\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5\n2009-01-04,1.0,2.0,\n\n\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5\n2009-01-04,1.0,2.0,",
+        "", "\n", HEADER, HEADER[:-1], "date,w_per_ghs\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5\n2009-01-04,1.0,2.0,0.5\n2009-01-05,1.0\n"
+        "2009-01-06,1.0,2.0,0.5\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5,\n",
+        HEADER + "2009-01-03,1.\x000,2.0,0.5\n",
+        HEADER + " 2009-01-03 , 1.0,2.0 ,\n",
+        HEADER + "2009-01-03,1.0\x0b,\x0c2.0,0.5 2\n",
+        HEADER + "2009-01-03,1.0,2.0,0.5\x85\x1c\x1d\x1e\n",
+    ], ids=["quoted", "crlf", "cr", "blank-mid", "blank-end", "no-final-newline",
+            "empty", "newline", "header-only", "header-no-newline", "other-header",
+            "ragged", "wide", "nul", "padded", "vt-ff-ls", "nel-separators"])
+    def test_text_reads_as_csv_reads_it(self, text):
+        _assert_reads_as_csv(text)
+
+    def test_lines_without_newlines_read_as_csv_reads_them(self):
+        lines = ["date,difficulty,price_usd", "2009-01-03,1.0,2.0", "",
+                 "2009-01-04,1.0,2.0"]
+        _assert_reads_as_csv(lines)
+        assert parse_observations(lines) == parse_observations("\n".join(lines))
+
+    def test_an_oversize_field_fails_on_its_line_only_when_quoted(self):
+        field = "9" * (csv.field_size_limit() + 1)
+        quoted = HEADER + "2009-01-03,1.0,2.0,0.5\n" + f'2009-01-04,1.0,"{field}",\n'
+        _assert_reads_as_csv(quoted)
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            dataset._read_table(quoted, OBSERVATION_COLUMNS, 3)
+        _, fields, _ = dataset._read_table(quoted.replace('"', ""), OBSERVATION_COLUMNS, 3)
+        assert fields[2] == ("2.0", field)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(header=st.sampled_from([
+               (HEADER, OBSERVATION_COLUMNS, 3),
+               ("price_usd,date,difficulty\n", OBSERVATION_COLUMNS, 3),
+               ("date,w_per_ghs\n", ("date", "w_per_ghs"), 2),
+               ("reward_btc , date\n", ("date", "reward_btc"), 2)]),
+           body=st.text(TEXT_ALPHABET, max_size=40))
+    @example(header=(HEADER, OBSERVATION_COLUMNS, 3), body="\n\n\n1\n,\n,,,\n")
+    @example(header=("date,w_per_ghs\n", ("date", "w_per_ghs"), 2), body="1\n1,2,3\n")
+    def test_drawn_text_reads_as_csv_reads_it(self, header, body):
+        text, columns, required = header
+        _assert_reads_as_csv(text + body, columns, required)
+
+
 def _kept_texts(text):
     """The (date, price) texts the columnar reader keeps for ``text``."""
     observations = dataset._parse_observation_columns(text)

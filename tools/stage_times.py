@@ -13,13 +13,17 @@ printed, in milliseconds, as JSON:
 
 * ``load_observations``: the records the library returns;
 * ``load_observation_columns``: the columns the CLI reads;
+* ``load_step_tables``: the efficiency table and the reward schedule;
 * ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on the
   CLI's input, the columns;
 * ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
   ``backtest``'s artifacts, ``series_text`` given the input texts the
   columns kept, as ``backtest`` gives them;
 * ``series_text_formatted``: the same texts with every column formatted,
-  as for a library caller or an input in another form.
+  as for a library caller or an input in another form;
+* ``cli_main``: one in-process ``cli.main`` of ``backtest --lags auto`` on
+  the three files, as the benchmark's long-history op runs it: parsing its
+  arguments, every stage above and writing the artifacts.
 
 Layers inside ``run_backtest`` are timed on their own under ``layers_ms``:
 
@@ -33,10 +37,12 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import json
 import sys
 import tempfile
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +77,17 @@ def fastest(call, repeat: int) -> float:
     return 1e3 * best
 
 
+def backtest_main(paths: dict[str, Path]) -> None:
+    """``minecost backtest --lags auto`` in this process, its stdout dropped."""
+    argv = ["backtest", "--lags", "auto", "--no-provenance-timestamps",
+            "--out-dir", str(paths["observations"].parent / "out")]
+    for name in ("observations", "efficiency", "rewards"):
+        argv += [f"--{name}", str(paths[name])]
+    with redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"minecost {' '.join(argv)} failed")
+
+
 def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     """Fastest ms of each stage, and of each layer inside ``run_backtest``."""
     schedule = dataset.load_reward_schedule(paths["rewards"])
@@ -81,6 +98,9 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     observations = dataset._load_observation_columns(paths["observations"])
     times["load_observation_columns"] = fastest(
         lambda: dataset._load_observation_columns(paths["observations"]), repeat)
+    times["load_step_tables"] = fastest(
+        lambda: (dataset.load_efficiency_table(paths["efficiency"]),
+                 dataset.load_reward_schedule(paths["rewards"])), repeat)
     times["build_backtest_series"] = fastest(
         lambda: dataset.build_backtest_series(observations, schedule, table), repeat)
     times["run_backtest"] = fastest(
@@ -93,6 +113,7 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     times["report_json"] = fastest(lambda: cli.report_json(report, text), repeat)
     times["figure_csvs"] = fastest(
         lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
+    times["cli_main"] = fastest(lambda: backtest_main(paths), repeat)
     logs = np.log(np.column_stack([report.pair.market_prices,
                                    report.pair.model_prices]))
     layers = {"select_lag_order": fastest(
