@@ -21,8 +21,8 @@ _HOMES = {
         "ratio_series", "run_backtest",
     ),
     "dataset": (
-        "EfficiencyTable", "ObservationRecord", "PairedSeries", "RewardSchedule",
-        "build_backtest_series", "bundled_data_path", "load_bundled",
+        "EfficiencyTable", "ObservationRecord", "Observations", "PairedSeries",
+        "RewardSchedule", "build_backtest_series", "bundled_data_path", "load_bundled",
         "load_efficiency_table", "load_observations", "load_reward_schedule",
         "parse_chart_points", "parse_efficiency_table", "parse_observations",
         "parse_reward_schedule", "serialize_observations",

@@ -70,9 +70,10 @@ ratio_series = _deferred("backtest", "ratio_series")
 ratio_to_dict = _deferred("backtest", "ratio_to_dict")
 regression_to_dict = _deferred("backtest", "regression_to_dict")
 run_backtest = _deferred("backtest", "run_backtest")
-_load_columns = _deferred("dataset", "_load_columns")
+_text_lines = _deferred("dataset", "_text_lines")
 _utf8_text = _deferred("dataset", "_utf8_text")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
+load_bundled = _deferred("dataset", "load_bundled")
 # perfbench/tracing.py patches these names here; the CLI calls none of them.
 load_efficiency_table = _deferred("dataset", "load_efficiency_table")
 load_observations = _deferred("dataset", "load_observations")
@@ -136,7 +137,7 @@ def parse_config_file(path) -> dict:
     """Read a ``key = value`` file into converted values; '#' starts a comment."""
     values = {}
     text = _utf8_text(Path(path).read_bytes(), path, ValidationError)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -202,7 +203,7 @@ def _load_inputs(options: dict):
     """Observation columns, schedule, table and their provenance labels."""
     paths = {name: options.get(name) for name in INPUT_FILES}
     labels = {name: _label(path) for name, path in paths.items()}
-    return (*_load_columns(**paths), labels)
+    return (*load_bundled(**paths), labels)
 
 
 def _run_report(config: BacktestConfig, options: dict):

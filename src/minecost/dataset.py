@@ -31,16 +31,11 @@ read by ``csv.reader`` row by row; a field csv refuses, such as one over
 
 Each column is checked in one pass by the same functions the row checks
 use; if any field fails, the rows are checked one by one, so the error
-names the first bad row and its line.
-Pairing looks up every date's reward and table efficiency at once
-(``np.searchsorted`` over date ordinals), with no per-row Python work.
-
-The date and ``price_usd`` columns also keep their text when one check
-over the whole column shows it is the text the artifact writers would
-produce (``date.isoformat`` and ``repr``), so ``backtest`` writes those
-texts back instead of formatting them again. The check is all or nothing
-per column: one field in another form, such as ``94.880``, ``9.488e1``
-or ``20090109``, leaves that column to be formatted.
+names the first bad row and its line. The observation loaders return the
+columns as :class:`Observations`, a read-only sequence of
+:class:`ObservationRecord` that the library and the CLI share. Pairing
+takes it as it is and looks up every date's reward and table efficiency at
+once (``np.searchsorted`` over date ordinals), with no per-row Python work.
 
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
@@ -58,7 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
-from operator import lt, not_
+from operator import eq, lt, not_
 from pathlib import Path
 
 import numpy as np
@@ -152,53 +147,66 @@ class ObservationRecord:
                 )
 
 
-class _Observations(Sequence):
+class Observations(Sequence):
     """Observation columns, read as a sequence of :class:`ObservationRecord`.
 
-    ``dates`` is a tuple of dates; the other three are float arrays, and
-    ``efficiency`` is NaN where a row has none (a record never holds NaN).
-    A record is built only when one is read. ``date_text`` and
+    ``dates`` is a tuple of dates; the other three are read-only float
+    arrays, and ``efficiency`` is NaN where a row has none (a record never
+    holds NaN). A record is built only when one is read; a slice is columns
+    too. It equals any sequence of equal records. ``date_text`` and
     ``price_text`` are the input texts of the dates and market prices when
-    each is its value's ``date.isoformat()`` or ``repr``, else None.
+    each is the text the artifact writers make (``date.isoformat()`` and
+    ``repr``), which ``backtest`` then writes back as it is; else None, as
+    when one field reads ``94.880``, ``9.488e1`` or ``20090109``.
     """
 
     def __init__(self, dates, difficulty, market_price, efficiency,
                  date_text=None, price_text=None):
-        self.dates = dates
-        self.difficulty = difficulty
-        self.market_price = market_price
-        self.efficiency = efficiency
+        self.dates = tuple(dates)
+        # Views the caller cannot write through: a series shares them uncopied.
+        columns = [np.asarray(values, dtype=float).view()
+                   for values in (difficulty, market_price, efficiency)]
+        for column in columns:
+            column.flags.writeable = False
+        self.difficulty, self.market_price, self.efficiency = columns
         self.date_text = date_text
         self.price_text = price_text
 
     @classmethod
-    def of(cls, records: Sequence[ObservationRecord]) -> "_Observations":
+    def of(cls, records: Sequence[ObservationRecord]) -> "Observations":
         """``records`` as columns; columns pass through as they are."""
         if isinstance(records, cls):
             return records
         return cls(
-            tuple(r.date for r in records),
-            np.array([r.difficulty for r in records], dtype=float),
-            np.array([r.market_price for r in records], dtype=float),
-            np.array([math.nan if r.efficiency is None else r.efficiency
-                      for r in records], dtype=float),
+            [r.date for r in records], [r.difficulty for r in records],
+            [r.market_price for r in records],
+            [math.nan if r.efficiency is None else r.efficiency for r in records],
         )
 
     def __len__(self) -> int:
         return len(self.dates)
 
-    def __getitem__(self, index: int) -> ObservationRecord:
-        efficiency = float(self.efficiency[index])
-        return ObservationRecord(
-            self.dates[index], float(self.difficulty[index]),
-            float(self.market_price[index]),
-            None if math.isnan(efficiency) else efficiency,
+    def __getitem__(self, index):
+        if not isinstance(index, slice):  # the record of a one-row slice
+            index = range(len(self))[index]  # IndexError when out of range
+            return next(iter(self[index:index + 1]))
+        return Observations(
+            self.dates[index], self.difficulty[index], self.market_price[index],
+            self.efficiency[index],
+            *(None if text is None else text[index]
+              for text in (self.date_text, self.price_text)),
         )
 
     def __iter__(self):
         efficiencies = [None if math.isnan(e) else e for e in self.efficiency.tolist()]
         return map(ObservationRecord, self.dates, self.difficulty.tolist(),
                    self.market_price.tolist(), efficiencies)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        # Defining __eq__ leaves __hash__ None: columns are not hashable.
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -297,11 +305,19 @@ class PairedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _bad_field(what: str, text: str, line: int, why: str = "") -> ParseError:
+    """A bad field's ParseError: the field quoted, then ``why``, if at most 64
+    characters long; else the field named once, by its start and length."""
+    if len(text) <= 64:
+        return ParseError(f"bad {what} {text!r}{why}", line)
+    return ParseError(f"bad {what} {text[:32]!r}... ({len(text)} characters)", line)
+
+
 def _parse_date(text: str, line: int) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad date {text!r}: {exc}", line) from None
+    except ValueError as exc:  # exc quotes the text again
+        raise _bad_field("date", text, line, f": {exc}") from None
 
 
 def _parse_float(text: str, name: str, line: int) -> float:
@@ -311,12 +327,13 @@ def _parse_float(text: str, name: str, line: int) -> float:
             return float(text)
         except ValueError:
             pass
-    raise ParseError(f"bad {name} value {text!r}", line)
+    raise _bad_field(f"{name} value", text, line)
 
 
-# One line of a text as ``TextIOWrapper(newline="")`` reads it, which is how
-# csv reads a file: up to and including "\r\n", "\r" or "\n".
-_TEXT_LINE = r"[^\r\n]*(?:\r\n|[\r\n])|[^\r\n]+"
+# The lines of a text as csv reads a file through ``TextIOWrapper(newline="")``:
+# each ends after "\r\n", "\r" or "\n", and at no other ``str.splitlines`` break.
+def _text_lines(text: str):
+    return map(re.Match.group, re.finditer(r"[^\r\n]*(?:\r\n|[\r\n])|[^\r\n]+", text))
 
 
 def _csv_rows(lines):
@@ -363,8 +380,7 @@ def _read_table(source, columns: Sequence[str], required: int):
     :func:`_split_columns` when every row fits; csv reads all other rows.
     """
     text = source if isinstance(source, str) else None
-    rows = _csv_rows(source if text is None else
-                     map(re.Match.group, re.finditer(_TEXT_LINE, text)))
+    rows = _csv_rows(source if text is None else _text_lines(text))
     header = next(rows, None)
     if header is None:
         raise ParseError("empty input: missing header row", 1)
@@ -448,7 +464,7 @@ def _repr_texts(texts: Sequence[str]) -> Sequence[str] | None:
     return texts if re.fullmatch(_REPR_COLUMN, ",".join(texts)) else None
 
 
-def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | None:
+def _checked_columns(dates, difficulty, price, efficiency) -> Observations | None:
     """The observation fields as columns, or None if any field fails its check.
 
     Each column goes through the function the row loop applies to one field
@@ -474,8 +490,8 @@ def _checked_columns(dates, difficulty, price, efficiency) -> _Observations | No
           & (_positive_finite(efficiency) | blank))
     if not ok.all():
         return None
-    return _Observations(days, difficulty, market, efficiency,
-                         _iso_texts(date_texts), _repr_texts(price))
+    return Observations(days, difficulty, market, efficiency,
+                        _iso_texts(date_texts), _repr_texts(price))
 
 
 def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:
@@ -499,21 +515,7 @@ def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:
             raise ValidationError(f"line {line}: {exc}") from None
 
 
-def _parse_observation_columns(source) -> _Observations:
-    """:func:`parse_observations` as columns, with the same checks and errors."""
-    lines, fields, malformed = _read_table(source, OBSERVATION_COLUMNS, required=3)
-    observations = _checked_columns(*fields)
-    if observations is None:
-        _checked_rows(lines, *fields)
-    if malformed:
-        raise malformed
-    if not observations:
-        raise ValidationError("observations must have at least one record")
-    _check_dates_sorted(observations.dates, "observation")
-    return observations
-
-
-def parse_observations(source) -> list[ObservationRecord]:
+def parse_observations(source) -> Observations:
     """Parse an ``observations.csv`` stream into validated records.
 
     ``source`` may be a string or any iterable of text lines (an open file).
@@ -526,7 +528,16 @@ def parse_observations(source) -> list[ObservationRecord]:
         ValidationError: no records, a parsed value violating a record
             invariant, or dates out of order / duplicated.
     """
-    return list(_parse_observation_columns(source))
+    lines, fields, malformed = _read_table(source, OBSERVATION_COLUMNS, required=3)
+    observations = _checked_columns(*fields)
+    if observations is None:
+        _checked_rows(lines, *fields)
+    if malformed:
+        raise malformed
+    if not observations:
+        raise ValidationError("observations must have at least one record")
+    _check_dates_sorted(observations.dates, "observation")
+    return observations
 
 
 def serialize_observations(records: Sequence[ObservationRecord]) -> str:
@@ -584,8 +595,7 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
     row is tolerated. Timestamps must be strictly increasing.
     """
     points = []
-    lines = text.splitlines()
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_text_lines(text), start=1):
         line = line.strip()
         if not line:
             continue
@@ -605,12 +615,8 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
     return points
 
 
-def load_observations(path) -> list[ObservationRecord]:
-    return list(_load_observation_columns(path))
-
-
-def _load_observation_columns(path) -> _Observations:
-    return _load(path, _parse_observation_columns)
+def load_observations(path) -> Observations:
+    return _load(path, parse_observations)
 
 
 def load_reward_schedule(path) -> RewardSchedule:
@@ -643,9 +649,7 @@ def _load(path, parse):
     """
     source = path if hasattr(path, "read_bytes") else Path(path)
     text = _utf8_text(source.read_bytes(), source, ParseError)
-    try:
-        # The decoded text itself: the parser splits it or hands csv its
-        # lines, and builds no StringIO, which holds 4 bytes per character.
+    try:  # the text itself: a StringIO of it would hold 4 bytes per character
         return parse(text)
     except (ParseError, ValidationError) as exc:
         named = type(exc)(f"{source}: {exc}")
@@ -672,8 +676,9 @@ def build_backtest_series(
     for its gaps). Table lookups past the last table entry carry its value
     forward under one :class:`CarriedForwardWarning` for the whole series.
 
-    The records are taken as columns (a record sequence is turned into
-    columns once), and every date is looked up in both step tables at once.
+    :class:`Observations` are paired as they are (any other record sequence
+    is turned into columns once), and every date is looked up in both step
+    tables at once.
     The model prices are then one array expression of
     :func:`minecost.pricing.model_price`'s closed form, with the same
     operations in the same order, so each equals the per-record
@@ -688,7 +693,7 @@ def build_backtest_series(
             offending value or date (the first such date).
     """
     electricity_price = _require_positive_finite("electricity_price", electricity_price)
-    observations = _Observations.of(records)
+    observations = Observations.of(records)
     dates = observations.dates
     days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
     blank = np.isnan(observations.efficiency)
@@ -751,23 +756,16 @@ def bundled_data_path(name: str):
 def load_bundled(observations=None, efficiency=None, rewards=None):
     """Load the three backtest inputs from the given paths.
 
-    Each input left as None comes from the packaged 2013-2018
-    reconstruction instead.
+    Each input left as None comes from the packaged 2013-2018 reconstruction.
 
     Returns:
-        (records, schedule, table) ready for :func:`build_backtest_series`.
+        (observations, schedule, table) for :func:`build_backtest_series`.
     """
-    columns, schedule, table = _load_columns(observations, efficiency, rewards)
-    return list(columns), schedule, table
-
-
-def _load_columns(observations=None, efficiency=None, rewards=None):
-    """:func:`load_bundled` with the observations left as columns."""
     def source(path, name):
         return bundled_data_path(name) if path is None else path
 
     return (
-        _load_observation_columns(source(observations, "observations.csv")),
+        load_observations(source(observations, "observations.csv")),
         load_reward_schedule(source(rewards, "rewards.csv")),
         load_efficiency_table(source(efficiency, "efficiency.csv")),
     )

@@ -99,6 +99,7 @@ class TestRatioSeries:
     def test_overflowing_moments_name_the_largest_ratio(self, difficulty, ratio):
         """Tiny positive model prices are valid, but their ratios overflow."""
         records, schedule, table = load_bundled()
+        records = list(records)
         records[0] = replace(records[0], difficulty=difficulty)
         pair = build_backtest_series(records, schedule, table)
         with pytest.raises(DomainError) as info:

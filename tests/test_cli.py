@@ -240,7 +240,9 @@ class TestBacktestCommand:
             built.append(record)
 
         monkeypatch.setattr(ObservationRecord, "__post_init__", count)
-        assert len(load_bundled()[0]) == len(built) == 126  # the counter counts
+        observations = load_bundled()[0]
+        assert built == []  # loading builds no record
+        assert len(list(observations)) == len(built) == 126  # the counter counts
         built.clear()
         assert main(["backtest", "--out-dir", str(tmp_path)]) == 0
         assert built == []
@@ -281,11 +283,11 @@ class TestBacktestCommand:
         assert len(f"{records[5].market_price:.17g}".replace(".", "")) == 17
 
         observations.write_text(serialize_observations(records))
-        kept = dataset._load_observation_columns(observations)
+        kept = dataset.load_observations(observations)
         assert kept.date_text is not None and kept.price_text is not None
         expected = backtest_outputs()
         observations.write_text("\n".join(lines) + "\n")
-        other = dataset._load_observation_columns(observations)
+        other = dataset.load_observations(observations)
         assert list(other) == records
         assert (other.date_text is None) == ("date" in columns)
         assert (other.price_text is None) == ("price_usd" in columns)
@@ -357,6 +359,19 @@ class TestConfigFile:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"error[validation]: {cfg}:1: bad {key} value 'x'\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("max_p = 4\x0c5\n", 1), ("lags = 2\r\nmax_p = 4\x0c5\r\n", 2)],
+        ids=["lf", "crlf"])
+    def test_only_cr_and_lf_end_a_line(self, text, line, tmp_path, capsys):
+        """A form feed is inside its line, as csv reads the input files."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.encode())
+        rc = main(["ratio", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            f"error[validation]: {cfg}:{line}: bad max_p value '4\\x0c5'\n")
 
     def test_non_utf8_file_is_one_validation_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -464,13 +479,12 @@ class TestOtherSubcommandsAndErrors:
             f"error[parse]: {path}: line 2: bad {name} value '{edited}'\n"
         )
 
-    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
-    def test_oversize_field_is_one_parse_line(self, quote, tmp_path, capsys):
-        """csv refuses a field over its size limit; the split rows have none."""
-        field = "x" * (csv.field_size_limit() + 1)
+    @staticmethod
+    def _oversize_field_stderr(column, field, tmp_path, capsys):
+        """``ratio``'s stderr with ``field`` in ``column`` of line 4, and the path."""
         lines = bundled_data_path("observations.csv").read_text().splitlines()
         row = lines[3].split(",")
-        row[2] = f"{quote}{field}{quote}"
+        row[column] = field
         lines[3] = ",".join(row)
         path = tmp_path / "observations.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -478,9 +492,28 @@ class TestOtherSubcommandsAndErrors:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        message = (f"bad price_usd value {field!r}" if not quote else
+        return captured.err, path
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_oversize_field_is_one_parse_line(self, quote, tmp_path, capsys):
+        """csv refuses a field over its size limit; the split rows have none.
+
+        A bad field over 64 characters is named by its start and length.
+        """
+        field = "x" * (csv.field_size_limit() + 1)
+        err, path = self._oversize_field_stderr(2, f"{quote}{field}{quote}",
+                                                tmp_path, capsys)
+        message = (f"bad price_usd value '{'x' * 32}'... ({len(field)} characters)"
+                   if not quote else
                    f"field larger than field limit ({csv.field_size_limit()})")
-        assert captured.err == f"error[parse]: {path}: line 4: {message}\n"
+        assert err == f"error[parse]: {path}: line 4: {message}\n"
+
+    def test_oversize_date_is_named_once(self, tmp_path, capsys):
+        """The date error drops fromisoformat's own quote of a long field."""
+        field = "2" * (csv.field_size_limit() + 1)
+        err, path = self._oversize_field_stderr(0, field, tmp_path, capsys)
+        assert err == (f"error[parse]: {path}: line 4: bad date '{'2' * 32}'... "
+                       f"({len(field)} characters)\n")
 
     def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
         obs = _non_ascii_observations(tmp_path)

@@ -20,12 +20,14 @@ from minecost import (
     EfficiencyTable,
     NetworkParams,
     ObservationRecord,
+    Observations,
     ParseError,
     RewardSchedule,
     ValidationError,
     build_backtest_series,
     bundled_data_path,
     load_bundled,
+    load_observations,
     model_price,
     parse_efficiency_table,
     parse_observations,
@@ -128,6 +130,21 @@ class TestParseObservations:
         )
         with pytest.raises(ValidationError, match="duplicate"):
             parse_observations(bad)
+
+    @pytest.mark.parametrize("column, field, message", [
+        ("price_usd", "x" * 64, f"bad price_usd value '{'x' * 64}'"),
+        ("price_usd", "x" * 65, f"bad price_usd value '{'x' * 32}'... (65 characters)"),
+        ("date", "2" * 64,
+         f"bad date '{'2' * 64}': Invalid isoformat string: '{'2' * 64}'"),
+        ("date", "2" * 65, f"bad date '{'2' * 32}'... (65 characters)"),
+    ])
+    def test_a_bad_field_over_64_characters_is_named_once(self, column, field, message):
+        row = {"date": "2016-06-25", "difficulty": "2.0e11", "price_usd": "600.0"}
+        row[column] = field
+        bad = f"date,difficulty,price_usd\n{','.join(row.values())}\n"
+        with pytest.raises(ParseError) as info:
+            parse_observations(bad)
+        assert str(info.value) == f"line 2: {message}"
 
     def test_nonpositive_value_names_line(self):
         bad = "date,difficulty,price_usd\n2016-06-25,2.0e11,-600.0\n"
@@ -422,7 +439,7 @@ class TestReaderMatchesCsv:
 
 def _kept_texts(text):
     """The (date, price) texts the columnar reader keeps for ``text``."""
-    observations = dataset._parse_observation_columns(text)
+    observations = parse_observations(text)
     return observations.date_text, observations.price_text
 
 
@@ -487,7 +504,7 @@ class TestKeptTexts:
         rows = _daily_observations(50)
         assert _kept_texts(_csv_text(rows)) == (
             [row[0] for row in rows], tuple(row[2] for row in rows))
-        bundled = dataset._load_observation_columns(bundled_data_path("observations.csv"))
+        bundled = load_observations(bundled_data_path("observations.csv"))
         assert bundled.date_text is not None and bundled.price_text is not None
 
     @pytest.mark.parametrize("accepted", [
@@ -524,6 +541,92 @@ class TestKeptTexts:
         observations = dataset._checked_columns(*fields)
         assert len(observations) == 0
         assert observations.date_text is None and observations.price_text is None
+
+
+class TestObservations:
+    """The columns the loaders return, read as a sequence of records."""
+
+    RECORDS = [
+        ObservationRecord(dt.date(2016, 6, 25), 2.0e11, 600.0, 0.5),
+        ObservationRecord(dt.date(2016, 7, 9), 2.1e11, 650.0),
+        ObservationRecord(dt.date(2016, 7, 23), 2.2e11, 660.0, 0.45),
+    ]
+
+    def test_loaders_return_observations(self):
+        assert isinstance(parse_observations(OBS_CSV), Observations)
+        assert isinstance(load_observations(bundled_data_path("observations.csv")),
+                          Observations)
+        assert isinstance(load_bundled()[0], Observations)
+
+    def test_indexing_reads_one_record(self):
+        columns = Observations.of(self.RECORDS)
+        assert [columns[i] for i in range(3)] == self.RECORDS
+        assert [columns[i] for i in (-1, -2, -3)] == self.RECORDS[::-1]
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                columns[index]
+
+    @pytest.mark.parametrize("index", [
+        slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+        slice(0, 3, 2), slice(2, 2), slice(5, 9)])
+    def test_a_slice_is_columns_of_the_same_records(self, index):
+        part = Observations.of(self.RECORDS)[index]
+        assert isinstance(part, Observations)
+        assert list(part) == self.RECORDS[index]
+        assert len(part) == len(self.RECORDS[index])
+
+    def test_a_slice_keeps_its_share_of_the_input_texts(self):
+        text = serialize_observations(self.RECORDS)
+        part = parse_observations(text)[::-2]
+        assert part.date_text == ["2016-07-23", "2016-06-25"]
+        assert part.price_text == ("660.0", "600.0")
+        assert parse_observations(OBS_CSV.replace("600.0", "600"))[1:].price_text is None
+
+    def test_equals_any_sequence_of_equal_records(self):
+        columns = Observations.of(self.RECORDS)
+        for other in (self.RECORDS, tuple(self.RECORDS), Observations.of(self.RECORDS)):
+            assert columns == other and other == columns
+            assert not (columns != other or other != columns)
+
+    def test_differs_when_a_field_or_the_length_differs(self):
+        columns = Observations.of(self.RECORDS)
+        changed = [
+            self.RECORDS[:2],
+            self.RECORDS + self.RECORDS[:1],
+            [*self.RECORDS[:2], ObservationRecord(dt.date(2016, 7, 23), 2.2e11, 661.0, 0.45)],
+            [*self.RECORDS[:2], ObservationRecord(dt.date(2016, 7, 23), 2.2e11, 660.0)],
+            [ObservationRecord(dt.date(2016, 6, 26), 2.0e11, 600.0, 0.5), *self.RECORDS[1:]],
+        ]
+        for other in changed:
+            assert columns != other and other != columns
+            assert columns != Observations.of(other)
+        assert columns != "abc" and Observations.of([]) != ""
+
+    def test_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(Observations.of(self.RECORDS))
+
+    def test_columns_cannot_be_written(self):
+        columns, schedule, table = load_bundled()
+        pair = build_backtest_series(columns, schedule, table)
+        assert pair.market_prices.base is not None  # shared, not copied
+        for array in (columns.difficulty, columns.market_price, columns.efficiency,
+                      columns[:5].market_price, pair.market_prices):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_given_arrays_stay_writable(self):
+        difficulty = np.array([2.0e11, 2.1e11])
+        columns = Observations((dt.date(2016, 6, 25), dt.date(2016, 7, 9)), difficulty,
+                               np.array([600.0, 650.0]), np.array([math.nan, 0.5]))
+        difficulty[0] = 3.0e11
+        assert columns[0].difficulty == 3.0e11
+        assert columns[0].efficiency is None and columns[1].efficiency == 0.5
+
+    def test_of_passes_columns_through(self):
+        columns = parse_observations(OBS_CSV)
+        assert Observations.of(columns) is columns
+        assert Observations.of(self.RECORDS) == self.RECORDS
 
 
 class TestRewardSchedule:
@@ -740,7 +843,7 @@ class TestBuildBacktestSeries:
             records = records[::-1]
             message = "observation dates out of order: 2018-03-31 after 2018-04-14"
         else:
-            records = records[:3] + records[2:]
+            records = list(records)[:3] + list(records)[2:]
             message = f"duplicate observation date {records[2].date.isoformat()}"
         with pytest.raises(ValidationError) as info:
             build(records, schedule, table)
@@ -767,8 +870,8 @@ class TestBuildBacktestSeries:
         assert str(info.value) == message
 
     def test_columns_and_records_pair_alike(self):
-        records, schedule, table = load_bundled()
-        columns = dataset._load_columns()[0]
+        columns, schedule, table = load_bundled()
+        records = list(columns)
         assert len(columns) == len(records) and list(columns) == records
         assert columns[5] == records[5] and columns[-1] == records[-1]
         by_columns = build_backtest_series(columns, schedule, table)

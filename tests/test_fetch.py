@@ -154,6 +154,13 @@ class TestParseChartPoints:
         with pytest.raises(ParseError, match="line 2"):
             parse_chart_points("2017-01-01,1.0\nnot-a-row\n")
 
+    def test_only_cr_and_lf_end_a_line(self):
+        """A form feed inside a value leaves the row and the line numbers whole."""
+        text = "timestamp,value\n2017-01-01,1\x0c2.0\n2017-01-02,3.0\n"
+        with pytest.raises(ParseError, match="^line 2: bad chart value"):
+            parse_chart_points(text)
+        assert len(parse_chart_points("timestamp,value\r\n2017-01-01,1\r2017-01-02,3\n")) == 2
+
     def test_out_of_order_timestamps_rejected(self):
         text = "2017-01-02,1.0\n2017-01-01,2.0\n"
         with pytest.raises(ValidationError, match="out of order"):

@@ -12,15 +12,16 @@ import minecost
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The public surface, unchanged since the names were first exported.
+# The public surface: the names first exported, and Observations, the type
+# the observation loaders return.
 PUBLIC = {
     "backtest": ["BacktestReport", "BubbleEpisode", "RatioStats", "detect_episodes",
                  "ratio_series", "run_backtest"],
-    "dataset": ["EfficiencyTable", "ObservationRecord", "PairedSeries", "RewardSchedule",
-                "build_backtest_series", "bundled_data_path", "load_bundled",
-                "load_efficiency_table", "load_observations", "load_reward_schedule",
-                "parse_chart_points", "parse_efficiency_table", "parse_observations",
-                "parse_reward_schedule", "serialize_observations"],
+    "dataset": ["EfficiencyTable", "ObservationRecord", "Observations", "PairedSeries",
+                "RewardSchedule", "build_backtest_series", "bundled_data_path",
+                "load_bundled", "load_efficiency_table", "load_observations",
+                "load_reward_schedule", "parse_chart_points", "parse_efficiency_table",
+                "parse_observations", "parse_reward_schedule", "serialize_observations"],
     "econometrics": ["GrangerResult", "LagSelection", "LjungBoxResult", "RegressionResult",
                      "VarModel", "chi2_sf", "granger_wald", "ljung_box", "log_transform",
                      "ols_fit", "select_lag_order", "var_fit"],
@@ -37,7 +38,7 @@ HOME = {name: module for module, names in PUBLIC.items() for name in names}
 
 
 def test_all_lists_the_same_names():
-    assert len(HOME) == 56
+    assert len(HOME) == 57
     assert minecost.__all__ == ["__version__", *sorted(HOME)]
 
 

@@ -11,7 +11,7 @@ _spec = importlib.util.spec_from_file_location("stage_times", TOOL)
 stage_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stage_times)
 
-STAGES = {"load_observations", "load_observation_columns", "load_step_tables",
+STAGES = {"load_observations", "load_step_tables",
           "build_backtest_series", "run_backtest", "series_text",
           "series_text_formatted", "report_json", "figure_csvs", "cli_main"}
 

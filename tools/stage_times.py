@@ -11,11 +11,10 @@ loaded here without changing it), cut to its first ``N`` observations. Each
 stage runs ``--repeat`` times in this process and its fastest call is
 printed, in milliseconds, as JSON:
 
-* ``load_observations``: the records the library returns;
-* ``load_observation_columns``: the columns the CLI reads;
+* ``load_observations``: the columns the library and the CLI read;
 * ``load_step_tables``: the efficiency table and the reward schedule;
-* ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on the
-  CLI's input, the columns;
+* ``build_backtest_series`` and ``run_backtest`` (``--lags auto``): on
+  those columns;
 * ``series_text``, ``report_json`` and ``figure_csvs``: the writers of
   ``backtest``'s artifacts, ``series_text`` given the input texts the
   columns kept, as ``backtest`` gives them;
@@ -95,9 +94,7 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     config = backtest.BacktestConfig(lags=None, include_timestamp=False)
     times = {"load_observations": fastest(
         lambda: dataset.load_observations(paths["observations"]), repeat)}
-    observations = dataset._load_observation_columns(paths["observations"])
-    times["load_observation_columns"] = fastest(
-        lambda: dataset._load_observation_columns(paths["observations"]), repeat)
+    observations = dataset.load_observations(paths["observations"])
     times["load_step_tables"] = fastest(
         lambda: (dataset.load_efficiency_table(paths["efficiency"]),
                  dataset.load_reward_schedule(paths["rewards"])), repeat)
