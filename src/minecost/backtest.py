@@ -90,7 +90,7 @@ def ratio_series(pair: PairedSeries) -> RatioStats:
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = pair.market_prices / pair.model_prices
         mean = float(ratios.mean())
-        std = float(np.std(ratios, ddof=1)) if ratios.size >= 2 else 0.0
+        std = float(ratios.std(ddof=1)) if ratios.size >= 2 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std)):
         peak = int(np.argmax(ratios))
         raise DomainError(
@@ -279,10 +279,11 @@ def run_backtest(
     log_model = log_transform(pair.model_prices)
     log_fit = ols_fit(log_model, log_market)
 
-    logs = np.column_stack([log_market, log_model])
+    max_p, n = config.max_p, len(pair)
+    logs = np.empty((n, 2))
+    logs[:, 0], logs[:, 1] = log_market, log_model
     # A short series scans fewer orders instead of failing a pinned lag
     # order it could fit.
-    max_p, n = config.max_p, len(pair)
     supported = min(max_p, var_max_order(n))
     if 1 <= supported < max_p:
         warnings.warn(

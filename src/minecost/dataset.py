@@ -208,6 +208,12 @@ class Observations(Sequence):
         # Defining __eq__ leaves __hash__ None: columns are not hashable.
         return len(self) == len(other) and all(map(eq, self, other))
 
+    def __repr__(self) -> str:
+        rows = f"{len(self)} row{'' if len(self) == 1 else 's'}"
+        if not self.dates:
+            return f"Observations({rows})"
+        return f"Observations({rows}, {self.dates[0]} .. {self.dates[-1]})"
+
 
 @dataclass(frozen=True)
 class RewardSchedule:
@@ -293,7 +299,7 @@ class PairedSeries:
             )
         _check_dates_sorted(self.dates, "observation")
         for name, values in (("market", market), ("model", model)):
-            if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+            if not np.isfinite(values).all() or (values <= 0.0).any():
                 raise ValidationError(f"{name} prices must all be positive and finite")
 
     def __len__(self) -> int:
@@ -609,7 +615,7 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
             except ValueError:
                 continue  # header row
         date = _parse_date(stamp, line_no)
-        value = _parse_float(parts[1], "chart value", line_no)
+        value = _parse_float(parts[1], "chart", line_no)
         points.append((date, value))
     _check_dates_sorted([d for d, _ in points], "chart")
     return points

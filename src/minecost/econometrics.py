@@ -125,14 +125,15 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
             column-scaled normal matrix, above CONDITION_LIMIT.
     """
     if norms is None:
-        norms = np.sqrt(np.sum(X * X, axis=0))
-    if np.any(norms == 0.0):
+        norms = np.sqrt((X * X).sum(axis=0))
+    if (norms == 0.0).any():
         raise SingularityError("regressor matrix has a zero column")
     U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
-    with np.errstate(divide="ignore", over="ignore"):
-        # Fewer rows than columns leave the normal matrix singular.
-        cond = (s[0] / s[-1]) ** 2 if X.shape[0] >= X.shape[1] else np.inf
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    # Fewer rows than columns leave the normal matrix singular.
+    singular = X.shape[0] < X.shape[1] or s[-1] == 0.0
+    r = math.inf if singular else float(s[0]) / float(s[-1])
+    cond = r * r
+    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularityError(
             f"normal-equations matrix is ill-conditioned (estimate {cond:.3e})"
         )
@@ -183,13 +184,14 @@ def ols_fit(x, y) -> RegressionResult:
     n = x.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("regression inputs must be finite")
-    X = np.column_stack([np.ones(n), x])
+    X = np.empty((n, 2))
+    X[:, 0], X[:, 1] = 1.0, x
     beta, W = _svd_solve(X, y)
     residuals = y - X @ beta
     sse = float(residuals @ residuals)
-    sst = float(np.sum((y - y.mean()) ** 2))
+    sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
         r_squared, degenerate = 0.0, True
     else:
@@ -218,7 +220,7 @@ def log_transform(series) -> np.ndarray:
     """
     arr = np.asarray(series, dtype=float)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
-    if np.any(bad):
+    if bad.any():
         index = int(np.argmax(bad.ravel()))
         raise DomainError(
             f"log transform requires positive values; offending index {index} "
@@ -292,13 +294,13 @@ def _fit_orders(data: np.ndarray, max_p: int, min_p: int = 1):
     A[:, -2:] = data
     R = np.linalg.qr(A[max_p:], mode="r")
     compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
-    # Row m - 1 holds the column sums of squares of the first m rows.
-    squares = np.cumsum(compressed * compressed, axis=0)
+    # Row m - 1 holds the column norms of the first m rows.
+    norms = np.sqrt(np.cumsum(compressed * compressed, axis=0))
     fits = []
     for p in range(min_p, max_p + 1):
         k, m = 2 * p + 1, len(R) + max_p - p
         X, Y = compressed[:m, :k], compressed[:m, -2:]
-        beta, W = _svd_solve(X, Y, np.sqrt(squares[m - 1, :k]))
+        beta, W = _svd_solve(X, Y, norms[m - 1, :k])
         E = Y - X @ beta
         fits.append((beta, W, E.T @ E))
     return A, fits
@@ -316,7 +318,7 @@ def _var_model(data: np.ndarray, p: int, fit, names) -> VarModel:
         coef_matrices=beta[1:].reshape(p, 2, 2).transpose(0, 2, 1),
         residuals=data[p:] - _lag_design(data, p, k)[p:] @ beta,
         resid_cov=resid_cov,
-        coef_cov=np.diag(resid_cov)[:, None, None] * (W @ W.T), nobs=T,
+        coef_cov=resid_cov.diagonal()[:, None, None] * (W @ W.T), nobs=T,
     )
 
 
@@ -342,7 +344,7 @@ def _var_series(data) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"data must have shape (n, 2), got {data.shape}")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise DomainError("series must be finite")
     return data
 
@@ -429,11 +431,13 @@ def granger_wald(model: VarModel, cause: str, effect: str) -> GrangerResult:
     if i == j:
         raise DomainError("cause and effect must be different series")
     p = model.lag_order
-    idx = np.array([1 + 2 * lag + j for lag in range(p)])
-    b = model.stacked_coefficients(i)[idx]
-    block = model.coef_cov[i][np.ix_(idx, idx)]
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    # Regressor 1 + 2 * lag + j is cause j at lag + 1. b is copied because a
+    # strided dot product sums in another order than a contiguous one.
+    b = model.coef_matrices[:, i, j].copy()
+    block = model.coef_cov[i][1 + j :: 2, 1 + j :: 2]
+    s = np.linalg.svd(block, compute_uv=False)  # 2-norm condition number
+    cond = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else math.inf
+    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularityError(
             f"covariance block for {cause}->{effect} is singular "
             f"(condition estimate {cond:.3e})"
@@ -475,7 +479,7 @@ def _ljung_box_q(E: np.ndarray, T, h) -> np.ndarray:
         acov[k] = np.einsum("ij,ij->i", E[:, k:], E[:, :-k])
     # Zero variance leaves every autocovariance zero, and so every r_k.
     r = acov[1:] / np.where(acov[0] > 0.0, acov[0], 1.0)
-    terms = np.divide(r * r, T - lags, out=np.zeros_like(r), where=lags <= h)
+    terms = np.divide(r * r, T - lags, out=np.zeros(r.shape), where=lags <= h)
     return T * (T + 2.0) * terms.sum(axis=0)
 
 
@@ -496,7 +500,7 @@ def ljung_box(residuals, lags: int, fitted_lag_count: int = 0) -> LjungBoxResult
     lags = _order("lags", lags)
     if lags >= n:
         raise DomainError(f"lags ({lags}) must be smaller than the series ({n})")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise DomainError("residuals must be finite")
     df = max(1, lags - fitted_lag_count)
     q = float(_ljung_box_q((e - e.mean())[None, :], n, lags)[0])
@@ -589,12 +593,12 @@ def select_lag_order(
     for p in orders:
         by_order[p - 1, :, p:] -= means[p - 1, :, None]
     h = np.minimum(np.maximum(10, 2 * np.arange(1, max_p + 1)), T - 2)
-    q = _ljung_box_q(E, np.repeat(T, 2), np.repeat(h, 2)).reshape(max_p, 2)
+    q = _ljung_box_q(E, T.repeat(2), h.repeat(2)).reshape(max_p, 2)
 
     rows = []
     for p, (_, _, sscp), T, h, (q0, q1) in zip(orders, fits, T.tolist(), h.tolist(),
                                                q.tolist()):
-        (s00, s01), (s10, s11) = (sscp / T).tolist()
+        s00, s01, s10, s11 = [s / T for s in sscp.ravel().tolist()]
         det = s00 * s11 - s01 * s10  # of the 2 x 2 residual covariance
         log_det = math.log(det) if det > 0.0 else -math.inf
         m = 2 * (2 * p + 1)  # coefficients of both equations

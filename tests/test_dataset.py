@@ -623,6 +623,12 @@ class TestObservations:
         assert columns[0].difficulty == 3.0e11
         assert columns[0].efficiency is None and columns[1].efficiency == 0.5
 
+    def test_repr_names_the_rows_and_the_date_span(self):
+        assert repr(load_bundled()[0]) == "Observations(126 rows, 2013-06-29 .. 2018-04-14)"
+        assert repr(Observations.of(self.RECORDS)[1:2]) == (
+            "Observations(1 row, 2016-07-09 .. 2016-07-09)")
+        assert repr(Observations.of([])) == "Observations(0 rows)"
+
     def test_of_passes_columns_through(self):
         columns = parse_observations(OBS_CSV)
         assert Observations.of(columns) is columns

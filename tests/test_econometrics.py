@@ -16,9 +16,11 @@ from minecost import (
     GrangerResult,
     InsufficientDataError,
     SingularityError,
+    build_backtest_series,
     chi2_sf,
     granger_wald,
     ljung_box,
+    load_bundled,
     log_transform,
     ols_fit,
     select_lag_order,
@@ -300,8 +302,9 @@ class TestVarFit:
         data = np.cumsum(np.random.default_rng(3).normal(size=(30, 2)), axis=0)
         Y, Z = _lagged_design(data, 10)
         assert Z.shape == (20, 21)
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError) as info:
             _svd_solve(Z, Y)
+        assert str(info.value) == "normal-equations matrix is ill-conditioned (estimate inf)"
 
     @pytest.mark.parametrize("p, n_min", [(1, 12), (8, 27), (9, 30), (10, 33)])
     def test_sample_bound_leaves_residual_degrees_of_freedom(self, p, n_min):
@@ -321,7 +324,37 @@ class TestVarFit:
             var_fit(data, p=0)
 
 
+def _bundled_logs():
+    pair = build_backtest_series(*load_bundled())
+    return np.log(np.column_stack([pair.market_prices, pair.model_prices]))
+
+
 class TestGrangerWald:
+    SERIES = {
+        "bundled logs": _bundled_logs,
+        "random walk": lambda: np.cumsum(
+            np.random.default_rng(59).normal(size=(200, 2)), axis=0),
+    }
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("series", SERIES)
+    def test_tested_block_is_the_indexed_selection_bit_for_bit(self, series, p):
+        """The cause's lags and their covariance block, read as strided
+        slices, are the regressors 1 + 2 lag + j picked by index; the
+        statistic and the condition estimate are those of the picked ones."""
+        model = var_fit(self.SERIES[series](), p)
+        for i, j in ((0, 1), (1, 0)):
+            idx = 1 + 2 * np.arange(p) + j
+            b = model.stacked_coefficients(i)[idx]
+            block = model.coef_cov[i][np.ix_(idx, idx)]
+            strided = model.coef_cov[i][1 + j :: 2, 1 + j :: 2]
+            assert (model.coef_matrices[:, i, j] == b).all()
+            assert (strided == block).all()
+            result = granger_wald(model, cause=model.names[j], effect=model.names[i])
+            assert result.chi2_stat == max(0.0, float(b @ np.linalg.solve(block, b)))
+            s = np.linalg.svd(strided, compute_uv=False)
+            assert float(s[0]) / float(s[-1]) == np.linalg.cond(block)
+
     def test_built_in_causation_is_detected_and_absence_is_not(self):
         rng = np.random.default_rng(314)
         data = one_way_coupled_pair(400, rng, load=0.5)

@@ -161,6 +161,11 @@ class TestParseChartPoints:
             parse_chart_points(text)
         assert len(parse_chart_points("timestamp,value\r\n2017-01-01,1\r2017-01-02,3\n")) == 2
 
+    def test_bad_value_names_the_field_once(self):
+        with pytest.raises(ParseError) as info:
+            parse_chart_points("timestamp,value\n2017-01-01,abc\n")
+        assert str(info.value) == "line 2: bad chart value 'abc'"
+
     def test_out_of_order_timestamps_rejected(self):
         text = "2017-01-02,1.0\n2017-01-01,2.0\n"
         with pytest.raises(ValidationError, match="out of order"):

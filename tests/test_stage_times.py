@@ -13,7 +13,8 @@ _spec.loader.exec_module(stage_times)
 
 STAGES = {"load_observations", "load_step_tables",
           "build_backtest_series", "run_backtest", "series_text",
-          "series_text_formatted", "report_json", "figure_csvs", "cli_main"}
+          "series_text_formatted", "report_json", "figure_csvs", "cli_main",
+          "run_backtest_bundled"}
 
 
 def test_the_history_is_cut_to_the_rows_asked_for(tmp_path):
@@ -34,5 +35,5 @@ def test_every_stage_is_timed(capsys):
 def test_the_lag_scan_is_timed_as_a_layer(capsys):
     assert stage_times.main(["--rows", "200", "--repeat", "1"]) == 0
     layers = json.loads(capsys.readouterr().out)["layers_ms"]
-    assert set(layers) == {"select_lag_order"}
-    assert layers["select_lag_order"] > 0.0
+    assert set(layers) == {"select_lag_order", "ols_fit", "granger_wald"}
+    assert all(ms > 0.0 for ms in layers.values())

@@ -22,12 +22,18 @@ printed, in milliseconds, as JSON:
   as for a library caller or an input in another form;
 * ``cli_main``: one in-process ``cli.main`` of ``backtest --lags auto`` on
   the three files, as the benchmark's long-history op runs it: parsing its
-  arguments, every stage above and writing the artifacts.
+  arguments, every stage above and writing the artifacts;
+* ``run_backtest_bundled``: ``run_backtest`` (``--lags auto``) on the
+  bundled 126 observations, the benchmark's sweep op, where the per-call
+  overhead of nine small fits dominates.
 
-Layers inside ``run_backtest`` are timed on their own under ``layers_ms``:
+Layers inside ``run_backtest`` are timed on their own under ``layers_ms``,
+on the history:
 
-* ``select_lag_order``: the lag scan (orders 1..8) on the history's log
-  market and model prices.
+* ``select_lag_order``: the lag scan (orders 1..8) on the log market and
+  model prices;
+* ``ols_fit``: both regressions, market on model price in levels and in logs;
+* ``granger_wald``: both directions of the Granger test of the chosen VAR.
 
 Compare two checkouts by running both on the same machine, alternately.
 """
@@ -111,10 +117,22 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     times["figure_csvs"] = fastest(
         lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
     times["cli_main"] = fastest(lambda: backtest_main(paths), repeat)
-    logs = np.log(np.column_stack([report.pair.market_prices,
-                                   report.pair.model_prices]))
-    layers = {"select_lag_order": fastest(
-        lambda: econometrics.select_lag_order(logs, config.max_p), repeat)}
+    bundled = dataset.load_bundled()
+    times["run_backtest_bundled"] = fastest(
+        lambda: backtest.run_backtest(*bundled, config), repeat)
+    market, model = report.pair.market_prices, report.pair.model_prices
+    log_market, log_model = np.log(market), np.log(model)
+    logs = np.column_stack([log_market, log_model])
+    names = report.var_model.names
+    layers = {
+        "select_lag_order": fastest(
+            lambda: econometrics.select_lag_order(logs, config.max_p), repeat),
+        "ols_fit": fastest(lambda: (econometrics.ols_fit(model, market),
+                                    econometrics.ols_fit(log_model, log_market)), repeat),
+        "granger_wald": fastest(
+            lambda: [econometrics.granger_wald(report.var_model, cause, effect)
+                     for cause, effect in (names, names[::-1])], repeat),
+    }
     return times, layers
 
 
