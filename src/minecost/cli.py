@@ -8,7 +8,8 @@ Subcommands:
 * ``regress``  - level and log-log regressions only.
 * ``var``      - lag selection, VAR fit, and both Granger directions.
 * ``ratio``    - ratio statistics and episode detection.
-* ``fetch``    - download raw difficulty / market-price charts to the cache.
+* ``fetch``    - download raw difficulty / market-price charts to the cache,
+  and optionally resample them to an observations.csv.
 
 A ``key = value`` config file (``--config``) seeds any long-form option;
 explicit flags win. Environment variables configure only the fetch cache
@@ -70,6 +71,7 @@ ratio_series = _deferred("backtest", "ratio_series")
 ratio_to_dict = _deferred("backtest", "ratio_to_dict")
 regression_to_dict = _deferred("backtest", "regression_to_dict")
 run_backtest = _deferred("backtest", "run_backtest")
+_csv = _deferred("dataset", "_csv")
 _text_lines = _deferred("dataset", "_text_lines")
 _utf8_text = _deferred("dataset", "_utf8_text")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
@@ -462,10 +464,6 @@ def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
     ))
 
 
-def _csv(header: str, *columns: list[str]) -> str:
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
-
-
 def figure1_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
     """figure1.csv: one ``date,ratio`` line per date, floats as ``repr``."""
     text = text or SeriesText.of(report)
@@ -588,14 +586,28 @@ def cmd_fetch(args) -> int:
     kinds = CHART_KINDS if args.kinds is None else [
         k.strip() for k in args.kinds.split(",") if k.strip()
     ]
+    fetch = functools.partial(fetch_remote_series, base_url=args.base_url,
+                              cache_dir=args.cache_dir, timeout=args.timeout)
     for kind in kinds:
-        fetch_remote_series(
-            kind,
-            base_url=args.base_url,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-        )
+        fetch(kind)
         print(f"{kind}: cached at {cache_file_for(kind, args.cache_dir)}")
+    if args.observations_out is not None:
+        from .dataset import _parse_named, parse_chart_points, serialize_observations
+        from .fetch import resample_to_epochs
+
+        # Both charts, whatever --kinds lists: one already fetched comes from the cache.
+        difficulty, price = (
+            _parse_named(parse_chart_points, fetch(kind),
+                         cache_file_for(kind, args.cache_dir))
+            for kind in CHART_KINDS
+        )
+        observations = resample_to_epochs(difficulty, price)
+        if not observations:
+            raise ValidationError("no observation: every difficulty change precedes "
+                                  "the first market price")
+        args.observations_out.write_text(serialize_observations(observations),
+                                         encoding="utf-8")
+        print(f"observations: written to {args.observations_out}")
     return 0
 
 
@@ -668,6 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--cache-dir", dest="cache_dir", metavar="DIR",
                        help="cache directory (or MINECOST_CACHE_DIR)")
     fetch.add_argument("--timeout", type=float, default=30.0)
+    fetch.add_argument("--observations-out", dest="observations_out", type=Path,
+                       metavar="FILE",
+                       help="also write both charts resampled to observations CSV")
     fetch.set_defaults(func=cmd_fetch)
 
     return parser

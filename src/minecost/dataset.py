@@ -7,7 +7,7 @@ reward may ride along in the observation file or be supplied as separate
 step-function tables keyed by effective date.
 
 Input files (UTF-8, comma-delimited, header row, ISO-8601 dates, period
-decimal separator):
+decimal separator; one leading byte-order mark is dropped):
 
 * ``observations.csv`` - ``date,difficulty,price_usd[,eff_w_per_ghs]``
 * ``efficiency.csv``   - ``date,w_per_ghs``
@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 import re
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -546,23 +545,25 @@ def parse_observations(source) -> Observations:
     return observations
 
 
+def _csv(header: str, *columns: Iterable[str]) -> str:
+    """``header`` and one line per row of ``columns``, whose texts need no quoting."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 def serialize_observations(records: Sequence[ObservationRecord]) -> str:
     """Render records in canonical form (column order, ISO dates, repr floats).
 
     ``serialize(parse(text))`` is the canonical normalization of ``text``;
     serializing is idempotent across a parse round-trip.
     """
-    include_eff = any(r.efficiency is not None for r in records)
-    columns = OBSERVATION_COLUMNS if include_eff else OBSERVATION_COLUMNS[:3]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for r in records:
-        row = [r.date.isoformat(), repr(float(r.difficulty)), repr(float(r.market_price))]
-        if include_eff:
-            row.append("" if r.efficiency is None else repr(float(r.efficiency)))
-        writer.writerow(row)
-    return out.getvalue()
+    observations = Observations.of(records)
+    efficiency = observations.efficiency.tolist()
+    columns = [map(dt.date.isoformat, observations.dates),
+               map(repr, observations.difficulty.tolist()),
+               map(repr, observations.market_price.tolist())]
+    if not all(map(math.isnan, efficiency)):
+        columns.append(["" if math.isnan(e) else repr(e) for e in efficiency])
+    return _csv(",".join(OBSERVATION_COLUMNS[:len(columns)]), *columns)
 
 
 def _parse_steps(source, value_column: str):
@@ -597,8 +598,10 @@ def parse_efficiency_table(source) -> EfficiencyTable:
 def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
     """Parse a raw ``timestamp,value`` chart payload into dated points.
 
-    The first field may be an ISO date or ``date time``; a leading header
-    row is tolerated. Timestamps must be strictly increasing.
+    The first field may be an ISO date or ``date time``. Line 1 is a header,
+    and skipped, when neither of its fields parses; any other bad row, or a
+    value that is not positive and finite, is a ParseError. Timestamps must
+    be strictly increasing.
     """
     points = []
     for line_no, line in enumerate(_text_lines(text), start=1):
@@ -611,11 +614,17 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
         stamp = parts[0].strip().split(" ")[0].split("T")[0]
         if line_no == 1:
             try:
-                dt.date.fromisoformat(stamp)
-            except ValueError:
-                continue  # header row
+                _parse_date(stamp, line_no)
+            except ParseError:
+                try:
+                    _parse_float(parts[1], "chart", line_no)
+                except ParseError:
+                    continue  # neither field parses: a header row
         date = _parse_date(stamp, line_no)
         value = _parse_float(parts[1], "chart", line_no)
+        if not 0.0 < value < math.inf:
+            raise _bad_field("chart value", parts[1], line_no,
+                             ": not positive and finite")
         points.append((date, value))
     _check_dates_sorted([d for d, _ in points], "chart")
     return points
@@ -634,9 +643,13 @@ def load_efficiency_table(path) -> EfficiencyTable:
 
 
 def _utf8_text(data: bytes, source, error: type[Exception]) -> str:
-    """``data`` decoded as UTF-8, else ``error`` naming ``source`` and the line."""
+    """``data`` decoded as UTF-8, else ``error`` naming ``source`` and the line.
+
+    One leading byte-order mark (U+FEFF), which spreadsheet exports write,
+    is dropped.
+    """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(
@@ -655,6 +668,11 @@ def _load(path, parse):
     """
     source = path if hasattr(path, "read_bytes") else Path(path)
     text = _utf8_text(source.read_bytes(), source, ParseError)
+    return _parse_named(parse, text, source)
+
+
+def _parse_named(parse, text: str, source):
+    """``parse(text)``, its ParseError or ValidationError prefixed with ``source``."""
     try:  # the text itself: a StringIO of it would hold 4 bytes per character
         return parse(text)
     except (ParseError, ValidationError) as exc:

@@ -12,22 +12,24 @@ the tests talk only to a loopback server.
 The endpoint layout is ``{base_url}/{chart_name}?format=csv`` with the chart
 name one of :data:`CHART_KINDS`. Base URL and cache directory can be set per
 call, via MINECOST_BASE_URL / MINECOST_CACHE_DIR, or left to defaults.
-Payloads must be UTF-8 and are cached, as the bytes received, under
-``{kind}-{YYYYMMDD}.csv``; a same-day repeat is served from the cache
-without a network call, and nothing is written unless the download
-succeeded. Neither side of the cache goes through the locale's codec.
+Payloads must be UTF-8 (one leading byte-order mark is dropped) and are
+cached, as the bytes received, under ``{kind}-{YYYYMMDD}.csv``; a same-day
+repeat is served from the cache without a network call, and nothing is
+written unless the download succeeded. Neither side of the cache goes
+through the locale's codec.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime as dt
+import math
 import os
 import tempfile
 from operator import itemgetter
 from pathlib import Path
 
-from .dataset import ObservationRecord, _utf8_text
+from .dataset import Observations, _utf8_text
 from .errors import FetchError
 
 DEFAULT_BASE_URL = "https://api.blockchain.info/charts"
@@ -99,10 +101,7 @@ def fetch_remote_series(
         raise FetchError(f"GET {url} failed: {exc}") from exc
     if status != 200:
         raise FetchError(f"GET {url} returned status {status}")
-    try:
-        payload = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FetchError(f"GET {url} returned a payload that is not UTF-8") from exc
+    payload = _utf8_text(body, f"GET {url}", FetchError)
     if not payload.strip():
         raise FetchError(f"GET {url} returned an empty payload")
 
@@ -122,15 +121,15 @@ def fetch_remote_series(
 def resample_to_epochs(
     difficulty_points: list[tuple[dt.date, float]],
     price_points: list[tuple[dt.date, float]],
-) -> list[ObservationRecord]:
+) -> Observations:
     """Reduce raw daily series to one observation per difficulty change.
 
     Keeps the first difficulty point and every later point whose value
     differs from its predecessor, then attaches the last market price at or
     before each change date. Change dates preceding the first price point
-    are dropped (no price to pair with).
+    are dropped (no price to pair with). The efficiency column is all NaN.
     """
-    records = []
+    rows = []
     previous = None
     for date, difficulty in difficulty_points:
         if difficulty == previous:
@@ -138,7 +137,5 @@ def resample_to_epochs(
         previous = difficulty
         index = bisect.bisect_right(price_points, date, key=itemgetter(0))
         if index:
-            records.append(ObservationRecord(
-                date=date, difficulty=difficulty, market_price=price_points[index - 1][1]
-            ))
-    return records
+            rows.append((date, difficulty, price_points[index - 1][1], math.nan))
+    return Observations(*zip(*rows)) if rows else Observations((), (), (), ())

@@ -26,10 +26,14 @@ from minecost import (
     bundled_data_path,
     cache_file_for,
     load_bundled,
+    load_observations,
+    parse_chart_points,
+    resample_to_epochs,
     serialize_observations,
 )
 from minecost import cli, dataset
 from minecost.cli import main
+from tests.conftest import EPOCH_CHARTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -384,6 +388,15 @@ class TestConfigFile:
             f"error[validation]: {cfg}:2: not UTF-8 text (byte 0xb5)\n"
         )
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """Spreadsheet "CSV UTF-8" exports start with U+FEFF."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("\ufeffelectricity_price = 0.05\n".encode())
+        assert main(["regress", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr()
+        assert main(["regress", "--electricity", "0.05"]) == 0
+        assert from_file == capsys.readouterr()
+
     def test_bad_lags_keeps_its_domain_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lags = two\n")
@@ -678,6 +691,52 @@ class TestFetchCommand:
         assert captured.out == ""
         assert captured.err == (
             f"error[fetch]: {cached}:1: not UTF-8 text (byte 0xff)\n"
+        )
+
+    def test_observations_out_round_trips_both_charts(self, tmp_path, capsys,
+                                                      chart_server):
+        chart_server.bodies = {path: text.encode() for path, text in EPOCH_CHARTS.items()}
+        out, cache = tmp_path / "obs.csv", tmp_path / "cache"
+        rc = main(["fetch", "--kinds", "difficulty", "--base-url", chart_server.url,
+                   "--cache-dir", str(cache), "--observations-out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"difficulty: cached at {cache_file_for('difficulty', cache)}",
+            f"observations: written to {out}",
+        ]
+        # The market-price chart is fetched too, and each chart only once.
+        assert chart_server.paths == [f"/{kind}?format=csv" for kind in CHART_KINDS]
+        resampled = resample_to_epochs(
+            *(parse_chart_points(EPOCH_CHARTS[f"/{kind}"]) for kind in CHART_KINDS)
+        )
+        assert len(resampled) == 19
+        assert load_observations(out) == resampled
+        assert out.read_bytes() == serialize_observations(resampled).encode()
+        assert main(["ratio", "--observations", str(out)]) == 0
+
+    def test_observations_out_with_no_observation_is_one_error(self, tmp_path, capsys,
+                                                              chart_server):
+        chart_server.bodies = {"/difficulty": b"2016-12-31,3.0e11\n",
+                               "/market-price": b"2017-01-01,900.0\n"}
+        out = tmp_path / "obs.csv"
+        rc = main(["fetch", "--base-url", chart_server.url, "--cache-dir",
+                   str(tmp_path), "--observations-out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error[validation]: no observation: every difficulty "
+                                "change precedes the first market price\n")
+        assert not out.exists()
+
+    def test_observations_out_names_the_chart_of_a_bad_point(self, tmp_path, capsys,
+                                                            chart_server):
+        chart_server.bodies = {"/market-price": b"2017-01-01,900.0\n2017-01-02,0\n"}
+        rc = main(["fetch", "--base-url", chart_server.url, "--cache-dir",
+                   str(tmp_path), "--observations-out", str(tmp_path / "obs.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            f"error[parse]: {cache_file_for('market-price', tmp_path)}: line 2: "
+            "bad chart value '0': not positive and finite\n"
         )
 
     def test_a_non_ascii_payload_is_cached_whatever_the_locale(self, tmp_path,

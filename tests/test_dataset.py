@@ -174,6 +174,25 @@ class TestParseObservations:
         )
         assert "eff_w_per_ghs" not in serialize_observations(records)
 
+    def test_serialize_reproduces_the_packaged_observations(self):
+        packaged = bundled_data_path("observations.csv").read_bytes()
+        assert serialize_observations(load_bundled()[0]).encode() == packaged
+
+    @pytest.mark.parametrize("text, expected", [
+        (OBS_CSV, "date,difficulty,price_usd,eff_w_per_ghs\n"
+                  "2016-06-25,200000000000.0,600.0,0.5\n"
+                  "2016-07-09,210000000000.0,650.0,\n"
+                  "2016-07-23,220000000000.0,660.0,0.45\n"),
+        ("date,difficulty,price_usd\n2016-06-25,2.0e11,600.0\n",
+         "date,difficulty,price_usd\n2016-06-25,200000000000.0,600.0\n"),
+        (None, "date,difficulty,price_usd\n"),
+    ], ids=["efficiency", "no-efficiency", "no-rows"])
+    def test_serialize_writes_columns_and_records_alike(self, text, expected):
+        observations = (Observations((), [], [], []) if text is None
+                        else parse_observations(text))
+        assert serialize_observations(observations) == expected
+        assert serialize_observations(list(observations)) == expected
+
 
 def _row_by_row(text):
     """Records of an observations file, read one row and one field at a time.
@@ -935,6 +954,14 @@ class TestBundledData:
         with pytest.raises(ParseError) as info:
             load_bundled(observations=bad)
         assert str(info.value) == f"{bad}:2: not UTF-8 text (byte 0xb5)"
+
+    @pytest.mark.parametrize("name", BUNDLED_FILES)
+    def test_a_leading_byte_order_mark_is_dropped(self, name, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with U+FEFF."""
+        path = tmp_path / name
+        path.write_bytes("\ufeff".encode() + bundled_data_path(name).read_bytes())
+        key = name.removesuffix(".csv")
+        assert load_bundled(**{key: path}) == load_bundled()
 
     def test_parse_error_names_the_file_and_keeps_its_line(self, tmp_path):
         bad = tmp_path / "eff.csv"

@@ -4,10 +4,13 @@ transport talks only to loopback listeners on 127.0.0.1."""
 import datetime as dt
 import socket
 
+import numpy as np
 import pytest
 
 from minecost import (
     FetchError,
+    ObservationRecord,
+    Observations,
     ParseError,
     ValidationError,
     cache_file_for,
@@ -16,6 +19,8 @@ from minecost import (
     resample_to_epochs,
 )
 from tests.conftest import CHART_TEXT
+
+BOM = "\ufeff".encode()
 
 
 @pytest.fixture
@@ -108,12 +113,30 @@ class TestFetchRemoteSeries:
         assert not any(tmp_path.iterdir())
 
     def test_non_utf8_payload_rejected_and_not_cached(self, tmp_path, chart_server):
-        chart_server.body = "2017-01-01,1.0 \u00b5\n".encode("latin-1")
-        with pytest.raises(FetchError, match="UTF-8"):
+        chart_server.body = "2017-01-01,1.0\n2017-01-02,1.0 \u00b5\n".encode("latin-1")
+        with pytest.raises(FetchError) as info:
             fetch_remote_series(
                 "market-price", base_url=chart_server.url, cache_dir=tmp_path
             )
+        assert str(info.value) == (
+            f"GET {chart_server.url}/market-price:2: not UTF-8 text (byte 0xb5)"
+        )
         assert not any(tmp_path.iterdir())
+
+    def test_payload_byte_order_mark_is_dropped_and_cached_as_received(
+            self, tmp_path, chart_server):
+        chart_server.body = BOM + CHART_TEXT.encode()
+        for _ in range(2):  # downloaded, then served from the cache
+            payload = fetch_remote_series(
+                "difficulty", base_url=chart_server.url, cache_dir=tmp_path
+            )
+            assert payload == CHART_TEXT
+        assert len(chart_server.paths) == 1
+        assert cache_file_for("difficulty", tmp_path).read_bytes() == chart_server.body
+
+    def test_cache_file_byte_order_mark_is_dropped(self, tmp_path):
+        cache_file_for("difficulty", tmp_path).write_bytes(BOM + CHART_TEXT.encode())
+        assert fetch_remote_series("difficulty", cache_dir=tmp_path) == CHART_TEXT
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(FetchError, match="hashrate"):
@@ -146,6 +169,17 @@ class TestParseChartPoints:
         points = parse_chart_points("timestamp,value\n" + CHART_TEXT)
         assert len(points) == 2
 
+    @pytest.mark.parametrize("first, message", [
+        ("\ufeff2017-01-01,1.0", "bad date '\\ufeff2017-01-01'"),
+        ("01/01/2017,1.0", "bad date '01/01/2017'"),
+        ("2017-01-01,value", "bad chart value 'value'"),
+    ])
+    def test_a_first_row_with_one_field_that_parses_is_data(self, first, message):
+        """Only a line 1 of which neither field parses is skipped as a header."""
+        with pytest.raises(ParseError) as info:
+            parse_chart_points(f"{first}\n2017-01-02,2.0\n")
+        assert str(info.value).startswith(f"line 1: {message}")
+
     def test_iso_t_separator_accepted(self):
         points = parse_chart_points("2017-01-01T00:00:00,5.0\n")
         assert points == [(dt.date(2017, 1, 1), 5.0)]
@@ -165,6 +199,14 @@ class TestParseChartPoints:
         with pytest.raises(ParseError) as info:
             parse_chart_points("timestamp,value\n2017-01-01,abc\n")
         assert str(info.value) == "line 2: bad chart value 'abc'"
+
+    @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf", "1e999"])
+    def test_value_not_positive_and_finite_rejected(self, value):
+        with pytest.raises(ParseError) as info:
+            parse_chart_points(f"2017-01-01,1.0\n2017-01-02,{value}\n")
+        assert str(info.value) == (
+            f"line 2: bad chart value {value!r}: not positive and finite"
+        )
 
     def test_out_of_order_timestamps_rejected(self):
         text = "2017-01-02,1.0\n2017-01-01,2.0\n"
@@ -195,8 +237,13 @@ class TestResampleToEpochs:
 
     def test_keeps_only_difficulty_changes(self):
         records = resample_to_epochs(self.DIFFICULTY, self.PRICES)
-        assert [r.date.day for r in records] == [1, 3, 5]
-        assert [r.difficulty for r in records] == [1e11, 2e11, 3e11]
+        assert isinstance(records, Observations)
+        assert records == [
+            ObservationRecord(dt.date(2017, 1, day), difficulty, price)
+            for day, difficulty, price in [(1, 1e11, 1000.0), (3, 2e11, 1020.0),
+                                           (5, 3e11, 1040.0)]
+        ]
+        assert np.isnan(records.efficiency).all()
 
     def test_price_is_last_at_or_before_change(self):
         records = resample_to_epochs(self.DIFFICULTY, self.PRICES)
@@ -205,12 +252,16 @@ class TestResampleToEpochs:
     def test_price_gap_carries_earlier_quote(self):
         sparse = [(dt.date(2017, 1, 1), 1000.0)]
         records = resample_to_epochs(self.DIFFICULTY, sparse)
-        assert all(r.market_price == 1000.0 for r in records)
+        assert records == [ObservationRecord(dt.date(2017, 1, day), difficulty, 1000.0)
+                           for day, difficulty in [(1, 1e11), (3, 2e11), (5, 3e11)]]
 
     def test_changes_before_first_price_are_dropped(self):
         late = [(dt.date(2017, 1, 4), 1030.0)]
         records = resample_to_epochs(self.DIFFICULTY, late)
-        assert [r.date.day for r in records] == [5]
+        assert records == [ObservationRecord(dt.date(2017, 1, 5), 3e11, 1030.0)]
 
     def test_empty_difficulty_series_gives_no_records(self):
-        assert resample_to_epochs([], self.PRICES) == []
+        records = resample_to_epochs([], self.PRICES)
+        assert isinstance(records, Observations)
+        assert records == []
+        assert records.efficiency.shape == (0,)
