@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import functools
+import gc
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import DomainError, MinecostError, ValidationError
+from .errors import DomainError, MinecostError, ValidationError, _utf8_text
 from .pricing import (
     DEFAULT_ELECTRICITY_USD_PER_KWH,
     BacktestConfig,
@@ -73,7 +74,6 @@ regression_to_dict = _deferred("backtest", "regression_to_dict")
 run_backtest = _deferred("backtest", "run_backtest")
 _csv = _deferred("dataset", "_csv")
 _text_lines = _deferred("dataset", "_text_lines")
-_utf8_text = _deferred("dataset", "_utf8_text")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
 load_bundled = _deferred("dataset", "load_bundled")
 # perfbench/tracing.py patches these names here; the CLI calls none of them.
@@ -85,8 +85,6 @@ parse_observations = _deferred("dataset", "parse_observations")
 parse_reward_schedule = _deferred("dataset", "parse_reward_schedule")
 log_transform = _deferred("econometrics", "log_transform")
 ols_fit = _deferred("econometrics", "ols_fit")
-cache_file_for = _deferred("fetch", "cache_file_for")
-fetch_remote_series = _deferred("fetch", "fetch_remote_series")
 
 FORMATS = ("table", "json")
 INPUT_FILES = ("observations", "efficiency", "rewards")
@@ -581,7 +579,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    from .fetch import CHART_KINDS
+    from .fetch import CHART_KINDS, cache_file_for, fetch_remote_series, resample_to_epochs
 
     kinds = CHART_KINDS if args.kinds is None else [
         k.strip() for k in args.kinds.split(",") if k.strip()
@@ -593,7 +591,6 @@ def cmd_fetch(args) -> int:
         print(f"{kind}: cached at {cache_file_for(kind, args.cache_dir)}")
     if args.observations_out is not None:
         from .dataset import _parse_named, parse_chart_points, serialize_observations
-        from .fetch import resample_to_epochs
 
         # Both charts, whatever --kinds lists: one already fetched comes from the cache.
         difficulty, price = (
@@ -721,5 +718,21 @@ def main(argv=None) -> int:
         warnings.formatwarning = default_format
 
 
+def process_main() -> int:
+    """:func:`main` as the whole of a ``minecost`` process, its exit status returned.
+
+    The process ends when this returns, and the exit frees all it built, so
+    the cyclic garbage collector is off while it runs and the heap is frozen
+    at the end: the imports of a subcommand (numpy's among them) run no
+    collection, and interpreter shutdown skips the full one over what they
+    left. Callers of :func:`main` keep their own collector state.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -62,6 +62,7 @@ from .errors import (
     DomainError,
     ParseError,
     ValidationError,
+    _utf8_text,
 )
 from .pricing import (
     DEFAULT_ELECTRICITY_USD_PER_KWH,
@@ -640,21 +641,6 @@ def load_reward_schedule(path) -> RewardSchedule:
 
 def load_efficiency_table(path) -> EfficiencyTable:
     return _load(path, parse_efficiency_table)
-
-
-def _utf8_text(data: bytes, source, error: type[Exception]) -> str:
-    """``data`` decoded as UTF-8, else ``error`` naming ``source`` and the line.
-
-    One leading byte-order mark (U+FEFF), which spreadsheet exports write,
-    is dropped.
-    """
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise error(
-            f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        ) from None
 
 
 def _load(path, parse):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one input decoder.
 
 Every error carries a short machine-parseable ``code`` so the CLI can emit
 ``error[<code>]: <message>`` lines and scripts can grep for the class of
@@ -60,6 +60,21 @@ class FetchError(MinecostError):
     """Remote download failed (transport, HTTP status, or empty payload)."""
 
     code = "fetch"
+
+
+def _utf8_text(data: bytes, source, error: type[Exception]) -> str:
+    """``data`` decoded as UTF-8, else ``error`` naming ``source`` and the line.
+
+    One leading byte-order mark (U+FEFF), which spreadsheet exports write,
+    is dropped. It is here so that ``cli`` and ``fetch`` decode without numpy.
+    """
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{source}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
 
 
 class CarriedForwardWarning(UserWarning):

@@ -4,8 +4,8 @@ Pulls raw difficulty and market-price chart series over HTTP with the
 standard library's ``urllib.request`` and resamples them to
 difficulty-change dates so the result feeds the normal parse path. The
 network modules (``urllib.request``, ``http.client`` and through them
-``ssl``) are imported on the first download, not with this module, so the
-CLI commands that never download do not load them.
+``ssl``) are imported on the first download and numpy on the first resample,
+not with this module, so a command that does neither loads none of them.
 Strictly optional: the packaged reference dataset covers offline use, and
 the tests talk only to a loopback server.
 
@@ -28,9 +28,12 @@ import os
 import tempfile
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dataset import Observations, _utf8_text
-from .errors import FetchError
+from .errors import FetchError, _utf8_text
+
+if TYPE_CHECKING:
+    from .dataset import Observations
 
 DEFAULT_BASE_URL = "https://api.blockchain.info/charts"
 ENV_BASE_URL = "MINECOST_BASE_URL"
@@ -80,7 +83,6 @@ def fetch_remote_series(
     if cache_path.exists():
         return _utf8_text(cache_path.read_bytes(), cache_path, FetchError)
 
-    # Imported here: they cost every other command tens of milliseconds.
     import http.client
     import urllib.error
     import urllib.request
@@ -129,6 +131,7 @@ def resample_to_epochs(
     before each change date. Change dates preceding the first price point
     are dropped (no price to pair with). The efficiency column is all NaN.
     """
+    from .dataset import Observations
     rows = []
     previous = None
     for date, difficulty in difficulty_points:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -757,24 +758,34 @@ class TestFetchCommand:
 
 
 def test_one_parser_serves_calls_as_fresh_processes_do(tmp_path, capsys):
-    """``main`` builds its parser once; each call still runs as a new process."""
+    """``main`` builds its parser once; each call still runs as a new process.
+
+    A process runs ``process_main``, which turns the garbage collector off and
+    freezes the heap; an in-process call leaves the collector as it found it.
+    """
     price = ["price", "--difficulty", "1e12", "--efficiency", "0.1", "--reward", "12.5"]
     runs = [
         price,
         ["ratio", "--format", "json"],
         ["backtest", "--no-such-flag"],
+        ["var", "--format", "json"],
         ["var", "--lags", "auto", "--format", "json"],
         ["backtest", "--lags", "x", "--out-dir", str(tmp_path)],
         [*price, "--format", "json"],
         ["regress", "--electricity", "0.1"],
     ]
+    collector, codes = (gc.isenabled(), gc.get_freeze_count()), set()
     for argv in runs:
         try:
             rc = main(argv)
         except SystemExit as exc:  # a usage error
             rc = exc.code
+        assert (gc.isenabled(), gc.get_freeze_count()) == collector, argv
+        out, err = capsys.readouterr()
         fresh = _python("-m", "minecost.cli", *argv)
-        assert (rc, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(rc)
+    assert codes == {0, 1, 2}  # success, an error line and a usage error
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
 

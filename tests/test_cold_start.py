@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -58,8 +59,48 @@ def test_every_subcommand_is_timed_and_its_imports_listed(capsys):
     assert result["runs"] == 1
     [tree] = result["trees"]
     assert tree["src"] == str(SRC)
+    assert isinstance(tree["bytecode_cached"], bool)
+    assert tree["dont_write_bytecode"] == bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     commands = tree["commands"]
     assert set(commands) == {"price", "backtest", "regress", "var", "ratio", "fetch"}
     assert all(0.0 < c["min_ms"] <= c["median_ms"] for c in commands.values())
     assert "numpy" not in commands["price"]["loaded"]
     assert "minecost.fetch" in commands["fetch"]["loaded"]
+
+
+def test_bytecode_of_this_python_in_the_tree_is_seen(tmp_path):
+    source = tmp_path / "minecost" / "errors.py"
+    source.parent.mkdir()
+    source.write_text("")
+    assert not cold_start.bytecode_cached(tmp_path)
+    py_compile.compile(str(source), cfile=importlib.util.cache_from_source(str(source)))
+    assert cold_start.bytecode_cached(tmp_path)
+
+
+def test_fetch_that_only_caches_loads_no_numpy_and_no_dataset(tmp_path):
+    argv = cold_start.commands(tmp_path)["fetch"]
+    cold_start.fill_cache(tmp_path / "cache")
+    loaded = set(cold_start.loaded(SRC, argv))
+    assert loaded == {"minecost", "minecost.errors", "minecost.fetch", "minecost.pricing"}
+
+
+# The handler runs at interpreter exit, after process_main has returned.
+ATEXIT_PROBE = """\
+import atexit, gc, runpy
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))
+runpy.run_module("minecost.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["ratio"], 0), (["ratio", "--lags"], 2)])
+def test_a_cli_process_exits_with_the_collector_off_and_frozen(argv, code):
+    result = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv], capture_output=True,
+                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert result.returncode == code
+    assert result.stdout.splitlines()[-1] == "False True"
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["minecost"] == "minecost.cli:process_main"

@@ -15,7 +15,11 @@ each subcommand per tree lists the modules it loaded. This process pins
 itself, and so its children, to one CPU.
 
 Printed as JSON, per tree and subcommand: the min and median wall time in
-milliseconds, and which of ``numpy`` and ``minecost.*`` the run loaded.
+milliseconds, and which of ``numpy`` and ``minecost.*`` the run loaded. Per
+tree, also the bytecode state, which moves a cold run by tens of
+milliseconds: whether its ``minecost/__pycache__`` held bytecode for this
+Python before the runs, and ``sys.flags.dont_write_bytecode`` of its child
+processes (set when they write none).
 """
 
 from __future__ import annotations
@@ -95,6 +99,18 @@ def loaded(src: Path, argv: list[str]) -> list[str]:
     return json.loads(_run(src, ["-c", PROBE, *argv]).stderr.splitlines()[-1])
 
 
+def bytecode_cached(src: Path) -> bool:
+    """Whether ``src/minecost/__pycache__`` holds bytecode for this Python."""
+    pattern = f"*.{sys.implementation.cache_tag}.pyc"
+    return any((src / "minecost" / "__pycache__").glob(pattern))
+
+
+def dont_write_bytecode(src: Path) -> bool:
+    """``sys.flags.dont_write_bytecode`` of a child process run on ``src``."""
+    probe = "import sys; print(sys.flags.dont_write_bytecode)"
+    return bool(int(_run(src, ["-c", probe]).stdout))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, action="append",
@@ -107,6 +123,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
         runs = commands(workdir)
+        cached = {src: bytecode_cached(src) for src in trees}
         times = {src: {name: [] for name in runs} for src in trees}
         for run in range(args.runs):
             for name, command in runs.items():
@@ -120,6 +137,8 @@ def main(argv=None) -> int:
             "cpu": cpu,
             "trees": [{
                 "src": str(src),
+                "bytecode_cached": cached[src],
+                "dont_write_bytecode": dont_write_bytecode(src),
                 "commands": {name: {
                     "min_ms": round(min(ms), 2),
                     "median_ms": round(statistics.median(ms), 2),
