@@ -149,15 +149,8 @@ def detect_episodes(
 
 
 def regression_to_dict(fit: RegressionResult) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "stderr_slope": fit.stderr_slope,
-        "stderr_intercept": fit.stderr_intercept,
-        "n": fit.n,
-        "degenerate": fit.degenerate,
-    }
+    """The fit's fields but ``residuals``, its field names the JSON keys."""
+    return {key: value for key, value in vars(fit).items() if key != "residuals"}
 
 
 def ratio_to_dict(stats: RatioStats, series) -> dict:
@@ -167,15 +160,9 @@ def ratio_to_dict(stats: RatioStats, series) -> dict:
 
 
 def episodes_to_dict(episodes: list[BubbleEpisode]) -> list[dict]:
-    return [
-        {
-            "start_date": e.start_date.isoformat(),
-            "end_date": e.end_date.isoformat(),
-            "peak_ratio": e.peak_ratio,
-            "peak_date": e.peak_date.isoformat(),
-        }
-        for e in episodes
-    ]
+    """Each episode's fields, named as in the JSON, with its dates in ISO form."""
+    return [{key: value.isoformat() if isinstance(value, dt.date) else value
+             for key, value in vars(episode).items()} for episode in episodes]
 
 
 @dataclass
@@ -308,11 +295,9 @@ def run_backtest(
     provenance = {
         "package_version": __version__,
         "parameters": {
-            "electricity_price": config.electricity_price,
+            **{key: value for key, value in vars(config).items()
+               if key != "include_timestamp"},
             "lags": "auto" if config.lags is None else config.lags,
-            "max_p": config.max_p,
-            "entry_k": config.entry_k,
-            "min_len": config.min_len,
         },
         "n_observations": len(records),
         "input_files": dict(input_files or {}),

@@ -76,7 +76,9 @@ _csv = _deferred("dataset", "_csv")
 _text_lines = _deferred("dataset", "_text_lines")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
 load_bundled = _deferred("dataset", "load_bundled")
-# perfbench/tracing.py patches these names here; the CLI calls none of them.
+# perfbench/tracing.py patches these names here; the CLI calls none of them:
+# tracing's _rows() takes len() of a list or of .entries, and the loaders
+# return Observations, so each traced op would fail with AttributeError.
 load_efficiency_table = _deferred("dataset", "load_efficiency_table")
 load_observations = _deferred("dataset", "load_observations")
 load_reward_schedule = _deferred("dataset", "load_reward_schedule")
@@ -650,24 +652,18 @@ def build_parser() -> argparse.ArgumentParser:
     price.add_argument("--electricity", type=float, metavar="USD_PER_KWH",
                        default=DEFAULT_ELECTRICITY_USD_PER_KWH,
                        help="default %(default)s")
-    price.add_argument("--format", choices=("table", "json"), default="table")
+    price.add_argument("--format", choices=FORMATS, default="table")
     price.set_defaults(func=cmd_price)
 
-    backtest = commands.add_parser("backtest", help="run the full pipeline")
-    _add_dataset_options(backtest, with_outputs=True)
-    backtest.set_defaults(func=cmd_backtest)
-
-    regress = commands.add_parser("regress", help="level and log-log regressions")
-    _add_dataset_options(regress)
-    regress.set_defaults(func=cmd_regress)
-
-    var = commands.add_parser("var", help="lag selection, VAR, Granger tests")
-    _add_dataset_options(var)
-    var.set_defaults(func=cmd_var)
-
-    ratio = commands.add_parser("ratio", help="ratio statistics and episodes")
-    _add_dataset_options(ratio)
-    ratio.set_defaults(func=cmd_ratio)
+    for name, summary, handler in (
+        ("backtest", "run the full pipeline", cmd_backtest),
+        ("regress", "level and log-log regressions", cmd_regress),
+        ("var", "lag selection, VAR, Granger tests", cmd_var),
+        ("ratio", "ratio statistics and episodes", cmd_ratio),
+    ):
+        sub = commands.add_parser(name, help=summary)
+        _add_dataset_options(sub, with_outputs=name == "backtest")
+        sub.set_defaults(func=handler)
 
     fetch = commands.add_parser("fetch", help="download raw chart series")
     fetch.add_argument("--base-url", dest="base_url", metavar="URL",

@@ -6,8 +6,8 @@ network-average hardware efficiency in force that day. Efficiency and block
 reward may ride along in the observation file or be supplied as separate
 step-function tables keyed by effective date.
 
-Input files (UTF-8, comma-delimited, header row, ISO-8601 dates, period
-decimal separator; one leading byte-order mark is dropped):
+Input files (UTF-8, comma-delimited, header row, ``YYYY-MM-DD`` dates,
+period decimal separator; one leading byte-order mark is dropped):
 
 * ``observations.csv`` - ``date,difficulty,price_usd[,eff_w_per_ghs]``
 * ``efficiency.csv``   - ``date,w_per_ghs``
@@ -153,11 +153,11 @@ class Observations(Sequence):
     ``dates`` is a tuple of dates; the other three are read-only float
     arrays, and ``efficiency`` is NaN where a row has none (a record never
     holds NaN). A record is built only when one is read; a slice is columns
-    too. It equals any sequence of equal records. ``date_text`` and
-    ``price_text`` are the input texts of the dates and market prices when
-    each is the text the artifact writers make (``date.isoformat()`` and
-    ``repr``), which ``backtest`` then writes back as it is; else None, as
-    when one field reads ``94.880``, ``9.488e1`` or ``20090109``.
+    too. It equals any sequence of equal records. ``date_text`` holds the
+    stripped date fields of a file, each its date's ``isoformat()``, and
+    ``price_text`` its market prices when each is its ``repr``, texts that
+    ``backtest`` writes back as they are; else (``94.880``, ``9.488e1``,
+    columns not read from a file) None.
     """
 
     def __init__(self, dates, difficulty, market_price, efficiency,
@@ -321,7 +321,7 @@ def _bad_field(what: str, text: str, line: int, why: str = "") -> ParseError:
 
 def _parse_date(text: str, line: int) -> dt.date:
     try:
-        return dt.date.fromisoformat(text.strip())
+        return _iso_dates([text.strip()])[0]
     except ValueError as exc:  # exc quotes the text again
         raise _bad_field("date", text, line, f": {exc}") from None
 
@@ -434,20 +434,21 @@ def _positive_finite(values: np.ndarray) -> np.ndarray:
     return (0.0 < values) & (values < math.inf)
 
 
-def _iso_texts(texts: Sequence[str]) -> Sequence[str] | None:
-    """``texts`` if each is ``YYYY-MM-DD`` in ASCII, else None.
+def _iso_dates(texts: Sequence[str]) -> tuple[dt.date, ...]:
+    """The dates of stripped date fields, each ``YYYY-MM-DD`` in ASCII.
 
-    The texts must be ones ``date.fromisoformat`` reads; such a text in
-    this form is its date's ``isoformat()``. One check of the joined
-    column: its length is 11n - 1 with ``,`` at every 11th character only
-    if every field is 10 characters long, as no date text holds a comma.
+    Python 3.11 and later also read ``20130629`` and ``2013-W26-6`` with
+    ``date.fromisoformat``, so one test of the joined column checks the
+    form first (its length is 11n - 1 with ``,`` at every 11th character
+    only if each text is 10 characters long or holds a comma, as no date
+    does); another form raises ValueError in the words of 3.10's.
     """
     joined, n = ",".join(texts), len(texts)
-    if (len(joined) == 11 * n - 1 and joined.isascii()
-            and joined[10::11] == "," * (n - 1)
-            and joined[4::11] == joined[7::11] == "-" * n):
-        return texts
-    return None
+    if texts and not (len(joined) == 11 * n - 1 and joined.isascii()
+                      and joined[10::11] == "," * (n - 1)
+                      and joined[4::11] == joined[7::11] == "-" * n):
+        raise ValueError(f"Invalid isoformat string: {joined!r}")
+    return tuple(map(dt.date.fromisoformat, texts))
 
 
 # A number that is its own repr, the shortest text that reads back as the
@@ -474,14 +475,14 @@ def _checked_columns(dates, difficulty, price, efficiency) -> Observations | Non
     """The observation fields as columns, or None if any field fails its check.
 
     Each column goes through the function the row loop applies to one field
-    (``date.fromisoformat`` of the stripped text, ``float`` with no ``_``),
+    (:func:`_iso_dates` of the stripped text, ``float`` with no ``_``),
     then one positive-and-finite mask, so a field passes here exactly when
-    it passes there. The date and price texts are kept when
-    :func:`_iso_texts` and :func:`_repr_texts` pass them.
+    it passes there. The stripped date texts are kept, and the price texts
+    when :func:`_repr_texts` passes them.
     """
     try:
         date_texts = list(map(str.strip, dates))
-        days = tuple(map(dt.date.fromisoformat, date_texts))
+        days = _iso_dates(date_texts)
         difficulty, market = _floats(difficulty), _floats(price)
         if efficiency is None:
             blank = np.ones(len(days), dtype=bool)
@@ -496,8 +497,8 @@ def _checked_columns(dates, difficulty, price, efficiency) -> Observations | Non
           & (_positive_finite(efficiency) | blank))
     if not ok.all():
         return None
-    return Observations(days, difficulty, market, efficiency,
-                        _iso_texts(date_texts), _repr_texts(price))
+    return Observations(days, difficulty, market, efficiency, date_texts,
+                        _repr_texts(price))
 
 
 def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:
@@ -573,7 +574,7 @@ def _parse_steps(source, value_column: str):
         source, ("date", value_column), required=2
     )
     try:
-        entries = tuple(zip(map(dt.date.fromisoformat, map(str.strip, dates)),
+        entries = tuple(zip(_iso_dates([*map(str.strip, dates)]),
                             _floats(values).tolist()))
     except ValueError:
         entries = None
@@ -599,10 +600,10 @@ def parse_efficiency_table(source) -> EfficiencyTable:
 def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
     """Parse a raw ``timestamp,value`` chart payload into dated points.
 
-    The first field may be an ISO date or ``date time``. Line 1 is a header,
-    and skipped, when neither of its fields parses; any other bad row, or a
-    value that is not positive and finite, is a ParseError. Timestamps must
-    be strictly increasing.
+    The first field is a ``YYYY-MM-DD`` date, alone or followed by a space
+    or ``T`` and a time. Line 1 is a header, and skipped, when neither of its
+    fields parses; any other bad row, or a value that is not positive and
+    finite, is a ParseError. Timestamps must be strictly increasing.
     """
     points = []
     for line_no, line in enumerate(_text_lines(text), start=1):

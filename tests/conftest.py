@@ -9,6 +9,10 @@ import pytest
 
 CHART_TEXT = "2017-01-01 00:00:00,317700000000\n2017-01-02 00:00:00,317700000000\n"
 
+# The forms of a date that Python 3.11 and later read with date.fromisoformat
+# and the input format does not: basic, week with day, week and basic week.
+OTHER_DATE_FORMS = ["20130629", "2013-W26-6", "2013-W26", "2013W266"]
+
 
 def _daily_chart(days, value) -> str:
     """A ``timestamp,value`` payload: ``value(day)`` on 2017-01-01 + ``day``."""

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface (loopback HTTP only)."""
 
+import argparse
 import contextlib
 import csv
 import gc
@@ -34,7 +35,7 @@ from minecost import (
 )
 from minecost import cli, dataset
 from minecost.cli import main
-from tests.conftest import EPOCH_CHARTS
+from tests.conftest import EPOCH_CHARTS, OTHER_DATE_FORMS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -258,8 +259,9 @@ class TestBacktestCommand:
 
         The first run reads the bundled observations in the writers' own
         form, whose texts the artifacts reuse. The second reads the same
-        values at the same path, with the named columns in other forms,
-        which the artifacts must format to the same bytes.
+        values at the same path, with the named columns in other forms:
+        dates padded, which are kept stripped, and prices the artifacts
+        must format to the same bytes.
         """
         records = load_bundled()[0]
         observations, out_dir = tmp_path / "obs.csv", tmp_path / "out"
@@ -271,8 +273,8 @@ class TestBacktestCommand:
             return capsys.readouterr().out, [(out_dir / name).read_bytes()
                                              for name in artifacts]
 
-        def other_date(i, date):  # padded, or the basic ISO form
-            return f" {date} " if i % 2 else date.strftime("%Y%m%d")
+        def other_date(i, date):  # padded on both sides, or on one
+            return f" {date} " if i % 2 else f"{date}\t"
 
         def other_price(i, price):  # a trailing zero, an exponent, one of 17 digits
             if i == 5:
@@ -294,7 +296,7 @@ class TestBacktestCommand:
         observations.write_text("\n".join(lines) + "\n")
         other = dataset.load_observations(observations)
         assert list(other) == records
-        assert (other.date_text is None) == ("date" in columns)
+        assert other.date_text == kept.date_text
         assert (other.price_text is None) == ("price_usd" in columns)
         assert backtest_outputs() == expected
 
@@ -492,6 +494,20 @@ class TestOtherSubcommandsAndErrors:
         assert captured.err == (
             f"error[parse]: {path}: line 2: bad {name} value '{edited}'\n"
         )
+
+    @pytest.mark.parametrize("form", OTHER_DATE_FORMS)
+    @pytest.mark.parametrize("name", ["observations", "efficiency"])
+    def test_a_date_in_another_form_is_one_parse_line(self, name, form, tmp_path, capsys):
+        """Python 3.11's fromisoformat reads these forms; the format does not."""
+        lines = bundled_data_path(f"{name}.csv").read_text().splitlines()
+        lines[2] = ",".join([form, *lines[2].split(",")[1:]])
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["ratio", f"--{name}", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == (f"error[parse]: {path}: line 3: bad date {form!r}: "
+                                f"Invalid isoformat string: {form!r}\n")
 
     @staticmethod
     def _oversize_field_stderr(column, field, tmp_path, capsys):
@@ -789,6 +805,75 @@ def test_one_parser_serves_calls_as_fresh_processes_do(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
 
+
+
+# Each subcommand, in order, with every action as (option strings, dest,
+# default, choices, type, help): the parser as data, not --help text, whose
+# layout differs between Python versions. The four dataset subcommands share
+# their options; only backtest writes files.
+HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, None,
+        "show this help message and exit")
+DATASET_INPUTS = [
+    (("--config",), "config", None, None, None, "key = value options file"),
+    (("--observations",), "observations", None, None, "Path",
+     "observations CSV (default: bundled dataset)"),
+    (("--efficiency",), "efficiency", None, None, "Path",
+     "efficiency CSV (default: bundled table)"),
+    (("--rewards",), "rewards", None, None, "Path",
+     "reward schedule CSV (default: bundled schedule)"),
+    (("--electricity",), "electricity_price", None, None, "float",
+     "electricity price (default 0.135)"),
+    (("--lags",), "lags", None, None, None,
+     "VAR lag order, or 'auto' to select (default: 2)"),
+    (("--max-p",), "max_p", None, None, "int",
+     "highest lag order scanned by selection (default 8)"),
+    (("--entry-k",), "entry_k", None, None, "float",
+     "episode threshold in ratio sigmas (default 2)"),
+    (("--min-len",), "min_len", None, None, "int", "minimum episode run length (default 2)"),
+]
+OUT_DIR = (("--out-dir",), "out_dir", None, None, "Path",
+           "directory for report and figure files (default .)")
+FORMAT = (("--format",), "format", None, ("table", "json"), "str",
+          "stdout format (default table)")
+TIMESTAMPS = (("--no-provenance-timestamps",), "no_provenance_timestamps", False, None,
+              None, "omit wall-clock timestamps for reproducible output")
+PARSER_SHAPE = [
+    ("price", [
+        HELP,
+        (("--difficulty",), "difficulty", None, None, "float", None),
+        (("--efficiency",), "efficiency", None, None, "float", None),
+        (("--reward",), "reward", None, None, "float", None),
+        (("--electricity",), "electricity", 0.135, None, "float", "default %(default)s"),
+        (("--format",), "format", "table", ("table", "json"), None, None),
+    ]),
+    ("backtest", [HELP, *DATASET_INPUTS, OUT_DIR, FORMAT, TIMESTAMPS]),
+    ("regress", [HELP, *DATASET_INPUTS, FORMAT]),
+    ("var", [HELP, *DATASET_INPUTS, FORMAT]),
+    ("ratio", [HELP, *DATASET_INPUTS, FORMAT]),
+    ("fetch", [
+        HELP,
+        (("--base-url",), "base_url", None, None, None,
+         "chart endpoint root (or MINECOST_BASE_URL)"),
+        (("--kinds",), "kinds", None, None, None,
+         "comma-separated chart kinds (default: all)"),
+        (("--cache-dir",), "cache_dir", None, None, None,
+         "cache directory (or MINECOST_CACHE_DIR)"),
+        (("--timeout",), "timeout", 30.0, None, "float", None),
+        (("--observations-out",), "observations_out", None, None, "Path",
+         "also write both charts resampled to observations CSV"),
+    ]),
+]
+
+
+def test_the_parser_keeps_its_subcommands_and_options():
+    commands, = (action for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    shape = [
+        (name, [(tuple(a.option_strings), a.dest, a.default, a.choices,
+                 getattr(a.type, "__name__", a.type), a.help) for a in sub._actions])
+        for name, sub in commands.choices.items()
+    ]
+    assert shape == PARSER_SHAPE
 
 @pytest.mark.parametrize(
     "key, flag, value",

@@ -37,6 +37,7 @@ from minecost import (
 )
 from minecost import dataset
 from minecost.dataset import BUNDLED_FILES, OBSERVATION_COLUMNS
+from tests.conftest import OTHER_DATE_FORMS
 
 OBS_CSV = """date,difficulty,price_usd,eff_w_per_ghs
 2016-06-25,2.0e11,600.0,0.5
@@ -194,6 +195,17 @@ class TestParseObservations:
         assert serialize_observations(list(observations)) == expected
 
 
+def _read_date(text):
+    """The format's date rule, one text at a time, on every Python.
+
+    ``YYYY-MM-DD`` in ASCII, its calendar read by ``date.fromisoformat``;
+    any other form is an error in the words of Python 3.10's.
+    """
+    if not (len(text) == 10 and text.isascii() and text[4] == text[7] == "-"):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _row_by_row(text):
     """Records of an observations file, read one row and one field at a time.
 
@@ -211,7 +223,7 @@ def _row_by_row(text):
             raise ParseError(f"expected {len(names)} fields, got {len(row)}", line)
         field = dict(zip(names, row))
         try:
-            date = dt.date.fromisoformat(field["date"].strip())
+            date = _read_date(field["date"].strip())
         except ValueError as exc:
             raise ParseError(f"bad date {field['date']!r}: {exc}", line) from None
         values = []
@@ -270,7 +282,8 @@ def _csv_text(rows, efficiency=True):
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-DATE_EDGES = ["20090109", " 2009-01-09 ", "2009-01-09T00", "NaT", "2009-W02-5"]
+DATE_EDGES = ["20090109", " 2009-01-09 ", "2009-01-09T00", "NaT", "2009-W02-5",
+              "2009-W02", "2009W025", "\uff12\uff10\uff10\uff19-01-09"]
 NUMBER_EDGES = ["1e5", " 7.5 ", "nan", "inf", "-0", "0x10", "9_4.88", "", "  "]
 
 
@@ -295,7 +308,7 @@ class TestColumnarIngress:
         """A few of the outcomes above, spelled out."""
         rows = _daily_observations(3)
         rows[1][0], rows[1][1], rows[1][2], rows[2][3] = (
-            "20090104", " 1e5 ", " 7.5 ", "  ")
+            " 2009-01-04 ", " 1e5 ", " 7.5 ", "  ")
         records = _assert_reads_as_row_by_row(_csv_text(rows))
         assert records[1] == ObservationRecord(dt.date(2009, 1, 4), 1e5, 7.5, 0.2501)
         assert records[2].efficiency is None
@@ -304,6 +317,27 @@ class TestColumnarIngress:
         assert str(error) == (
             "line 3: efficiency must be positive and finite, got nan (2009-01-04)"
         )
+        rows[1][0] = "20090104"
+        error = _assert_reads_as_row_by_row(_csv_text(rows))
+        assert str(error) == (
+            "line 3: bad date '20090104': Invalid isoformat string: '20090104'"
+        )
+
+    @pytest.mark.parametrize("form", OTHER_DATE_FORMS)
+    @pytest.mark.parametrize("parse, header, row", [
+        (parse_observations, "date,difficulty,price_usd", "{},2.1e11,650.0"),
+        (parse_efficiency_table, "date,w_per_ghs", "{},0.4"),
+        (parse_reward_schedule, "date,reward_btc", "{},25.0"),
+    ], ids=["observations", "efficiency", "rewards"])
+    def test_a_date_in_another_form_is_a_parse_error_on_its_line(
+            self, parse, header, row, form):
+        """Each reader takes ``YYYY-MM-DD`` only, on every Python."""
+        text = "\n".join([header, row.format("2012-11-28"), "", row.format(form)])
+        with pytest.raises(ParseError) as info:
+            parse(text + "\n")
+        assert str(info.value) == (
+            f"line 4: bad date {form!r}: Invalid isoformat string: {form!r}")
+        assert info.value.line == 4
 
     def test_blank_and_filled_efficiencies_mix(self):
         rows = _daily_observations(40)
@@ -462,14 +496,6 @@ def _kept_texts(text):
     return observations.date_text, observations.price_text
 
 
-def _reads_as_date(text):
-    try:
-        dt.date.fromisoformat(text)
-    except ValueError:
-        return False
-    return True
-
-
 # Candidate texts for the two checks: the writers' own forms, other forms of
 # the same values, and digit strings cut by a point anywhere, so that the
 # 15/16/17-digit and 1e-4 edges are crossed often.
@@ -491,11 +517,11 @@ DATE_TEXTS = st.one_of(
     st.dates().map(lambda d: f"{d.year:04d}{d.month:02d}{d.day:02d}"),
     st.dates().map(lambda d: "{:04d}-W{:02d}-{}".format(*d.isocalendar())),
     st.text("0123456789-W", min_size=8, max_size=10),
-).filter(_reads_as_date)
+)
 
 
 class TestKeptTexts:
-    """The reader keeps a column's text only where it is the writers' text."""
+    """The reader keeps the texts that are the writers' texts."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(PRICE_TEXTS, min_size=1, max_size=4))
@@ -511,13 +537,21 @@ class TestKeptTexts:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(DATE_TEXTS, min_size=1, max_size=4))
-    def test_every_kept_date_text_is_its_isoformat(self, texts):
-        accepted = [dataset._iso_texts([text]) is not None for text in texts]
-        kept = dataset._iso_texts(texts)
-        assert (kept is not None) == all(accepted)
-        for text, ok in zip(texts, accepted):
-            if ok:
-                assert dt.date.fromisoformat(text).isoformat() == text
+    def test_a_date_column_reads_as_its_texts_one_by_one(self, texts):
+        """One check of the joined column is the rule applied to each text.
+
+        Every date text read is its date's ``isoformat()``, so it is kept.
+        """
+        try:
+            expected = tuple(map(_read_date, texts))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                dataset._iso_dates(texts)
+            if len(texts) == 1:
+                assert str(info.value) == str(exc)
+            return
+        assert dataset._iso_dates(texts) == expected
+        assert [date.isoformat() for date in expected] == texts
 
     def test_a_canonical_file_keeps_both_columns(self):
         rows = _daily_observations(50)
@@ -542,24 +576,25 @@ class TestKeptTexts:
         assert prices is None
         assert dates == [row[0] for row in rows]
 
-    def test_a_date_in_another_form_leaves_the_column_to_be_formatted(self):
+    def test_a_padded_date_is_kept_stripped(self):
         rows = _daily_observations(10)
         assert rows[6][0] == "2009-01-09"
-        rows[6][0] = "20090109"
+        rows[6][0] = " 2009-01-09 "
         dates, prices = _kept_texts(_csv_text(rows))
-        assert dates is None
+        assert dates == [row[0].strip() for row in rows]
         assert prices == tuple(row[2] for row in rows)
 
-    def test_full_width_digits_are_not_kept(self):
-        assert dataset._iso_texts(["\uff12\uff10\uff10\uff19-01-09"]) is None
+    def test_full_width_digits_are_not_read(self):
+        with pytest.raises(ValueError):
+            dataset._iso_dates(["\uff12\uff10\uff10\uff19-01-09"])
         assert dataset._repr_texts(["\uff19\uff14.88"]) is None
 
-    def test_a_header_only_file_keeps_no_text(self):
+    def test_a_header_only_file_keeps_an_empty_date_column(self):
         _, fields, _ = dataset._read_table(
             "date,difficulty,price_usd\n", OBSERVATION_COLUMNS, required=3)
         observations = dataset._checked_columns(*fields)
         assert len(observations) == 0
-        assert observations.date_text is None and observations.price_text is None
+        assert observations.date_text == [] and observations.price_text is None
 
 
 class TestObservations:

@@ -18,7 +18,7 @@ from minecost import (
     parse_chart_points,
     resample_to_epochs,
 )
-from tests.conftest import CHART_TEXT
+from tests.conftest import CHART_TEXT, OTHER_DATE_FORMS
 
 BOM = "\ufeff".encode()
 
@@ -179,6 +179,17 @@ class TestParseChartPoints:
         with pytest.raises(ParseError) as info:
             parse_chart_points(f"{first}\n2017-01-02,2.0\n")
         assert str(info.value).startswith(f"line 1: {message}")
+
+    @pytest.mark.parametrize("form", OTHER_DATE_FORMS)
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_stamp_in_another_date_form_is_a_parse_error_on_its_line(self, form, line):
+        """Charts take the observations' date rule, ``YYYY-MM-DD``, on every Python."""
+        rows = ["timestamp,value", "2013-06-28,1.0", "2013-06-30 00:00:00,2.0"]
+        rows[line - 1] = f"{form} 00:00:00,3.0"
+        with pytest.raises(ParseError) as info:
+            parse_chart_points("\n".join(rows) + "\n")
+        assert str(info.value) == (
+            f"line {line}: bad date {form!r}: Invalid isoformat string: {form!r}")
 
     def test_iso_t_separator_accepted(self):
         points = parse_chart_points("2017-01-01T00:00:00,5.0\n")
