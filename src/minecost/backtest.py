@@ -60,7 +60,8 @@ class RatioStats:
 
     A ratio of 1 means the market trades exactly at the production-cost
     price; above 1 is a market premium, below 1 a discount. The standard
-    deviation uses the n-1 divisor (0 for a single observation).
+    deviation uses the n-1 divisor (0 for a single observation). The
+    report's ``ratio`` writes ``dates`` and ``ratios`` as its ``series`` rows.
     """
 
     dates: tuple[dt.date, ...]
@@ -148,21 +149,27 @@ def detect_episodes(
     return episodes
 
 
+def _fields(result, *omit: str) -> dict:
+    """``result``'s fields but ``omit``: arrays and tuples as lists, dates in ISO form."""
+    return {key: value.tolist() if isinstance(value, np.ndarray)
+            else value.isoformat() if isinstance(value, dt.date)
+            else list(value) if isinstance(value, tuple) else value
+            for key, value in vars(result).items() if key not in omit}
+
+
 def regression_to_dict(fit: RegressionResult) -> dict:
     """The fit's fields but ``residuals``, its field names the JSON keys."""
-    return {key: value for key, value in vars(fit).items() if key != "residuals"}
+    return _fields(fit, "residuals")
 
 
 def ratio_to_dict(stats: RatioStats, series) -> dict:
     """The report's ``ratio`` section; ``series`` stands for its per-date rows."""
-    return {"mean": stats.mean, "std": stats.std, "min": stats.min, "max": stats.max,
-            "series": series}
+    return {**_fields(stats, "dates", "ratios"), "series": series}
 
 
 def episodes_to_dict(episodes: list[BubbleEpisode]) -> list[dict]:
     """Each episode's fields, named as in the JSON, with its dates in ISO form."""
-    return [{key: value.isoformat() if isinstance(value, dt.date) else value
-             for key, value in vars(episode).items()} for episode in episodes]
+    return [_fields(episode) for episode in episodes]
 
 
 @dataclass
@@ -203,20 +210,10 @@ class BacktestReport:
             "level_regression": regression_to_dict(self.level_fit),
             "log_regression": regression_to_dict(self.log_fit),
             "lag_selection": {
-                "chosen_p": self.lag_selection.chosen_p,
-                "whiteness_alpha": self.lag_selection.whiteness_alpha,
-                "all_failed_whiteness": self.lag_selection.all_failed_whiteness,
-                # LagOrderRow's field names are the JSON keys.
-                "table": [dict(vars(row)) for row in self.lag_selection.rows],
+                **_fields(self.lag_selection, "rows", "_scan"),
+                "table": [_fields(row) for row in self.lag_selection.rows],
             },
-            "var": {
-                "lag_order": self.var_model.lag_order,
-                "names": list(self.var_model.names),
-                "nobs": self.var_model.nobs,
-                "intercepts": self.var_model.intercepts.tolist(),
-                "coef_matrices": self.var_model.coef_matrices.tolist(),
-                "resid_cov": self.var_model.resid_cov.tolist(),
-            },
+            "var": _fields(self.var_model, "residuals", "coef_cov"),
             "granger": [
                 {
                     "null": g.null_hypothesis(),
@@ -294,11 +291,8 @@ def run_backtest(
 
     provenance = {
         "package_version": __version__,
-        "parameters": {
-            **{key: value for key, value in vars(config).items()
-               if key != "include_timestamp"},
-            "lags": "auto" if config.lags is None else config.lags,
-        },
+        "parameters": {**_fields(config, "include_timestamp"),
+                       "lags": "auto" if config.lags is None else config.lags},
         "n_observations": len(records),
         "input_files": dict(input_files or {}),
     }

@@ -29,6 +29,7 @@ import functools
 import gc
 import json
 import os
+import re
 import sys
 import warnings
 from collections.abc import Sequence
@@ -335,7 +336,7 @@ _INDENT = "  "
 class _Rows:
     """A JSON array of flat objects, given as one column of JSON texts per key.
 
-    :func:`_encode` lays it out as ``json.dumps(indent=2, sort_keys=True)``
+    :func:`_json_text` lays it out as ``json.dumps(indent=2, sort_keys=True)``
     lays out the list of row dicts: each row joins its values between the
     fixed texts that precede them, so no row dict is built and no value is
     encoded again.
@@ -358,38 +359,19 @@ class _Rows:
         return f"[{inner}{(',' + inner).join(rows)}\n{_INDENT * depth}]"
 
 
-def _encode(value, depth: int) -> str:
-    """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` at ``depth``.
-
-    A :class:`_Rows` writes itself, and a dict that holds a dict or a
-    :class:`_Rows` is opened here (its keys must be strings). Anything else
-    is one ``json.dumps`` call whose line breaks are indented ``depth``
-    levels further: exact, because the encoder escapes every newline inside
-    a string.
-    """
-    if isinstance(value, _Rows):
-        return value.encode(depth)
-    if not (isinstance(value, dict)
-            and any(isinstance(item, (dict, _Rows)) for item in value.values())):
-        text = json.dumps(value, sort_keys=True, indent=2)
-        return text.replace("\n", "\n" + _INDENT * depth)
-    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
-    # An f-string copies a long array's text once, where "+" would per operand.
-    items = [
-        f"{encode_basestring_ascii(key)}: {_encode(item, depth + 1)}"
-        for key, item in sorted(value.items())
-    ]
-    return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
-
-
-def _json_text(payload: dict) -> str:
+def _json_text(payload, /, **rows: _Rows) -> str:
     """Structured stdout and report.json: sorted keys, two-space indent.
 
-    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
-    with each :class:`_Rows` standing for its list of row dicts; the row
-    arrays are the only part not laid out by ``json.dumps`` itself.
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` with each
+    ``rows[key]`` in place of the one ``[]`` under ``key``, found at the start
+    of its line, which no string can forge: strings escape quotes and newlines.
     """
-    return _encode(payload, 0) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    by_text = {encode_basestring_ascii(key): value for key, value in rows.items()}
+    anchor = f"^( *)({'|'.join(map(re.escape, by_text))}): \\[\\]"
+    return re.sub(anchor, lambda found: (
+        found[0][:-2] + by_text[found[2]].encode(len(found[1]) // 2)
+    ), text, flags=re.MULTILINE)
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
@@ -452,16 +434,17 @@ def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
     """report.json: ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``.
 
     Both take the document from ``BacktestReport._document``; here its
-    ``prices`` and ``ratio.series`` are :class:`_Rows` of ``text``
-    (formatted here when not given).
+    ``prices`` and ``ratio.series`` are laid out from ``text`` (formatted
+    here when not given).
     """
     text = text or SeriesText.of(report)
     dates = _json_dates(text.dates)
     ratio_dates = dates if text.ratio_dates is text.dates else _json_dates(text.ratio_dates)
-    return _json_text(report._document(
+    return _json_text(
+        report._document(prices=[], series=[]),
         prices=_Rows(date=dates, market=text.market, model=text.model),
         series=_Rows(date=ratio_dates, ratio=text.ratio),
-    ))
+    )
 
 
 def figure1_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
@@ -564,8 +547,9 @@ def cmd_ratio(args) -> int:
     if options["format"] == "json":
         series = _Rows(date=_json_dates(map(dt.date.isoformat, stats.dates)),
                        ratio=_json_items(stats.ratios.tolist()))
-        sys.stdout.write(_json_text({"ratio": ratio_to_dict(stats, series),
-                                     "episodes": episodes_to_dict(episodes)}))
+        sys.stdout.write(_json_text({"ratio": ratio_to_dict(stats, []),
+                                     "episodes": episodes_to_dict(episodes)},
+                                    series=series))
         return 0
     print(f"ratio mean {_fmt3(stats.mean)}  sd {_fmt3(stats.std)}  "
           f"min {_fmt3(stats.min)}  max {_fmt3(stats.max)}  n {len(stats.ratios)}")

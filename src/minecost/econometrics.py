@@ -243,7 +243,7 @@ class VarModel:
     ``[intercept, var0 lag1, var1 lag1, var0 lag2, var1 lag2, ...]`` (length
     ``2p + 1``); ``coef_cov[i]`` is the classical covariance of that stack.
     ``resid_cov`` divides the stacked residual cross products by
-    ``nobs - (2p + 1)``.
+    ``nobs - (2p + 1)``. The report's ``var`` omits ``residuals`` and ``coef_cov``.
     """
 
     lag_order: int

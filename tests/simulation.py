@@ -14,37 +14,30 @@ def simulate_var(coef_matrices, intercepts, n, rng, noise_sd=1.0, burn=100):
     path (the burn-in then needs a nonzero start to avoid collapsing to the
     fixed point, so the initial state is drawn from ``rng`` regardless).
 
-    The state is the companion form's stack of the last p values, a window
-    of the path. Each step takes every lag's term in one batched product,
-    then adds intercept, lag-1..p terms and innovation in that order in
-    Python floats, so each value is rounded exactly as in the form that
-    added one lag's product at a time.
+    Each value is one recursion in Python floats: the intercept, then each
+    lag's ``a_i0 * x0 + a_i1 * x1`` from lag 1 to lag p, then the
+    innovation. No BLAS call takes part, so the path is the same whichever
+    kernel numpy's BLAS picks for the CPU.
     """
-    coef = np.asarray(coef_matrices, dtype=float)
-    p = coef.shape[0]
+    coef = np.asarray(coef_matrices, dtype=float).tolist()
     c0, c1 = np.asarray(intercepts, dtype=float).tolist()
     sd = np.broadcast_to(np.asarray(noise_sd, dtype=float), (2,))
-    total = n + burn
-    data = np.empty((total + p, 2))
-    data[:p] = rng.standard_normal((p, 2))
+    total, p = n + burn, len(coef)
+    path = rng.standard_normal((p, 2)).tolist()
     # One draw of every innovation consumes the generator exactly as one
     # draw per step would, so paths match the step-by-step form bit for bit.
-    noise = sd * rng.standard_normal((total, 2)) if sd.any() else None
-    # Lag p first, to pair with the window data[t - p : t] in time order.
-    by_window = coef[::-1].copy()
-    columns = data[:, :, None]
-    steps = noise.tolist() if noise is not None else [(0.0, 0.0)] * total
-    for t, (e0, e1) in enumerate(steps, p):
+    noise = ((sd * rng.standard_normal((total, 2))).tolist() if sd.any()
+             else [None] * total)
+    for innovation in noise:
         v0, v1 = c0, c1
-        terms = np.matmul(by_window, columns[t - p : t]).tolist()
-        for (term0,), (term1,) in reversed(terms):
-            v0 += term0
-            v1 += term1
-        if noise is not None:
-            v0 += e0
-            v1 += e1
-        data[t] = v0, v1
-    return data[p + burn :]
+        for ((a00, a01), (a10, a11)), (x0, x1) in zip(coef, reversed(path[-p:])):
+            v0 += a00 * x0 + a01 * x1
+            v1 += a10 * x0 + a11 * x1
+        if innovation is not None:
+            v0 += innovation[0]
+            v1 += innovation[1]
+        path.append((v0, v1))
+    return np.array(path[p + burn :])
 
 
 def independent_ar1_pair(n, rng, phi=0.5, burn=100):

@@ -89,7 +89,28 @@ def test_column_rows_equal_json_dumps_of_row_dicts(rows, keys, depth):
     columns = _Rows(**dict(zip(keys, texts)))
     row_dicts = [dict(zip(keys, row)) for row in zip(isos, xs, ys)]
     expected = json.dumps(_nest(row_dicts, depth), sort_keys=True, indent=2) + "\n"
-    assert _json_text(_nest(columns, depth)) == expected
+    if depth:
+        assert _json_text(_nest([], depth), level0=columns) == expected
+    else:
+        assert columns.encode(0) + "\n" == expected
+
+
+@pytest.mark.parametrize("look_alikes", [
+    # Keys, sorted before the real ones, whose JSON text holds an anchor.
+    {'a"prices': [], '"prices": []': [], "aprices": [], "aseries": [], 'r"series': []},
+    {'\n"prices": []': [], "prices\n": [], 'a\n  "prices": []': 0, "series\n": []},
+    # String values that hold an anchor, alone or after a newline.
+    {"a": '"prices": []', "b": ['\n  "prices": []', '"series": []\n'],
+     "caveats": '\n    "series": []'},
+], ids=["keys", "keys-with-newlines", "values"])
+def test_only_the_keys_themselves_are_spliced(look_alikes):
+    payload = {**look_alikes, "prices": [], "ratio": {**look_alikes, "series": []}}
+    rows = _Rows(date=['"2017-01-07"'], ratio=["1.5"])
+    row_dicts = [{"date": "2017-01-07", "ratio": 1.5}]
+    expected = {**look_alikes, "prices": row_dicts,
+                "ratio": {**look_alikes, "series": row_dicts}}
+    assert _json_text(payload, prices=rows, series=rows) == json.dumps(
+        expected, sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
