@@ -203,25 +203,9 @@ def _label(path: Path | None) -> str:
 
 
 def _load_inputs(options: dict):
-    """Observation columns, schedule, table and their provenance labels."""
+    """``(observations, schedule, table)`` and their provenance labels."""
     paths = {name: options.get(name) for name in INPUT_FILES}
-    labels = {name: _label(path) for name, path in paths.items()}
-    return (*load_bundled(**paths), labels)
-
-
-def _run_report(config: BacktestConfig, options: dict):
-    """The backtest's report, and the observation columns it ran on."""
-    observations, schedule, table, input_files = _load_inputs(options)
-    report = run_backtest(observations, schedule, table, config, input_files=input_files)
-    return report, observations
-
-
-def _load_pair(config: BacktestConfig, options: dict):
-    """Paired series only, for the subcommands that skip the VAR stage."""
-    observations, schedule, table, _ = _load_inputs(options)
-    return build_backtest_series(
-        observations, schedule, table, electricity_price=config.electricity_price
-    )
+    return load_bundled(**paths), {name: _label(path) for name, path in paths.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +461,11 @@ def cmd_price(args) -> int:
 
 def cmd_backtest(args) -> int:
     config, options = resolve_options(args)
-    report, observations = _run_report(config, options)
+    inputs, labels = _load_inputs(options)
+    report = run_backtest(*inputs, config, input_files=labels)
     out_dir = options.get("out_dir", Path("."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = SeriesText.of(report, observations.date_text, observations.price_text)
+    text = SeriesText.of(report, inputs[0].date_text, inputs[0].price_text)
     artifacts = {
         "report.txt": render_report(report),
         "report.json": report_json(report, text),
@@ -500,7 +485,8 @@ def cmd_backtest(args) -> int:
 
 def cmd_regress(args) -> int:
     config, options = resolve_options(args)
-    pair = _load_pair(config, options)
+    inputs, _ = _load_inputs(options)
+    pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
     lv = ols_fit(pair.model_prices, pair.market_prices)
     lg = ols_fit(log_transform(pair.model_prices), log_transform(pair.market_prices))
     if options["format"] == "json":
@@ -518,7 +504,8 @@ def cmd_regress(args) -> int:
 
 def cmd_var(args) -> int:
     config, options = resolve_options(args)
-    report, _ = _run_report(config, options)
+    inputs, labels = _load_inputs(options)
+    report = run_backtest(*inputs, config, input_files=labels)
     if options["format"] == "json":
         document = report._document(prices=[], series=[])
         sys.stdout.write(_json_text(
@@ -541,7 +528,8 @@ def cmd_var(args) -> int:
 
 def cmd_ratio(args) -> int:
     config, options = resolve_options(args)
-    pair = _load_pair(config, options)
+    inputs, _ = _load_inputs(options)
+    pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
     stats = ratio_series(pair)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
     if options["format"] == "json":

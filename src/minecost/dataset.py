@@ -52,7 +52,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
-from operator import eq, lt, not_
+from operator import eq, lt
 from pathlib import Path
 
 import numpy as np
@@ -152,12 +152,14 @@ class Observations(Sequence):
 
     ``dates`` is a tuple of dates; the other three are read-only float
     arrays, and ``efficiency`` is NaN where a row has none (a record never
-    holds NaN). A record is built only when one is read; a slice is columns
-    too. It equals any sequence of equal records. ``date_text`` holds the
-    stripped date fields of a file, each its date's ``isoformat()``, and
-    ``price_text`` its market prices when each is its ``repr``, texts that
-    ``backtest`` writes back as they are; else (``94.880``, ``9.488e1``,
-    columns not read from a file) None.
+    holds NaN). Each column holds one value per date, and a value that is
+    not positive and finite (other than a NaN efficiency) is the
+    ValidationError of the first bad row's record. A record is built only
+    when one is read; a slice is columns too. It equals any sequence of
+    equal records. ``date_text`` holds the stripped date fields of a file,
+    each its date's ``isoformat()``, and ``price_text`` its market prices
+    when each is its ``repr``, texts that ``backtest`` writes back as they
+    are; else (``94.880``, ``9.488e1``, columns not read from a file) None.
     """
 
     def __init__(self, dates, difficulty, market_price, efficiency,
@@ -166,11 +168,19 @@ class Observations(Sequence):
         # Views the caller cannot write through: a series shares them uncopied.
         columns = [np.asarray(values, dtype=float).view()
                    for values in (difficulty, market_price, efficiency)]
+        if any(column.shape != (len(self.dates),) for column in columns):
+            raise ValidationError(f"length mismatch: {len(self.dates)} dates, columns "
+                                  f"of shape {[column.shape for column in columns]}")
         for column in columns:
             column.flags.writeable = False
         self.difficulty, self.market_price, self.efficiency = columns
         self.date_text = date_text
         self.price_text = price_text
+        ok = (_positive_finite(self.difficulty) & _positive_finite(self.market_price)
+              & (_positive_finite(self.efficiency) | np.isnan(self.efficiency)))
+        if not ok.all():  # the first bad row's record raises its error
+            bad = int(ok.argmin())
+            next(self._records(slice(bad, bad + 1)))
 
     @classmethod
     def of(cls, records: Sequence[ObservationRecord]) -> "Observations":
@@ -187,9 +197,9 @@ class Observations(Sequence):
         return len(self.dates)
 
     def __getitem__(self, index):
-        if not isinstance(index, slice):  # the record of a one-row slice
+        if not isinstance(index, slice):
             index = range(len(self))[index]  # IndexError when out of range
-            return next(iter(self[index:index + 1]))
+            return next(self._records(slice(index, index + 1)))
         return Observations(
             self.dates[index], self.difficulty[index], self.market_price[index],
             self.efficiency[index],
@@ -198,9 +208,14 @@ class Observations(Sequence):
         )
 
     def __iter__(self):
-        efficiencies = [None if math.isnan(e) else e for e in self.efficiency.tolist()]
-        return map(ObservationRecord, self.dates, self.difficulty.tolist(),
-                   self.market_price.tolist(), efficiencies)
+        return self._records(slice(None))
+
+    def _records(self, rows: slice):
+        """The records of ``rows``, each built when it is read."""
+        efficiencies = [None if math.isnan(e) else e
+                        for e in self.efficiency[rows].tolist()]
+        return map(ObservationRecord, self.dates[rows], self.difficulty[rows].tolist(),
+                   self.market_price[rows].tolist(), efficiencies)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -343,10 +358,13 @@ def _text_lines(text: str):
 
 
 def _csv_rows(lines):
-    """``csv.reader(lines)``, its csv.Error a ParseError on the reader's line."""
+    """``(first line, row)`` of each csv row; csv.Error is a ParseError on its line."""
     reader = csv.reader(lines)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:  # for example a field over csv.field_size_limit()
         raise ParseError(str(exc), reader.line_num) from None
 
@@ -378,16 +396,17 @@ def _read_table(source, columns: Sequence[str], required: int):
     names the first ``required``; empty input or an unknown, repeated or
     missing name is a ParseError on line 1. Blank rows are skipped.
     ``fields`` holds, for each name in ``columns``, the text of that field
-    in every row (None for an absent column), and ``lines`` each row's line
-    number. Row width is checked over the whole file at once: a row of the
-    wrong width ends the table, and ``malformed`` is its ParseError, for the
-    caller to raise once the rows before it pass (None if every row fits).
+    in every row (None for an absent column), and ``lines`` each row's first
+    line, as a quoted field may span lines. Row width is checked over the
+    whole file at once: a row of the wrong width ends the table, and
+    ``malformed`` is its ParseError, for the caller to raise once the rows
+    before it pass (None if every row fits).
     The rows of a string with no ``"``, ``\r`` or NUL are split by
     :func:`_split_columns` when every row fits; csv reads all other rows.
     """
     text = source if isinstance(source, str) else None
     rows = _csv_rows(source if text is None else _text_lines(text))
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None:
         raise ParseError("empty input: missing header row", 1)
     names = [name.strip() for name in header]
@@ -399,26 +418,20 @@ def _read_table(source, columns: Sequence[str], required: int):
     for name in columns[:required]:
         if name not in names:
             raise ParseError(f"missing {name!r} column in header {names!r}", 1)
-    width = len(names)
-    split = None
+    width, split, malformed = len(names), None, None
     # csv before Python 3.11 refuses a NUL, so a text with one is left to it.
     if text is not None and not ('"' in text or "\r" in text or "\0" in text):
         split = _split_columns(text.partition("\n")[2], width)
-    if split is not None:
-        lines, malformed = range(2, len(split[0]) + 2), None
-        by_name = dict(zip(names, split))
+    if split is not None:  # one line per row
+        lines, by_name = range(2, len(split[0]) + 2), dict(zip(names, split))
     else:
-        rows = list(rows)
-        lines, malformed = range(2, len(rows) + 2), None
-        if set(map(len, rows)) - {width}:  # blank rows, or a row of the wrong width
-            kept = [(line, row) for line, row in zip(lines, rows) if row]
-            end = next((i for i, (_, row) in enumerate(kept) if len(row) != width),
-                       None)
-            if end is not None:
-                line, row = kept[end]
-                malformed = ParseError(f"expected {width} fields, got {len(row)}", line)
-                kept = kept[:end]
-            lines, rows = [line for line, _ in kept], [row for _, row in kept]
+        kept = [(line, row) for line, row in rows if row]  # blank rows skipped
+        end = next((i for i, (_, row) in enumerate(kept) if len(row) != width), None)
+        if end is not None:
+            line, row = kept[end]
+            malformed = ParseError(f"expected {width} fields, got {len(row)}", line)
+            del kept[end:]
+        lines, rows = [line for line, _ in kept], [row for _, row in kept]
         by_name = dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
     return lines, tuple(by_name.get(name) for name in columns), malformed
 
@@ -476,8 +489,9 @@ def _checked_columns(dates, difficulty, price, efficiency) -> Observations | Non
 
     Each column goes through the function the row loop applies to one field
     (:func:`_iso_dates` of the stripped text, ``float`` with no ``_``),
-    then one positive-and-finite mask, so a field passes here exactly when
-    it passes there. The stripped date texts are kept, and the price texts
+    then the checks of :class:`Observations`, which are the record's, so a
+    field passes here exactly when it passes there; only a blank efficiency
+    is NaN. The stripped date texts are kept, and the price texts
     when :func:`_repr_texts` passes them.
     """
     try:
@@ -485,20 +499,16 @@ def _checked_columns(dates, difficulty, price, efficiency) -> Observations | Non
         days = _iso_dates(date_texts)
         difficulty, market = _floats(difficulty), _floats(price)
         if efficiency is None:
-            blank = np.ones(len(days), dtype=bool)
             efficiency = np.full(len(days), math.nan)
         else:
             texts = list(map(str.strip, efficiency))
-            blank = np.fromiter(map(not_, texts), dtype=bool, count=len(texts))
             efficiency = _floats([text or "nan" for text in texts])
-    except ValueError:
+            if np.isnan(efficiency).sum() != texts.count(""):
+                return None  # a "nan" field: only a blank one is NaN
+        return Observations(days, difficulty, market, efficiency, date_texts,
+                            _repr_texts(price))
+    except (ValueError, ValidationError):
         return None
-    ok = (_positive_finite(difficulty) & _positive_finite(market)
-          & (_positive_finite(efficiency) | blank))
-    if not ok.all():
-        return None
-    return Observations(days, difficulty, market, efficiency, date_texts,
-                        _repr_texts(price))
 
 
 def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:

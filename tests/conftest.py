@@ -1,11 +1,25 @@
-"""Shared fixtures: a loopback HTTP server standing in for the chart endpoint."""
+"""Shared fixtures: a loopback HTTP server standing in for the chart endpoint,
+and the loader of the scripts under tools/ and perfbench/."""
 
 import datetime as dt
 import http.server
+import importlib.util
 import threading
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(path):
+    """The module of the script at ``path`` (from the repo root), run as an import."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 CHART_TEXT = "2017-01-01 00:00:00,317700000000\n2017-01-02 00:00:00,317700000000\n"
 

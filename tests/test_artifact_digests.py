@@ -1,17 +1,13 @@
 """tools/artifact_digests.py: digests of the CLI's output, compared by name."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+from tests.conftest import load_script
 from tests.test_cli import BUNDLED_REPORT_JSON_SHA256
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
-_spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
-artifact_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(artifact_digests)
+artifact_digests = load_script("tools/artifact_digests.py")
 
 
 @pytest.fixture(scope="module")

@@ -1,21 +1,10 @@
 """The benchmark's tracer patches minecost functions by name; keep them there."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from tests.conftest import load_script
 
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACING_MODULE = _load_tracing()
+TRACING_MODULE = load_script("perfbench/tracing.py")
 
 
 @pytest.mark.parametrize(

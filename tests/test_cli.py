@@ -337,7 +337,7 @@ class TestBacktestCommand:
 class TestConfigFile:
     def test_file_values_apply_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lags = 3\nmax_p = 4  # comment\n")
+        cfg.write_text("# lags = 9\n\nlags = 3\n   \nmax_p = 4  # comment\n")
         rc = main(["backtest", "--config", str(cfg), "--out-dir",
                    str(tmp_path / "a"), "--format", "json",
                    "--no-provenance-timestamps"])
@@ -349,6 +349,14 @@ class TestConfigFile:
                    "--no-provenance-timestamps"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["var"]["lag_order"] == 2
+
+    def test_a_line_without_equals_is_one_validation_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lags = 2\nmax_p 4\n")
+        rc = main(["ratio", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error[validation]: {cfg}:2: expected 'key = value'\n"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -461,8 +469,17 @@ class TestOtherSubcommandsAndErrors:
              "reward schedule must have at least one entry"),
             ("observations", "date,difficulty,price_usd\n", "validation",
              "observations must have at least one record"),
+            # A line break inside a quoted field counts as a line.
+            ("observations",
+             'date,difficulty,price_usd\n2013-06-29,1,"2\n"\n2013-07-01,x,3\n',
+             "parse", "line 4: bad difficulty value 'x'"),
+            ("efficiency", "date,w_per_ghs\n2013-01-01,0.5\n\n2013-06-01\n", "parse",
+             "line 4: expected 2 fields, got 1"),
+            ("rewards", "date,reward_btc\n2009-01-03,50.0\n2012-11-28,25.0,x\n", "parse",
+             "line 3: expected 2 fields, got 3"),
         ],
-        ids=["bad-value", "header-only", "observations-header-only"],
+        ids=["bad-value", "header-only", "observations-header-only",
+             "row-after-quoted-line-break", "narrow-step-row", "wide-step-row"],
     )
     def test_data_file_errors_name_the_file(self, kind, text, code, message,
                                             tmp_path, capsys):

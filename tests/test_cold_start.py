@@ -6,15 +6,12 @@ import os
 import py_compile
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "cold_start.py"
-_spec = importlib.util.spec_from_file_location("cold_start", TOOL)
-cold_start = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cold_start)
+from tests.conftest import ROOT, load_script
+
+cold_start = load_script("tools/cold_start.py")
 
 SRC = ROOT / "src"
 ANALYSIS = {"numpy", "minecost.dataset", "minecost.econometrics", "minecost.backtest"}

@@ -2,11 +2,9 @@
 
 import csv
 import datetime as dt
-import importlib.util
 import io
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from minecost import (
 )
 from minecost import dataset
 from minecost.dataset import BUNDLED_FILES, OBSERVATION_COLUMNS
-from tests.conftest import OTHER_DATE_FORMS
+from tests.conftest import OTHER_DATE_FORMS, load_script
 
 OBS_CSV = """date,difficulty,price_usd,eff_w_per_ghs
 2016-06-25,2.0e11,600.0,0.5
@@ -99,6 +97,16 @@ class TestParseObservations:
         bad = "date,difficulty,price_usd\n2016-06-25,2.0e11\n"
         with pytest.raises(ParseError, match="line 2"):
             parse_observations(bad)
+
+    @pytest.mark.parametrize("last, message", [
+        ("2013-07-01,x,3", "bad difficulty value 'x'"),
+        ("2013-07-01,3", "expected 3 fields, got 2"),
+    ], ids=["bad-value", "wrong-width"])
+    def test_a_row_is_named_by_its_first_line(self, last, message):
+        """A line break inside a quoted field counts as a line."""
+        text = f'date,difficulty,price_usd\n2013-06-29,1,"2\n"\n{last}\n'
+        with pytest.raises(ParseError, match=f"^line 4: {message}$"):
+            parse_observations(text)
 
     def test_unknown_column_rejected(self):
         bad = "date,difficulty,price_usd,volume\n"
@@ -393,20 +401,24 @@ def _csv_table(source, columns, required):
     """``_read_table``'s result from the rows ``csv.reader`` reads: the reference.
 
     A string is read as csv reads a file opened with ``newline=""``; any
-    other source is handed to csv as it is. A header csv would reject, or a
-    csv.Error, is the expected ParseError's line.
+    other source is handed to csv as it is. Each row is numbered by its first
+    line, one past the last line csv read for the row before it. A header
+    csv would reject, or a csv.Error, is the expected ParseError's line.
     """
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str)
                         else source)
+    numbered, line = [], 1
     try:
-        rows = list(reader)
+        for row in reader:
+            numbered.append((line, row))
+            line = reader.line_num + 1
     except csv.Error as exc:
         return ParseError(str(exc), reader.line_num)
-    names = [name.strip() for name in rows[0]] if rows else []
-    if (not rows or len(set(names)) < len(names) or set(names) - set(columns)
+    names = [name.strip() for name in numbered[0][1]] if numbered else []
+    if (not numbered or len(set(names)) < len(names) or set(names) - set(columns)
             or set(columns[:required]) - set(names)):
         return ParseError("header", 1)
-    numbered = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    numbered = [(line, row) for line, row in numbered[1:] if row]
     end = next((i for i, (_, row) in enumerate(numbered) if len(row) != len(names)),
                len(numbered))
     malformed = None
@@ -687,6 +699,32 @@ class TestObservations:
         columns = parse_observations(OBS_CSV)
         assert Observations.of(columns) is columns
         assert Observations.of(self.RECORDS) == self.RECORDS
+
+    def test_columns_of_another_length_are_rejected(self):
+        days = [dt.date(2016, 6, 25), dt.date(2016, 7, 9)]
+        with pytest.raises(ValidationError, match="^length mismatch: 2 dates, "):
+            Observations(days, [2.0e11], [600.0, 650.0], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="^length mismatch: 2 dates, "):
+            Observations(days, [2.0e11, 2.1e11], [600.0, 650.0], math.nan)
+
+    @pytest.mark.parametrize("column, value", [
+        *((column, value) for column in (1, 2, 3)
+          for value in (0.0, -1.0, math.inf, -math.inf)),
+        (1, math.nan), (2, math.nan),  # a NaN efficiency is a blank one
+    ])
+    def test_a_bad_value_is_the_first_bad_rows_error(self, column, value):
+        """The error of the first bad row's record, whoever built the columns."""
+        rows = [[dt.date(2016, 6, 25 + day), 2.0e11, 600.0, 0.5] for day in range(3)]
+        rows[1][column] = value
+        rows[2][column % 3 + 1] = 0.0
+        with pytest.raises(ValidationError) as expected:
+            ObservationRecord(*rows[1])
+        with pytest.raises(ValidationError) as info:
+            Observations(*zip(*rows))
+        assert str(info.value) == str(expected.value)
+        with pytest.raises(ValidationError) as info:
+            parse_observations(_csv_text([list(map(str, row)) for row in rows]))
+        assert str(info.value) == f"line 3: {expected.value}"
 
 
 class TestRewardSchedule:
@@ -1007,13 +1045,7 @@ class TestBundledData:
         assert info.value.line == 3
 
     def test_generator_reproduces_the_packaged_files(self, tmp_path):
-        tools = Path(__file__).resolve().parents[1] / "tools"
-        spec = importlib.util.spec_from_file_location(
-            "build_reference_dataset", tools / "build_reference_dataset.py"
-        )
-        generator = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generator)
-        generator.build(tmp_path)
+        load_script("tools/build_reference_dataset.py").build(tmp_path)
         for name in BUNDLED_FILES:
             packaged = bundled_data_path(name).read_bytes()
             assert (tmp_path / name).read_bytes() == packaged, name

@@ -41,23 +41,59 @@ SCALARS = st.one_of(
     TEXT,
 )
 ROWS = st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=3), min_size=1, max_size=4)
+# The place of the drawn key: no drawn text equals it, and the test names it.
+SLOT = ("slot",)
 PAYLOADS = st.recursive(
     st.one_of(SCALARS, ROWS),
     lambda children: st.one_of(
-        st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4)
+        st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=3).map(lambda d: {**d, SLOT: []}),
     ),
     max_leaves=12,
 )
+# Row tables: one to three keys, and one to three rows of scalars under them.
+TABLES = st.tuples(
+    st.lists(TEXT, min_size=1, max_size=3, unique=True),
+    st.lists(st.tuples(SCALARS, SCALARS, SCALARS), min_size=1, max_size=3),
+).map(lambda table: (table[0], [dict(zip(table[0], row)) for row in table[1]]))
+
+
+def _named(value, key):
+    """``value`` with each slot named ``key``."""
+    if isinstance(value, dict):
+        return {key if name == SLOT else name: _named(item, key)
+                for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_named(item, key) for item in value)
+    return value
+
+
+def _with_rows(value, key, rows):
+    """``value`` with ``rows`` under each ``key`` that holds an empty array."""
+    if isinstance(value, dict):
+        return {name: rows if name == key and isinstance(item, (list, tuple)) and not item
+                else _with_rows(item, key, rows) for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_with_rows(item, key, rows) for item in value]
+    return value
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(PAYLOADS)
-@example({})
-@example({"rows": [{"a": "}\n,{"}, {"b": 2}], "empty": [{}, []]})
-@example([{"x": float("nan"), "y": float("-inf")}, {"x": float("inf")}])
-@example({"pair": (1, "a"), "rows": ({"b": 2},), "nested": [(3, [4])]})
-def test_json_text_equals_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+@given(TEXT, PAYLOADS, TABLES)
+@example("rows", {}, (["a"], [{"a": 1}]))
+@example("empty", {"rows": [{"a": "}\n,{"}, {"b": 2}], "empty": [{}, []]},
+         (["b", "a"], [{"a": "}", "b": None}, {"a": 1.5, "b": True}]))
+@example("x", [{"x": float("nan"), "y": float("-inf")}, {"x": []}],
+         (["x"], [{"x": float("inf")}]))
+@example("t", {"pair": (1, "a"), "rows": ({"b": 2},), "nested": [(3, [4])], "t": ()},
+         (["self"], []))
+def test_json_text_equals_json_dumps(key, payload, table):
+    """Each ``key: []`` at any depth is the ``_Rows``, as json.dumps lays out its rows."""
+    payload, (keys, row_dicts) = _named(payload, key), table
+    rows = _Rows(**{name: [json.dumps(row[name]) for row in row_dicts] for name in keys})
+    expected = _with_rows(payload, key, row_dicts)
+    assert _json_text(payload, **{key: rows}) == json.dumps(
+        expected, sort_keys=True, indent=2) + "\n"
 
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308]

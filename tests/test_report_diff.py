@@ -1,18 +1,13 @@
 """tools/report_diff.py: floats compared by relative difference, the rest exactly."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from minecost.cli import main
+from tests.conftest import load_script
 
-_spec = importlib.util.spec_from_file_location(
-    "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
-)
-report_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_diff)
+report_diff = load_script("tools/report_diff.py")
 
 
 @pytest.fixture(scope="module")

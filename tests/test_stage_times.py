@@ -1,15 +1,11 @@
 """tools/stage_times.py: one timing per stage, on a cut long history."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 from minecost import load_observations
+from tests.conftest import load_script
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_times.py"
-_spec = importlib.util.spec_from_file_location("stage_times", TOOL)
-stage_times = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(stage_times)
+stage_times = load_script("tools/stage_times.py")
 
 STAGES = {"load_observations", "load_step_tables",
           "build_backtest_series", "run_backtest", "series_text",
@@ -22,6 +18,15 @@ def test_the_history_is_cut_to_the_rows_asked_for(tmp_path):
     records = load_observations(paths["observations"])
     assert len(records) == 200
     assert records[0].date.isoformat() == "2009-01-09"
+
+
+def test_stages_are_timed_round_by_round():
+    """Each round calls every stage once, so drift reaches all stages alike."""
+    order = []
+    times = stage_times.fastest({"a": lambda: order.append("a"),
+                                 "b": lambda: order.append("b")}, 3)
+    assert order == ["a", "b"] * 3
+    assert set(times) == {"a", "b"} and all(ms >= 0.0 for ms in times.values())
 
 
 def test_every_stage_is_timed(capsys):

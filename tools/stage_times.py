@@ -8,8 +8,8 @@ and shows what it saved. Run from the repo root:
 
 The inputs are the benchmark's daily history ``V`` (``perfbench/inputs.py``,
 loaded here without changing it), cut to its first ``N`` observations. Each
-stage runs ``--repeat`` times in this process and its fastest call is
-printed, in milliseconds, as JSON:
+stage runs ``--repeat`` times in this process, in rounds that run each
+stage once, and its fastest call is printed, in milliseconds, as JSON:
 
 * ``load_observations``: the columns the library and the CLI read;
 * ``load_step_tables``: the efficiency table and the reward schedule;
@@ -72,14 +72,19 @@ def write_history(variant: int, rows: int, directory: Path) -> dict[str, Path]:
     return paths
 
 
-def fastest(call, repeat: int) -> float:
-    """Milliseconds of the fastest of ``repeat`` calls of ``call()``."""
-    best = float("inf")
+def fastest(calls: dict, repeat: int) -> dict[str, float]:
+    """Milliseconds of the fastest call of each of ``calls``, by name.
+
+    The calls run in ``repeat`` rounds, each call once per round, so a
+    drift in the machine's speed reaches every stage alike.
+    """
+    best = dict.fromkeys(calls, float("inf"))
     for _ in range(repeat):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {name: 1e3 * seconds for name, seconds in best.items()}
 
 
 def backtest_main(paths: dict[str, Path]) -> None:
@@ -98,42 +103,39 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     schedule = dataset.load_reward_schedule(paths["rewards"])
     table = dataset.load_efficiency_table(paths["efficiency"])
     config = backtest.BacktestConfig(lags=None, include_timestamp=False)
-    times = {"load_observations": fastest(
-        lambda: dataset.load_observations(paths["observations"]), repeat)}
     observations = dataset.load_observations(paths["observations"])
-    times["load_step_tables"] = fastest(
-        lambda: (dataset.load_efficiency_table(paths["efficiency"]),
-                 dataset.load_reward_schedule(paths["rewards"])), repeat)
-    times["build_backtest_series"] = fastest(
-        lambda: dataset.build_backtest_series(observations, schedule, table), repeat)
-    times["run_backtest"] = fastest(
-        lambda: backtest.run_backtest(observations, schedule, table, config), repeat)
     report = backtest.run_backtest(observations, schedule, table, config)
     kept = (observations.date_text, observations.price_text)
-    times["series_text"] = fastest(lambda: cli.SeriesText.of(report, *kept), repeat)
-    times["series_text_formatted"] = fastest(lambda: cli.SeriesText.of(report), repeat)
     text = cli.SeriesText.of(report, *kept)
-    times["report_json"] = fastest(lambda: cli.report_json(report, text), repeat)
-    times["figure_csvs"] = fastest(
-        lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)), repeat)
-    times["cli_main"] = fastest(lambda: backtest_main(paths), repeat)
     bundled = dataset.load_bundled()
-    times["run_backtest_bundled"] = fastest(
-        lambda: backtest.run_backtest(*bundled, config), repeat)
     market, model = report.pair.market_prices, report.pair.model_prices
     log_market, log_model = np.log(market), np.log(model)
     logs = np.column_stack([log_market, log_model])
     names = report.var_model.names
-    layers = {
-        "select_lag_order": fastest(
-            lambda: econometrics.select_lag_order(logs, config.max_p), repeat),
-        "ols_fit": fastest(lambda: (econometrics.ols_fit(model, market),
-                                    econometrics.ols_fit(log_model, log_market)), repeat),
-        "granger_wald": fastest(
-            lambda: [econometrics.granger_wald(report.var_model, cause, effect)
-                     for cause, effect in (names, names[::-1])], repeat),
+    stages = {
+        "load_observations": lambda: dataset.load_observations(paths["observations"]),
+        "load_step_tables": lambda: (dataset.load_efficiency_table(paths["efficiency"]),
+                                     dataset.load_reward_schedule(paths["rewards"])),
+        "build_backtest_series":
+            lambda: dataset.build_backtest_series(observations, schedule, table),
+        "run_backtest": lambda: backtest.run_backtest(observations, schedule, table, config),
+        "series_text": lambda: cli.SeriesText.of(report, *kept),
+        "series_text_formatted": lambda: cli.SeriesText.of(report),
+        "report_json": lambda: cli.report_json(report, text),
+        "figure_csvs": lambda: (cli.figure1_csv(report, text), cli.figure2_csv(report, text)),
+        "cli_main": lambda: backtest_main(paths),
+        "run_backtest_bundled": lambda: backtest.run_backtest(*bundled, config),
     }
-    return times, layers
+    layers = {
+        "select_lag_order": lambda: econometrics.select_lag_order(logs, config.max_p),
+        "ols_fit": lambda: (econometrics.ols_fit(model, market),
+                            econometrics.ols_fit(log_model, log_market)),
+        "granger_wald": lambda: [econometrics.granger_wald(report.var_model, cause, effect)
+                                 for cause, effect in (names, names[::-1])],
+    }
+    times = fastest({**stages, **layers}, repeat)
+    return ({name: times[name] for name in stages},
+            {name: times[name] for name in layers})
 
 
 def main(argv=None) -> int:
