@@ -40,7 +40,7 @@ from .econometrics import (
     var_min_observations,
 )
 from .errors import DegenerateThresholdWarning, DomainError
-from .pricing import BacktestConfig, _require_positive_finite
+from .pricing import BacktestConfig, _order, _require_positive_finite
 
 MARKET, MODEL = "market", "model"
 
@@ -121,11 +121,10 @@ def detect_episodes(
 
     Raises:
         DomainError: ``entry_k`` is not a positive finite number, or
-            ``min_len`` is below 1.
+            ``min_len`` is not an integer >= 1.
     """
     _require_positive_finite("entry_k", entry_k)
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len!r}")
+    min_len = _order("min_len", min_len)
     if stats.std == 0.0:
         warnings.warn(
             "ratio series has zero dispersion; episode threshold is degenerate",

@@ -349,8 +349,9 @@ def _json_text(payload, /, **rows: _Rows) -> str:
     ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` with each
     ``rows[key]`` in place of the one ``[]`` under ``key``, found at the start
     of its line, which no string can forge: strings escape quotes and newlines.
+    A NaN or infinity in ``payload`` raises ValueError, as it is no JSON.
     """
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     by_text = {encode_basestring_ascii(key): value for key, value in rows.items()}
     anchor = f"^( *)({'|'.join(map(re.escape, by_text))}): \\[\\]"
     return re.sub(anchor, lambda found: (

@@ -342,13 +342,10 @@ def _parse_date(text: str, line: int) -> dt.date:
 
 
 def _parse_float(text: str, name: str, line: int) -> float:
-    # float() would also read "9_4.88" as 94.88; the format has no digit separator.
-    if "_" not in text:
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    raise _bad_field(f"{name} value", text, line)
+    try:
+        return _floats([text]).item()
+    except ValueError:
+        raise _bad_field(f"{name} value", text, line) from None
 
 
 # The lines of a text as csv reads a file through ``TextIOWrapper(newline="")``:
@@ -437,7 +434,8 @@ def _read_table(source, columns: Sequence[str], required: int):
 
 
 def _floats(texts) -> np.ndarray:
-    """``float`` of each field; ValueError for any field ``_parse_float`` rejects."""
+    """``float`` of each field; ValueError for any that is not a number."""
+    # float() would also read "9_4.88" as 94.88; the format has no digit separator.
     if "_" in "".join(texts):
         raise ValueError("digit separator")
     return np.fromiter(map(float, texts), dtype=float, count=len(texts))

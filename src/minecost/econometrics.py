@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SingularityError
+from .pricing import _order
 
 CONDITION_LIMIT = 1.0e12
 
@@ -50,13 +51,6 @@ CONDITION_LIMIT = 1.0e12
 # ---------------------------------------------------------------------------
 # Chi-square tail probability
 # ---------------------------------------------------------------------------
-
-
-def _order(name: str, value) -> int:
-    """``value`` as an int, if it is an integer >= 1; else DomainError."""
-    if int(value) != value or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -173,7 +167,8 @@ def ols_fit(x, y) -> RegressionResult:
     Raises:
         InsufficientDataError: fewer than 3 observations.
         SingularityError: ``x`` is constant.
-        DomainError: length mismatch or non-finite values.
+        DomainError: length mismatch, non-finite values, or values so large
+            that the fit overflows.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -188,17 +183,19 @@ def ols_fit(x, y) -> RegressionResult:
         raise DomainError("regression inputs must be finite")
     X = np.empty((n, 2))
     X[:, 0], X[:, 1] = 1.0, x
-    beta, W = _svd_solve(X, y)
-    residuals = y - X @ beta
-    sse = float(residuals @ residuals)
-    sst = float(((y - y.mean()) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, W = _svd_solve(X, y)
+        residuals = y - X @ beta
+        sse = float(residuals @ residuals)
+        sst = float(((y - y.mean()) ** 2).sum())
+        cov = sse / (n - 2) * (W @ W.T)
+    if not np.isfinite([sst, *beta, *cov.diagonal()]).all():
+        raise DomainError("the regression overflows double precision")
     if sst == 0.0:
         r_squared, degenerate = 0.0, True
     else:
         r_squared = min(1.0, max(0.0, 1.0 - sse / sst))
         degenerate = False
-    s2 = sse / (n - 2)
-    cov = s2 * (W @ W.T)
     return RegressionResult(
         slope=float(beta[1]),
         intercept=float(beta[0]),
@@ -569,7 +566,8 @@ def select_lag_order(
         InsufficientDataError: series shorter than
             ``var_min_observations(max_p)``; the message names the smallest
             order the series is too short for.
-        SingularityError: rank-deficient regressors at some order.
+        SingularityError: rank-deficient regressors or a singular residual
+            covariance at some order.
     """
     max_p = _order("max_p", max_p)
     data = _var_series(data)
@@ -600,7 +598,9 @@ def select_lag_order(
                                                q.tolist()):
         s00, s01, s10, s11 = [s / T for s in sscp.ravel().tolist()]
         det = s00 * s11 - s01 * s10  # of the 2 x 2 residual covariance
-        log_det = math.log(det) if det > 0.0 else -math.inf
+        if not det > 0.0:  # its log in AIC and BIC would be -inf or NaN
+            raise SingularityError(f"VAR({p}) has a singular residual covariance")
+        log_det = math.log(det)
         m = 2 * (2 * p + 1)  # coefficients of both equations
         # The whiteness gate sums the per-equation Ljung-Box statistics,
         # ignoring cross-series residual correlation at positive lags: a

@@ -45,7 +45,7 @@ class ValidationError(MinecostError):
 
 
 class SingularityError(MinecostError):
-    """A regressor matrix is singular or numerically unusable."""
+    """A regressor matrix or residual covariance is singular or unusable."""
 
     code = "singular"
 

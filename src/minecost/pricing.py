@@ -18,7 +18,7 @@ Everything here is double precision; the largest intermediate products
 Inputs whose price would overflow or underflow raise DomainError.
 
 :class:`BacktestConfig`, the backtest's knobs, lives here beside the default
-electricity price and the check it validates with, so that the CLI can
+electricity price and the checks it validates with, so that the CLI can
 build it without loading numpy (``minecost.backtest`` re-exports it).
 """
 
@@ -46,6 +46,16 @@ def _require_positive_finite(name: str, value: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
     return value
+
+
+def _order(name: str, value) -> int:
+    """``value`` as an int, if it is an integer >= 1; else DomainError."""
+    try:
+        if int(value) == value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, text, NaN, inf
+        pass
+    raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +211,9 @@ class BacktestConfig:
     """Knobs for a backtest run; defaults mirror the reference analysis.
 
     Raises:
-        DomainError: on construction, when a knob is out of range or a
-            price or threshold is not finite.
+        DomainError: on construction, unless ``lags`` (or None), ``max_p`` and
+            ``min_len`` are integers >= 1 (kept as ints) and ``electricity_price``
+            and ``entry_k`` are positive finite numbers (kept as floats).
     """
 
     electricity_price: float = DEFAULT_ELECTRICITY_USD_PER_KWH
@@ -213,11 +224,9 @@ class BacktestConfig:
     include_timestamp: bool = True
 
     def __post_init__(self):
-        _require_positive_finite("electricity_price", self.electricity_price)
-        if self.lags is not None and self.lags < 1:
-            raise DomainError("lags must be >= 1 or 'auto'")
-        if self.max_p < 1:
-            raise DomainError("max_p must be >= 1")
-        _require_positive_finite("entry_k", self.entry_k)
-        if self.min_len < 1:
-            raise DomainError("min_len must be >= 1")
+        price = _require_positive_finite("electricity_price", self.electricity_price)
+        self.electricity_price = price
+        self.lags = None if self.lags is None else _order("lags", self.lags)
+        self.max_p = _order("max_p", self.max_p)
+        self.entry_k = _require_positive_finite("entry_k", self.entry_k)
+        self.min_len = _order("min_len", self.min_len)

@@ -8,6 +8,7 @@ import threading
 from pathlib import Path
 from urllib.parse import urlsplit
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +20,16 @@ def load_script(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def singular_var1_logs():
+    """Log market and model prices whose VAR(1) residual covariance is singular.
+
+    The market is an exact blend of this and last period's model price, so
+    both equations of a VAR(1) share one innovation.
+    """
+    d = 10 + np.cumsum(0.05 * np.random.default_rng(1).standard_normal(60))
+    return np.column_stack([0.7 * d[1:] + 0.4 * d[:-1], d[1:]])
 
 
 CHART_TEXT = "2017-01-01 00:00:00,317700000000\n2017-01-02 00:00:00,317700000000\n"

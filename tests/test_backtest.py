@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +22,13 @@ from minecost import (
     build_backtest_series,
     chi2_sf,
     detect_episodes,
+    ljung_box,
     load_bundled,
     model_price,
     ratio_series,
     run_backtest,
+    select_lag_order,
+    var_fit,
 )
 
 SCHEDULE = RewardSchedule(entries=((dt.date(2009, 1, 3), 25.0),))
@@ -331,3 +335,50 @@ class TestRunBacktest:
         plain += [row["model"] for row in doc["prices"]]
         plain += [row["ratio"] for row in doc["ratio"]["series"]]
         assert {type(value) for value in plain} == {float}
+
+
+# One rule for every order and count: an integer >= 1 (an int, a bool, a
+# numpy int or an integral float), kept as an int; anything else, None and
+# text included, is a DomainError naming the knob.
+BAD_ORDERS = [math.nan, math.inf, -math.inf, 2.5, 0, None, "2"]
+
+
+@pytest.mark.parametrize("knob, value", [
+    (knob, value) for knob in ("lags", "max_p", "min_len") for value in BAD_ORDERS
+    if (knob, value) != ("lags", None)  # None selects the lag order
+], ids=repr)
+def test_an_order_knob_is_an_integer_at_least_one(knob, value):
+    with pytest.raises(DomainError) as info:
+        BacktestConfig(**{knob: value})
+    assert str(info.value) == f"{knob} must be an integer >= 1, got {value!r}"
+
+
+_DATA = np.random.default_rng(47).normal(size=(40, 2))
+_STATS = ratio_series(_pair_from_ratios([1.0, 1.0, 5.0, 5.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi2_sf(1.0, math.inf), "degrees of freedom must be an integer >= 1, got inf"),
+    (lambda: ljung_box(_DATA[:, 0], math.nan), "lags must be an integer >= 1, got nan"),
+    (lambda: select_lag_order(_DATA, math.nan), "max_p must be an integer >= 1, got nan"),
+    (lambda: var_fit(_DATA, 2.5), "lag order must be an integer >= 1, got 2.5"),
+    (lambda: detect_episodes(_STATS, min_len=1.5), "min_len must be an integer >= 1, got 1.5"),
+], ids=["chi2_sf", "ljung_box", "select_lag_order", "var_fit", "detect_episodes"])
+def test_fits_and_episodes_apply_the_same_order_rule(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_knobs_are_kept_as_ints_and_floats():
+    config = BacktestConfig(electricity_price=np.float64(0.125), lags=9.0,
+                            max_p=np.int64(8), entry_k=True, min_len=True)
+    assert [(type(value), value) for value in vars(config).values()] == [
+        (float, 0.125), (int, 9), (int, 8), (float, 1.0), (int, 1), (bool, True)
+    ]
+    records, _ = _synthetic_records(60, np.random.default_rng(17))
+    config = BacktestConfig(lags=9.0, entry_k=True, include_timestamp=False)
+    report = run_backtest(records, SCHEDULE, None, config=config)
+    assert json.dumps(report.provenance["parameters"], sort_keys=True) == (
+        '{"electricity_price": 0.135, "entry_k": 1.0, "lags": 9, "max_p": 8, "min_len": 2}'
+    )

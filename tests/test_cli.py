@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import datetime as dt
 import gc
 import hashlib
 import io
@@ -15,6 +16,7 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ from minecost import (
 )
 from minecost import cli, dataset
 from minecost.cli import main
-from tests.conftest import EPOCH_CHARTS, OTHER_DATE_FORMS
+from tests.conftest import EPOCH_CHARTS, OTHER_DATE_FORMS, singular_var1_logs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -644,6 +646,44 @@ class TestOtherSubcommandsAndErrors:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["regress", "backtest"])
+    def test_level_fit_outside_double_range_is_one_domain_line(self, command, tmp_path):
+        """Market prices near 1e154 and above square to inf in the level fit."""
+        rows = bundled_data_path("observations.csv").read_text().splitlines()
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join([rows[0], *(
+            f"{date},{difficulty},{float(market) * 1e150!r}"
+            for date, difficulty, market in (row.split(",") for row in rows[1:])
+        )]) + "\n")
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "backtest" else []
+        result = _python("-m", "minecost.cli", command, "--observations", str(obs), *extra)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error[domain]: the regression overflows double precision\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_residual_covariance_is_one_error_line(self, tmp_path, capsys):
+        """A market that blends this and last period's model price exactly."""
+        market, model = np.exp(singular_var1_logs()).T
+        # The difficulty whose model price at efficiency 0.5 and reward 25 is model.
+        difficulty = model * 25 * 3.6e15 / (0.135 * 0.5 * 2.0**32)
+        days = [dt.date(2015, 1, 1) + dt.timedelta(days=14 * t) for t in range(len(model))]
+        obs, rewards = tmp_path / "obs.csv", tmp_path / "rewards.csv"
+        obs.write_text("date,difficulty,price_usd,eff_w_per_ghs\n" + "".join(
+            f"{day},{d!r},{m!r},0.5\n"
+            for day, d, m in zip(days, difficulty.tolist(), market.tolist())
+        ))
+        rewards.write_text("date,reward_btc\n2009-01-03,25.0\n")
+        rc = main(["backtest", "--observations", str(obs), "--rewards", str(rewards),
+                   "--lags", "auto", "--max-p", "1", "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == (
+            "error[singular]: VAR(1) has a singular residual covariance\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_pinned_lags_need_no_data_for_max_p(self, tmp_path, capsys):
         """20 rows support VAR(1..5); max_p 8 is clamped, the fit still runs."""
         obs = _bundled_prefix(tmp_path, 20)
@@ -976,6 +1016,9 @@ def test_mutated_input_gives_artifacts_or_one_error_line(kind, mutation, data):
             rc = main(["backtest", f"--{kind}", str(path), "--out-dir", str(out_dir),
                        "--no-provenance-timestamps"])
         written = sorted(p.name for p in out_dir.glob("*"))
+        if rc == 0:  # strict JSON: no NaN or Infinity
+            json.loads(Path(out_dir, "report.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(f"report.json holds {name}"))
     # Warnings may print too (pytest usually records them instead).
     errors = [line for line in stderr.getvalue().splitlines()
               if not line.startswith("warning[")]

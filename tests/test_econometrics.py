@@ -31,6 +31,7 @@ from minecost.econometrics import (
     var_min_observations,
 )
 from tests.simulation import independent_ar1_pair, one_way_coupled_pair, simulate_var
+from tests.conftest import singular_var1_logs
 from tests.test_lag_scan import _lagged_design
 
 
@@ -152,6 +153,12 @@ class TestOls:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             ols_fit([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_a_fit_that_overflows_is_a_domain_error(self, scale):
+        """Squares of responses past 1e154 overflow; no stderr is inf."""
+        with pytest.raises(DomainError, match="^the regression overflows double precision$"):
+            ols_fit([1.0, 2.0, 3.0, 4.0], [scale, 3 * scale, 2 * scale, 4 * scale])
 
     def test_units_do_not_trip_the_conditioning_guard(self):
         """Huge regressor scale is fine; only true collinearity should fail."""
@@ -489,3 +496,8 @@ class TestLagOrderSelection:
         rng = np.random.default_rng(46)
         with pytest.raises(DomainError):
             select_lag_order(rng.normal(size=(100, 2)), max_p=0)
+
+    def test_singular_residual_covariance_raises(self):
+        """Its log determinant would make AIC and BIC -inf."""
+        with pytest.raises(SingularityError, match=r"^VAR\(1\) has a singular residual"):
+            select_lag_order(singular_var1_logs(), max_p=1)

@@ -33,18 +33,21 @@ TEXT = st.one_of(
     st.lists(st.sampled_from(["}", "{", ",", "\n", "  ", '"', "é", " "]))
     .map("".join),
 )
-SCALARS = st.one_of(
+# JSON scalars: _json_text rejects a NaN or an infinity in the payload.
+VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False),
     TEXT,
 )
-ROWS = st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=3), min_size=1, max_size=4)
+# The spliced row texts are laid out as they are, whatever they hold.
+SCALARS = st.one_of(VALUES, st.floats(allow_nan=True, allow_infinity=True))
+ROWS = st.lists(st.dictionaries(TEXT, VALUES, min_size=1, max_size=3), min_size=1, max_size=4)
 # The place of the drawn key: no drawn text equals it, and the test names it.
 SLOT = ("slot",)
 PAYLOADS = st.recursive(
-    st.one_of(SCALARS, ROWS),
+    st.one_of(VALUES, ROWS),
     lambda children: st.one_of(
         st.lists(children, max_size=4), st.dictionaries(TEXT, children, max_size=4),
         st.dictionaries(TEXT, children, max_size=3).map(lambda d: {**d, SLOT: []}),
@@ -83,8 +86,8 @@ def _with_rows(value, key, rows):
 @example("rows", {}, (["a"], [{"a": 1}]))
 @example("empty", {"rows": [{"a": "}\n,{"}, {"b": 2}], "empty": [{}, []]},
          (["b", "a"], [{"a": "}", "b": None}, {"a": 1.5, "b": True}]))
-@example("x", [{"x": float("nan"), "y": float("-inf")}, {"x": []}],
-         (["x"], [{"x": float("inf")}]))
+@example("x", [{"x": 1e308, "y": -0.0}, {"x": []}],
+         (["x", "y"], [{"x": float("inf"), "y": float("nan")}]))
 @example("t", {"pair": (1, "a"), "rows": ({"b": 2},), "nested": [(3, [4])], "t": ()},
          (["self"], []))
 def test_json_text_equals_json_dumps(key, payload, table):
@@ -94,6 +97,18 @@ def test_json_text_equals_json_dumps(key, payload, table):
     expected = _with_rows(payload, key, row_dicts)
     assert _json_text(payload, **{key: rows}) == json.dumps(
         expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("place", [
+    lambda value: value,
+    lambda value: {"a": [1, {"b": value}], "rows": []},
+    lambda value: {"rows": [], "z": (value,)},
+])
+def test_json_text_rejects_a_non_finite_payload_value(value, place):
+    """Strict JSON: a NaN or an infinity outside the spliced rows raises."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_text(place(value), rows=_Rows(a=["1"]))
 
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308]
