@@ -123,7 +123,7 @@ def detect_episodes(
         DomainError: ``entry_k`` is not a positive finite number, or
             ``min_len`` is not an integer >= 1.
     """
-    _require_positive_finite("entry_k", entry_k)
+    entry_k = _require_positive_finite("entry_k", entry_k)
     min_len = _order("min_len", min_len)
     if stats.std == 0.0:
         warnings.warn(

@@ -67,6 +67,7 @@ from .errors import (
 from .pricing import (
     DEFAULT_ELECTRICITY_USD_PER_KWH,
     _closed_form,
+    _positive_finite,
     _require_positive_finite,
 )
 # perfbench/tracing.py counts calls to this name here, so it stays imported.
@@ -114,7 +115,7 @@ def _check_steps(entries, table: str, what: str) -> None:
     if not entries:
         raise ValidationError(f"{table} must have at least one entry")
     for date, value in entries:
-        if not 0.0 < value < math.inf:
+        if not _positive_finite(value):
             raise ValidationError(
                 f"{what} must be positive and finite, got {value!r} on "
                 f"{date.isoformat()}"
@@ -140,7 +141,7 @@ class ObservationRecord:
         if self.efficiency is not None:
             checked += (("efficiency", self.efficiency),)
         for name, value in checked:
-            if not 0.0 < value < math.inf:
+            if not _positive_finite(value):
                 raise ValidationError(
                     f"{name} must be positive and finite, got {value!r} "
                     f"({self.date.isoformat()})"
@@ -314,7 +315,7 @@ class PairedSeries:
             )
         _check_dates_sorted(self.dates, "observation")
         for name, values in (("market", market), ("model", model)):
-            if not np.isfinite(values).all() or (values <= 0.0).any():
+            if not _positive_finite(values).all():
                 raise ValidationError(f"{name} prices must all be positive and finite")
 
     def __len__(self) -> int:
@@ -439,10 +440,6 @@ def _floats(texts) -> np.ndarray:
     if "_" in "".join(texts):
         raise ValueError("digit separator")
     return np.fromiter(map(float, texts), dtype=float, count=len(texts))
-
-
-def _positive_finite(values: np.ndarray) -> np.ndarray:
-    return (0.0 < values) & (values < math.inf)
 
 
 def _iso_dates(texts: Sequence[str]) -> tuple[dt.date, ...]:
@@ -632,7 +629,7 @@ def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
                     continue  # neither field parses: a header row
         date = _parse_date(stamp, line_no)
         value = _parse_float(parts[1], "chart", line_no)
-        if not 0.0 < value < math.inf:
+        if not _positive_finite(value):
             raise _bad_field("chart value", parts[1], line_no,
                              ": not positive and finite")
         points.append((date, value))

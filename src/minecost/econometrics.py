@@ -20,10 +20,11 @@ Conventions, fixed once for the whole package:
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
 * One least-squares core, _svd_solve, fits ols_fit and every VAR on one
-  thin SVD of the design, each column scaled to unit norm. A condition
-  estimate (s_max / s_min)^2 above 1e12 for the scaled normal matrix raises
-  SingularityError: the scaling makes the threshold respond to genuine
-  collinearity rather than to units.
+  thin SVD of the design, each column scaled to unit norm so that its
+  condition reflects collinearity, not units. One rule, _require_conditioned,
+  raises SingularityError for a 2-norm condition above 1e12: (s_max/s_min)^2
+  of that design, s_max/s_min of a Granger covariance block, and
+  (1 + r)/(1 - r) of the lag scan's residual correlation r.
 * One sample bound, var_min_observations(p) and its inverse
   var_max_order(n); _order checks every order argument.
 * One VAR estimator fits each order of a lag scan from one QR of the
@@ -43,9 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SingularityError
-from .pricing import _order
+from .pricing import _order, _positive_finite
 
-CONDITION_LIMIT = 1.0e12
+CONDITION_LIMIT = 1.0e12  # leaves about 4 correct digits (Higham 2002, ch. 20)
+WHITENESS_ALPHA = 0.05  # an order passes when its portmanteau p-value is above
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +80,10 @@ def chi2_sf(x: float, df: int) -> float:
     Raises:
         DomainError: negative or non-finite ``x``, or ``df < 1``.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
+    if not (_positive_finite(x) or x == 0.0):  # -0.0 too
         raise DomainError(f"chi-square statistic must be finite and >= 0, got {x!r}")
     df = _order("degrees of freedom", df)
-    h = x / 2.0
+    h = float(x) / 2.0
     if h == 0.0:  # x == 0, or x so small that x/2 rounds to 0
         return 1.0
     log_h = math.log(h)
@@ -102,6 +103,12 @@ def chi2_sf(x: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_conditioned(cond: float, message: str) -> None:
+    """SingularityError(``message.format(cond)``) unless ``cond <= CONDITION_LIMIT``."""
+    if not cond <= CONDITION_LIMIT:
+        raise SingularityError(message.format(cond))
+
+
 def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     """``(beta, W)`` of the least-squares fit of finite ``Y`` on ``X``.
 
@@ -116,7 +123,7 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     Raises:
         SingularityError: a zero column, or a condition estimate
             ``(s_max / s_min)^2``, the 2-norm condition number of the
-            column-scaled normal matrix, above CONDITION_LIMIT.
+            column-scaled normal matrix, that _require_conditioned rejects.
     """
     if norms is None:
         norms = np.sqrt((X * X).sum(axis=0))
@@ -126,11 +133,8 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     # Fewer rows than columns leave the normal matrix singular.
     singular = X.shape[0] < X.shape[1] or s[-1] == 0.0
     r = math.inf if singular else float(s[0]) / float(s[-1])
-    cond = r * r
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularityError(
-            f"normal-equations matrix is ill-conditioned (estimate {cond:.3e})"
-        )
+    _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
+                         "(estimate {:.3e})")
     W = Vt.T / s / norms[:, None]
     return W @ (U.T @ Y), W
 
@@ -216,7 +220,7 @@ def log_transform(series) -> np.ndarray:
             offending index.
     """
     arr = np.asarray(series, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    bad = ~_positive_finite(arr)
     if bad.any():
         index = int(np.argmax(bad.ravel()))
         raise DomainError(
@@ -434,11 +438,9 @@ def granger_wald(model: VarModel, cause: str, effect: str) -> GrangerResult:
     block = model.coef_cov[i][1 + j :: 2, 1 + j :: 2]
     s = np.linalg.svd(block, compute_uv=False)  # 2-norm condition number
     cond = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else math.inf
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularityError(
-            f"covariance block for {cause}->{effect} is singular "
-            f"(condition estimate {cond:.3e})"
-        )
+    direction = f"{cause}->{effect}".replace("{", "{{").replace("}", "}}")
+    _require_conditioned(cond, f"covariance block for {direction} is singular "
+                         "(condition estimate {:.3e})")
     w = float(b @ np.linalg.solve(block, b))
     w = max(0.0, w)
     return GrangerResult(
@@ -542,12 +544,11 @@ def select_lag_order(
     data,
     max_p: int,
     names: tuple[str, str] = ("y0", "y1"),
-    whiteness_alpha: float = 0.05,
 ) -> LagSelection:
     """Fit VAR(1..max_p) and choose an order.
 
     The chosen order is the one with the smallest BIC among those whose
-    residuals pass the whiteness test at ``whiteness_alpha`` (ties go to the
+    residuals pass the whiteness test at ``WHITENESS_ALPHA`` (ties go to the
     smaller order). If no order passes, the overall BIC minimizer is chosen
     and the selection is flagged. The full per-order table is always
     returned so a caller can override.
@@ -566,8 +567,8 @@ def select_lag_order(
         InsufficientDataError: series shorter than
             ``var_min_observations(max_p)``; the message names the smallest
             order the series is too short for.
-        SingularityError: rank-deficient regressors or a singular residual
-            covariance at some order.
+        SingularityError: rank-deficient regressors, or a residual
+            correlation within rounding of +-1, at some order.
     """
     max_p = _order("max_p", max_p)
     data = _var_series(data)
@@ -597,10 +598,10 @@ def select_lag_order(
     for p, (_, _, sscp), T, h, (q0, q1) in zip(orders, fits, T.tolist(), h.tolist(),
                                                q.tolist()):
         s00, s01, s10, s11 = [s / T for s in sscp.ravel().tolist()]
-        det = s00 * s11 - s01 * s10  # of the 2 x 2 residual covariance
-        if not det > 0.0:  # its log in AIC and BIC would be -inf or NaN
-            raise SingularityError(f"VAR({p}) has a singular residual covariance")
-        log_det = math.log(det)
+        r = abs(s01) / math.sqrt(s00 * s11) if s00 * s11 > 0.0 else 1.0
+        cond = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
+        _require_conditioned(cond, f"VAR({p}) has a singular residual covariance")
+        log_det = math.log(s00 * s11 - s01 * s10)
         m = 2 * (2 * p + 1)  # coefficients of both equations
         # The whiteness gate sums the per-equation Ljung-Box statistics,
         # ignoring cross-series residual correlation at positive lags: a
@@ -610,7 +611,7 @@ def select_lag_order(
         rows.append(LagOrderRow(
             p=p, aic=log_det + 2.0 * m / T, bic=log_det + m * math.log(T) / T,
             portmanteau_stat=stat, portmanteau_df=df, portmanteau_pvalue=pvalue,
-            passes_whiteness=pvalue > whiteness_alpha,
+            passes_whiteness=pvalue > WHITENESS_ALPHA,
         ))
     passing = [row for row in rows if row.passes_whiteness]
     pool = passing if passing else rows
@@ -618,7 +619,7 @@ def select_lag_order(
     return LagSelection(
         chosen_p=chosen.p,
         rows=rows,
-        whiteness_alpha=whiteness_alpha,
+        whiteness_alpha=WHITENESS_ALPHA,
         all_failed_whiteness=not passing,
         _scan=(data, tuple(names), fits),
     )

@@ -41,11 +41,18 @@ DIFFICULTY_HASH_SCALE = 2.0**32
 DEFAULT_ELECTRICITY_USD_PER_KWH = 0.135
 
 
-def _require_positive_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
+def _positive_finite(values):
+    """``0 < values < inf``, elementwise on float arrays; False for None or text."""
+    try:
+        return (0.0 < values) & (values < math.inf)
+    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal NaN
+        return False
+
+
+def _require_positive_finite(name: str, value) -> float:
+    if not _positive_finite(value):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _order(name: str, value) -> int:
@@ -71,8 +78,9 @@ class CostParams:
     efficiency: float
 
     def __post_init__(self):
-        _require_positive_finite("electricity_price", self.electricity_price)
-        _require_positive_finite("efficiency", self.efficiency)
+        for name in ("electricity_price", "efficiency"):
+            value = _require_positive_finite(name, getattr(self, name))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -90,12 +98,12 @@ class NetworkParams:
     block_reward: float
 
     def __post_init__(self):
-        _require_positive_finite("difficulty", self.difficulty)
-        reward = float(self.block_reward)
-        if not math.isfinite(reward) or reward < 0.0:
-            raise DomainError(
-                f"block_reward must be finite and >= 0, got {self.block_reward!r}"
-            )
+        difficulty = _require_positive_finite("difficulty", self.difficulty)
+        reward = self.block_reward
+        if not (_positive_finite(reward) or reward == 0.0):  # -0.0 too
+            raise DomainError(f"block_reward must be finite and >= 0, got {reward!r}")
+        object.__setattr__(self, "difficulty", difficulty)
+        object.__setattr__(self, "block_reward", float(reward))
 
 
 def energy_cost_per_day(hashrate_ghs: float, cost: CostParams) -> float:
@@ -199,7 +207,7 @@ def model_price(cost: CostParams, net: NetworkParams) -> float:
     price = _closed_form(
         cost.electricity_price, cost.efficiency, net.difficulty, net.block_reward
     )
-    if not 0.0 < price < math.inf:
+    if not _positive_finite(price):
         raise DomainError(
             f"model price is {price!r}: the inputs overflow or underflow double precision"
         )

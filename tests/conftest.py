@@ -22,13 +22,15 @@ def load_script(path):
     return module
 
 
-def singular_var1_logs():
+def singular_var1_logs(seed=1):
     """Log market and model prices whose VAR(1) residual covariance is singular.
 
     The market is an exact blend of this and last period's model price, so
-    both equations of a VAR(1) share one innovation.
+    both equations of a VAR(1) share one innovation. With seed 1 the
+    covariance's determinant rounds to 0 or below; with seeds 2 and 4 it is
+    rounding noise above 0, and the residual correlation is 1 to rounding.
     """
-    d = 10 + np.cumsum(0.05 * np.random.default_rng(1).standard_normal(60))
+    d = 10 + np.cumsum(0.05 * np.random.default_rng(seed).standard_normal(60))
     return np.column_stack([0.7 * d[1:] + 0.4 * d[:-1], d[1:]])
 
 

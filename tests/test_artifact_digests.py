@@ -16,7 +16,8 @@ def bundled():
 
 
 def test_every_call_is_digested(bundled):
-    assert len(bundled) == 36  # 6 backtest calls x (stdout + 4 files) + 6 stdouts
+    # 6 backtest calls x (stdout + 4 files) + 6 analysis stdouts + 2 price stdouts
+    assert len(bundled) == 38
     assert bundled["bundled/backtest/json/report.json"] == BUNDLED_REPORT_JSON_SHA256
     assert (bundled["bundled/backtest/json/report.json"]
             == bundled["bundled/backtest/json/stdout"])
@@ -28,7 +29,7 @@ def test_a_run_against_itself_passes(bundled, tmp_path, capsys):
     assert artifact_digests.main(["--against", str(before)]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out) == bundled
-    assert captured.err == "36 of 36 digests match\n"
+    assert captured.err == "38 of 38 digests match\n"
 
 
 def test_an_edited_entry_is_reported(bundled, tmp_path, capsys):
@@ -37,5 +38,5 @@ def test_an_edited_entry_is_reported(bundled, tmp_path, capsys):
     before.write_text(json.dumps(edited))
     assert artifact_digests.main(["--against", str(before)]) == 1
     assert capsys.readouterr().err == (
-        "differs: bundled/var/json/stdout\n35 of 36 digests match\n"
+        "differs: bundled/var/json/stdout\n37 of 38 digests match\n"
     )

@@ -665,7 +665,17 @@ class TestOtherSubcommandsAndErrors:
 
     def test_singular_residual_covariance_is_one_error_line(self, tmp_path, capsys):
         """A market that blends this and last period's model price exactly."""
-        market, model = np.exp(singular_var1_logs()).T
+        self._assert_singular_var1_is_one_error_line(1, tmp_path, capsys)
+
+    def test_a_residual_correlation_of_one_to_rounding_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """The same blend, whose determinant is rounding noise above 0."""
+        self._assert_singular_var1_is_one_error_line(2, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_singular_var1_is_one_error_line(seed, tmp_path, capsys):
+        market, model = np.exp(singular_var1_logs(seed)).T
         # The difficulty whose model price at efficiency 0.5 and reward 25 is model.
         difficulty = model * 25 * 3.6e15 / (0.135 * 0.5 * 2.0**32)
         days = [dt.date(2015, 1, 1) + dt.timedelta(days=14 * t) for t in range(len(model))]
@@ -950,8 +960,15 @@ def test_library_and_cli_reject_the_same_values(key, flag, value, capsys):
     with pytest.raises(DomainError) as excinfo:
         BacktestConfig(**{key: value})
     message = str(excinfo.value)
-    if key in ("entry_k", "electricity_price"):
-        assert message == f"{key} must be a positive finite number, got {value!r}"
+    rule = ("a positive finite number" if key in ("entry_k", "electricity_price")
+            else "an integer >= 1")
+    assert message == f"{key} must be {rule}, got {value!r}"
+    # The library also rejects what the CLI cannot hand it: text and None.
+    others = [str(value)] if key == "lags" else [str(value), None]  # None: auto lags
+    for other in others:
+        with pytest.raises(DomainError) as excinfo:
+            BacktestConfig(**{key: other})
+        assert str(excinfo.value) == f"{key} must be {rule}, got {other!r}"
     rc = main(["ratio", flag, str(value)])
     captured = capsys.readouterr()
     assert rc == 1

@@ -19,6 +19,7 @@ from minecost import (
     NetworkParams,
     ObservationRecord,
     Observations,
+    PairedSeries,
     ParseError,
     RewardSchedule,
     ValidationError,
@@ -989,7 +990,38 @@ class TestBuildBacktestSeries:
         assert np.all(pair.model_prices > 0)
 
 
+class TestPairedSeries:
+    DATES = (dt.date(2017, 1, 7), dt.date(2017, 1, 21))
+
+    def test_prices_are_kept_as_float_arrays(self):
+        pair = PairedSeries(self.DATES, [900, 920], (1.5, 1.25))
+        assert pair.market_prices.dtype == pair.model_prices.dtype == np.float64
+        assert pair.model_prices.tolist() == [1.5, 1.25] and len(pair) == 2
+
+    @pytest.mark.parametrize("market, model, message", [
+        ([900.0, 920.0, 940.0], [1.0, 1.0],
+         "length mismatch: 2 dates, (3,) market, (2,) model"),
+        ([900.0, 920.0], [[1.0, 1.0]],
+         "length mismatch: 2 dates, (2,) market, (1, 2) model"),
+        ([900.0, 0.0], [1.0, 1.0], "market prices must all be positive and finite"),
+        ([900.0, math.nan], [1.0, 1.0], "market prices must all be positive and finite"),
+        ([900.0, 920.0], [-1.0, 1.0], "model prices must all be positive and finite"),
+        ([900.0, 920.0], [1.0, math.inf], "model prices must all be positive and finite"),
+    ])
+    def test_a_bad_column_is_a_validation_error(self, market, model, message):
+        with pytest.raises(ValidationError) as info:
+            PairedSeries(self.DATES, market, model)
+        assert str(info.value) == message
+
+
 class TestBundledData:
+    def test_an_unknown_name_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            bundled_data_path("prices.csv")
+        assert str(info.value) == (
+            f"unknown bundled file 'prices.csv'; choose from {BUNDLED_FILES}"
+        )
+
     def test_loads_and_is_coherent(self):
         records, schedule, table = load_bundled()
         assert len(records) == 126

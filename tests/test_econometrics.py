@@ -6,6 +6,7 @@ closed-form simple-regression algebra and lstsq for the solvers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ class TestOls:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             ols_fit([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf])])
+    def test_non_finite_input_rejected(self, x, y):
+        with pytest.raises(DomainError, match="^regression inputs must be finite$"):
+            ols_fit(x, y)
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_a_fit_that_overflows_is_a_domain_error(self, scale):
@@ -330,6 +337,18 @@ class TestVarFit:
         with pytest.raises(DomainError):
             var_fit(data, p=0)
 
+    @pytest.mark.parametrize("fit", [var_fit, select_lag_order])
+    @pytest.mark.parametrize("data, message", [
+        (np.ones((40, 3)), "data must have shape (n, 2), got (40, 3)"),
+        (np.ones(40), "data must have shape (n, 2), got (40,)"),
+        (np.where(np.eye(40, 2) == 1.0, math.inf, 1.0), "series must be finite"),
+        (np.full((40, 2), math.nan), "series must be finite"),
+    ])
+    def test_bad_shape_or_non_finite_series_rejected(self, fit, data, message):
+        with pytest.raises(DomainError) as info:
+            fit(data, 1)
+        assert str(info.value) == message
+
 
 def _bundled_logs():
     pair = build_backtest_series(*load_bundled())
@@ -409,6 +428,28 @@ class TestGrangerWald:
         with pytest.raises(DomainError):
             granger_wald(model, cause="nope", effect="y0")
 
+    def test_direction_is_cause_then_effect(self):
+        result = GrangerResult(cause="model", effect="market", chi2_stat=1.0, df=2,
+                               p_value=0.6)
+        assert result.direction == "model->market"
+
+    def test_cause_equal_to_effect_rejected(self):
+        model = var_fit(independent_ar1_pair(100, np.random.default_rng(58)), p=1)
+        with pytest.raises(DomainError, match="^cause and effect must be different"):
+            granger_wald(model, cause="y0", effect="y0")
+
+    @pytest.mark.parametrize("small, estimate", [(0.0, "inf"), (1e-13, "1.000e+13")])
+    @pytest.mark.parametrize("names", [("y0", "y1"), ("{0}", "a}b{")])
+    def test_an_ill_conditioned_block_raises(self, small, estimate, names):
+        """A hand-built covariance whose y1 block in y0's equation is diag(1, small)."""
+        model = var_fit(independent_ar1_pair(100, np.random.default_rng(60)), 2, names)
+        coef_cov = np.zeros_like(model.coef_cov)
+        coef_cov[0][2, 2], coef_cov[0][4, 4] = 1.0, small
+        with pytest.raises(SingularityError) as info:
+            granger_wald(replace(model, coef_cov=coef_cov), names[1], names[0])
+        assert str(info.value) == (f"covariance block for {names[1]}->{names[0]} is "
+                                   f"singular (condition estimate {estimate})")
+
 
 class TestLjungBox:
     def test_alternating_series_worked_example(self):
@@ -445,6 +486,13 @@ class TestLjungBox:
             ljung_box(np.ones(30), lags=0)
         with pytest.raises(DomainError):
             ljung_box(np.ones(5), lags=10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residuals_rejected(self, bad):
+        residuals = np.ones(30)
+        residuals[7] = bad
+        with pytest.raises(DomainError, match="^residuals must be finite$"):
+            ljung_box(residuals, lags=5)
 
 
 class TestLagOrderSelection:
@@ -501,3 +549,9 @@ class TestLagOrderSelection:
         """Its log determinant would make AIC and BIC -inf."""
         with pytest.raises(SingularityError, match=r"^VAR\(1\) has a singular residual"):
             select_lag_order(singular_var1_logs(), max_p=1)
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_a_residual_correlation_of_one_to_rounding_raises(self, seed):
+        """A determinant of rounding noise would win the BIC scan (about -48)."""
+        with pytest.raises(SingularityError, match=r"^VAR\(1\) has a singular residual"):
+            select_lag_order(singular_var1_logs(seed), max_p=1)

@@ -2,6 +2,7 @@
 transport talks only to loopback listeners on 127.0.0.1."""
 
 import datetime as dt
+import os
 import socket
 
 import numpy as np
@@ -152,6 +153,18 @@ class TestFetchRemoteSeries:
         fetch_remote_series("market-price", cache_dir=tmp_path)
         assert chart_server.paths == ["/env/market-price?format=csv"]
 
+    def test_a_failed_cache_write_leaves_no_file(self, tmp_path, chart_server,
+                                                 monkeypatch):
+        """The temporary file is removed and the write's error propagates."""
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="^disk full$"):
+            fetch_remote_series("difficulty", base_url=chart_server.url, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert chart_server.paths == ["/difficulty?format=csv"]
+
     def test_cache_file_name_carries_kind_and_day(self, tmp_path):
         path = cache_file_for("market-price", tmp_path, today=dt.date(2018, 4, 27))
         assert path.name == "market-price-20180427.csv"
@@ -218,6 +231,11 @@ class TestParseChartPoints:
         assert str(info.value) == (
             f"line 2: bad chart value {value!r}: not positive and finite"
         )
+
+    def test_blank_lines_are_skipped(self):
+        text = "timestamp,value\n\n2017-01-01,1.0\n  \n2017-01-02,2.0\n\n"
+        assert parse_chart_points(text) == [(dt.date(2017, 1, 1), 1.0),
+                                            (dt.date(2017, 1, 2), 2.0)]
 
     def test_out_of_order_timestamps_rejected(self):
         text = "2017-01-02,1.0\n2017-01-01,2.0\n"

@@ -7,11 +7,12 @@ Run from the repo root on each side of the change, with the same arguments:
     PYTHONPATH=src python3 tools/artifact_digests.py [--data DIR ...] > before.json
     PYTHONPATH=src python3 tools/artifact_digests.py [--data DIR ...] --against before.json
 
-The calls run on the bundled data and on each DIR, a directory holding
-observations.csv, efficiency.csv and rewards.csv; provenance names DIR as
-given, so give both sides the same paths. Each call runs in this process,
-in a fresh temporary directory with the relative ``--out-dir out``, so the
-``Artifacts written to`` line is the same on both sides. The digests are
+The analysis calls run on the bundled data and on each DIR, a directory
+holding observations.csv, efficiency.csv and rewards.csv; provenance names
+DIR as given, so give both sides the same paths. ``price``, which reads no
+data, runs once per format on the README's inputs. Each call runs in this
+process, in a fresh temporary directory with the relative ``--out-dir
+out``, so the ``Artifacts written to`` line is the same on both sides. The digests are
 printed as JSON ``{name: sha256}``. With ``--against FILE``, every entry
 that differs from FILE, or is on one side only, is listed on stderr and the
 exit status is 1.
@@ -41,6 +42,8 @@ CALLS = [
     *((f"{command}/{fmt}", [command, "--format", fmt])
       for command in ("ratio", "var", "regress") for fmt in ("table", "json")),
 ]
+PRICE = ["price", "--electricity", "0.135", "--efficiency", "0.25",
+         "--difficulty", "1e12", "--reward", "12.5"]
 
 
 def _sha256(data: bytes) -> str:
@@ -71,11 +74,14 @@ def digests(data_dirs: list[str]) -> dict[str, str]:
         path = Path(directory).resolve()
         sources[directory] = [arg for name in ("observations", "efficiency", "rewards")
                               for arg in (f"--{name}", str(path / f"{name}.csv"))]
-    return {
-        f"{source}/{call}/{name}": digest
+    found = {f"price/{fmt}/stdout": _run([*PRICE, "--format", fmt])["stdout"]
+             for fmt in ("table", "json")}
+    found.update(
+        (f"{source}/{call}/{name}", digest)
         for source, inputs in sources.items() for call, argv in CALLS
         for name, digest in _run([*argv, *inputs]).items()
-    }
+    )
+    return found
 
 
 def main(argv=None) -> int:
