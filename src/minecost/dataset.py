@@ -155,23 +155,34 @@ class Observations(Sequence):
     arrays, and ``efficiency`` is NaN where a row has none (a record never
     holds NaN). Each column holds one value per date, and a value that is
     not positive and finite (other than a NaN efficiency) is the
-    ValidationError of the first bad row's record. A record is built only
-    when one is read; a slice is columns too. It equals any sequence of
-    equal records. ``date_text`` holds the stripped date fields of a file,
-    each its date's ``isoformat()``, and ``price_text`` its market prices
-    when each is its ``repr``, texts that ``backtest`` writes back as they
-    are; else (``94.880``, ``9.488e1``, columns not read from a file) None.
+    ValidationError of the first bad row's record. If a column is not of
+    floats (text, bytes, ints, Decimals), each row is checked as its record
+    before the columns are converted, so text is refused, not parsed. A
+    record is built only when one is read; a slice is columns too. It
+    equals any sequence of equal records. ``date_text`` holds the stripped
+    date fields of a file, each its date's ``isoformat()``, and
+    ``price_text`` its market prices when each is its ``repr``, texts that
+    ``backtest`` writes back as they are; else (``94.880``, ``9.488e1``,
+    columns not read from a file) None.
     """
 
     def __init__(self, dates, difficulty, market_price, efficiency,
                  date_text=None, price_text=None):
         self.dates = tuple(dates)
-        # Views the caller cannot write through: a series shares them uncopied.
-        columns = [np.asarray(values, dtype=float).view()
-                   for values in (difficulty, market_price, efficiency)]
+        given = (difficulty, market_price, efficiency)
+        columns = [np.asarray(values) for values in given]
         if any(column.shape != (len(self.dates),) for column in columns):
             raise ValidationError(f"length mismatch: {len(self.dates)} dates, columns "
                                   f"of shape {[column.shape for column in columns]}")
+        if any(column.dtype.kind != "f" for column in columns):
+            # Each value as given: asarray turns a float beside text into text.
+            rows = [np.asarray(values, dtype=object).tolist() for values in given]
+            rows[2] = [None if isinstance(e, float) and math.isnan(e) else e
+                       for e in rows[2]]
+            for _ in map(ObservationRecord, self.dates, *rows):
+                pass
+        # Views the caller cannot write through: a series shares them uncopied.
+        columns = [np.asarray(column, dtype=float).view() for column in columns]
         for column in columns:
             column.flags.writeable = False
         self.difficulty, self.market_price, self.efficiency = columns
@@ -301,10 +312,7 @@ class PairedSeries:
     model_prices: np.ndarray
 
     def __post_init__(self):
-        market = np.asarray(self.market_prices, dtype=float)
-        model = np.asarray(self.model_prices, dtype=float)
-        object.__setattr__(self, "market_prices", market)
-        object.__setattr__(self, "model_prices", model)
+        market, model = np.asarray(self.market_prices), np.asarray(self.model_prices)
         n = len(self.dates)
         if n < 1:
             raise ValidationError("paired series must be non-empty")
@@ -314,9 +322,14 @@ class PairedSeries:
                 f"{model.shape} model"
             )
         _check_dates_sorted(self.dates, "observation")
-        for name, values in (("market", market), ("model", model)):
-            if not _positive_finite(values).all():
+        for name, column in (("market", market), ("model", model)):
+            if column.dtype.kind != "f":  # each value as given: asarray parses text
+                given = np.asarray(getattr(self, f"{name}_prices"), dtype=object)
+                column = [v if _positive_finite(v) else math.nan for v in given.tolist()]
+            column = np.asarray(column, dtype=float)
+            if not _positive_finite(column).all():
                 raise ValidationError(f"{name} prices must all be positive and finite")
+            object.__setattr__(self, f"{name}_prices", column)
 
     def __len__(self) -> int:
         return len(self.dates)

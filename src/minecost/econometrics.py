@@ -19,18 +19,21 @@ Conventions, fixed once for the whole package:
 * VARs include intercepts and no trend. Coefficient covariance is the
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
-* One least-squares core, _svd_solve, fits ols_fit and every VAR on one
-  thin SVD of the design, each column scaled to unit norm so that its
-  condition reflects collinearity, not units. One rule, _require_conditioned,
-  raises SingularityError for a 2-norm condition above 1e12: (s_max/s_min)^2
-  of that design, s_max/s_min of a Granger covariance block, and
-  (1 + r)/(1 - r) of the lag scan's residual correlation r.
+* One least-squares step, _svd_solve, fits ols_fit and every VAR: it scales
+  each column of the design to unit norm, so that its condition reflects
+  collinearity, not units, takes one thin SVD, guards the condition and
+  returns the coefficients, W and the residuals, which no caller recomputes.
+  One rule, _require_conditioned, raises SingularityError for a 2-norm
+  condition above 1e12: (s_max/s_min)^2 of that design, s_max/s_min of a
+  Granger covariance block, and (1 + r)/(1 - r) of the lag scan's residual
+  correlation r.
 * One sample bound, var_min_observations(p) and its inverse
   var_max_order(n); _order checks every order argument.
-* One VAR estimator fits each order of a lag scan from one QR of the
-  max-lag design, each on its own n - p rows, with one SVD and the
-  condition guard per order; var_fit is the scan of one order. The scan
-  keeps each order's solution, so a scanned order is never refitted.
+* One lag design, _lag_design, lays out every column of a VAR fit. One VAR
+  estimator fits each order of a lag scan from one QR of the max-lag
+  design, each on its own n - p rows, with one SVD and the condition guard
+  per order; var_fit is the scan of one order. The scan keeps each order's
+  solution, so a scanned order is never refitted.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
   one-series case.
@@ -99,7 +102,7 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared least-squares core
+# Shared least-squares step
 # ---------------------------------------------------------------------------
 
 
@@ -109,24 +112,22 @@ def _require_conditioned(cond: float, message: str) -> None:
         raise SingularityError(message.format(cond))
 
 
-def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
-    """``(beta, W)`` of the least-squares fit of finite ``Y`` on ``X``.
+def _svd_solve(X: np.ndarray, Y: np.ndarray):
+    """``(beta, W, residuals)`` of the least-squares fit of finite ``Y`` on ``X``.
 
     ``Y`` is one response or several in columns. ``W = diag(1/norms) V
     diag(1/s)`` from the thin SVD ``U diag(s) V'`` of ``X`` scaled to unit
-    column norms, so ``beta = W U'Y`` and the inverse normal matrix is
-    ``W W'``. Both depend on ``X`` and ``Y`` only through
-    their cross-products, so any rows with the Gram matrix of ``[X, Y]``
-    give the same fit. ``norms``, the column norms of ``X``, are computed
-    unless the caller has them.
+    column norms, so ``beta = W U'Y``, the inverse normal matrix is ``W W'``
+    and the residuals are ``Y - X beta``. beta, W and the residual
+    cross-product depend on ``X`` and ``Y`` only through their
+    cross-products, so any rows with the Gram matrix of ``[X, Y]`` give them.
 
     Raises:
         SingularityError: a zero column, or a condition estimate
             ``(s_max / s_min)^2``, the 2-norm condition number of the
             column-scaled normal matrix, that _require_conditioned rejects.
     """
-    if norms is None:
-        norms = np.sqrt((X * X).sum(axis=0))
+    norms = np.sqrt((X * X).sum(axis=0))
     if (norms == 0.0).any():
         raise SingularityError("regressor matrix has a zero column")
     U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
@@ -136,7 +137,8 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray, norms: np.ndarray | None = None):
     _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
                          "(estimate {:.3e})")
     W = Vt.T / s / norms[:, None]
-    return W @ (U.T @ Y), W
+    beta = W @ (U.T @ Y)
+    return beta, W, Y - X @ beta
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +190,7 @@ def ols_fit(x, y) -> RegressionResult:
     X = np.empty((n, 2))
     X[:, 0], X[:, 1] = 1.0, x
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, W = _svd_solve(X, y)
-        residuals = y - X @ beta
+        beta, W, residuals = _svd_solve(X, y)
         sse = float(residuals @ residuals)
         sst = float(((y - y.mean()) ** 2).sum())
         cov = sse / (n - 2) * (W @ W.T)
@@ -266,43 +267,40 @@ class VarModel:
         return np.concatenate([[self.intercepts[equation]], flat_lags])
 
 
-def _lag_design(data: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Rows ``[1, lags 1..p of both series]`` of every t, in ``width`` columns.
+def _lag_design(data: np.ndarray, p: int) -> np.ndarray:
+    """Rows ``[1, lags 1..p of both series, both series]`` of every t.
 
-    Lags before the series starts are zero, and so are the columns after
-    the first 2p + 1, for the caller to fill.
+    The 2p + 3 columns are the VAR(p) regressors, then its responses. Lags
+    before the series starts are zero.
     """
-    A = np.zeros((data.shape[0], width))
+    A = np.zeros((data.shape[0], 2 * p + 3))
     A[:, 0] = 1.0
     for lag in range(1, p + 1):
         A[lag:, 2 * lag - 1 : 2 * lag + 1] = data[:-lag]
+    A[:, -2:] = data
     return A
 
 
 def _fit_orders(data: np.ndarray, max_p: int, min_p: int = 1):
     """Fit VAR(min_p..max_p) from one QR of the VAR(max_p) design.
 
-    One QR of the rows ``t >= max_p`` of ``A = [1, lags 1..max_p,
-    responses]`` gives R. R and the rows ``t = max_p - 1, ..., p`` below it
-    have, on VAR(p)'s columns, exactly the Gram matrix of its own rows
-    ``p..n-1``: all that the least-squares core and its guards depend on.
+    One QR of the rows ``t >= max_p`` of ``A``, the VAR(max_p)
+    :func:`_lag_design`, gives R. R and the rows ``t = max_p - 1, ..., p``
+    below it have, on VAR(p)'s columns, exactly the Gram matrix of its own
+    rows ``p..n-1``: all that the least-squares step and its guards depend on.
 
     Returns ``A`` and, per order, ``(beta, W, sscp)``: the (2p + 1, 2)
     coefficients, ``W`` of :func:`_svd_solve` and the 2 x 2 residual
     cross-product. The first order that fails a guard raises.
     """
-    A = _lag_design(data, max_p, 2 * max_p + 3)
-    A[:, -2:] = data
+    A = _lag_design(data, max_p)
     R = np.linalg.qr(A[max_p:], mode="r")
     compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
-    # Row m - 1 holds the column norms of the first m rows.
-    norms = np.sqrt(np.cumsum(compressed * compressed, axis=0))
     fits = []
     for p in range(min_p, max_p + 1):
         k, m = 2 * p + 1, len(R) + max_p - p
         X, Y = compressed[:m, :k], compressed[:m, -2:]
-        beta, W = _svd_solve(X, Y, norms[m - 1, :k])
-        E = Y - X @ beta
+        beta, W, E = _svd_solve(X, Y)
         fits.append((beta, W, E.T @ E))
     return A, fits
 
@@ -311,13 +309,12 @@ def _var_model(data: np.ndarray, p: int, fit, names) -> VarModel:
     """The VarModel of VAR(p) on ``data`` from its ``_fit_orders`` solution."""
     beta, W, sscp = fit
     k, T = 2 * p + 1, data.shape[0] - p
-    resid_cov = sscp / (T - k)
-    resid_cov = (resid_cov + resid_cov.T) / 2.0
+    resid_cov = sscp / (T - k)  # E'E is exactly symmetric
     # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
     return VarModel(
         lag_order=p, names=tuple(names), intercepts=beta[0],
         coef_matrices=beta[1:].reshape(p, 2, 2).transpose(0, 2, 1),
-        residuals=data[p:] - _lag_design(data, p, k)[p:] @ beta,
+        residuals=data[p:] - _lag_design(data, p)[p:, :k] @ beta,
         resid_cov=resid_cov,
         coef_cov=resid_cov.diagonal()[:, None, None] * (W @ W.T), nobs=T,
     )

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import FetchError, _utf8_text
+from .pricing import _require_positive_finite
 
 if TYPE_CHECKING:
     from .dataset import Observations
@@ -67,18 +68,21 @@ def fetch_remote_series(
             public default.
         cache_dir: cache directory; falls back to MINECOST_CACHE_DIR, then
             ``~/.cache/minecost``.
-        timeout: connect and read timeout in seconds.
+        timeout: connect and read timeout in seconds, positive and finite;
+            checked before the cache is read.
 
     Returns:
         The raw payload text.
 
     Raises:
+        DomainError: ``timeout`` is not a positive finite number.
         FetchError: transport failure or timeout, a status other than 200,
             or an empty or non-UTF-8 payload, the cache left untouched; or
             today's cache file is not UTF-8, naming it and the line.
     """
     if kind not in CHART_KINDS:
         raise FetchError(f"unknown chart kind {kind!r}; choose from {CHART_KINDS}")
+    timeout = _require_positive_finite("timeout", timeout)
     cache_path = cache_file_for(kind, cache_dir)
     if cache_path.exists():
         return _utf8_text(cache_path.read_bytes(), cache_path, FetchError)
@@ -91,15 +95,16 @@ def fetch_remote_series(
     url = f"{base}/{kind}"
     # HTTPError (a 4xx/5xx status) subclasses URLError and OSError, so it is
     # caught first. Refused connections (URLError) and read timeouts (a bare
-    # TimeoutError) are OSErrors; a malformed URL raises ValueError and a
-    # malformed response an HTTPException.
+    # TimeoutError) are OSErrors; a malformed URL raises ValueError, a
+    # malformed response an HTTPException and a timeout beyond the platform's
+    # clock (about 292 years) an OverflowError.
     try:
         with urllib.request.urlopen(f"{url}?format=csv", timeout=timeout) as response:
             status, body = response.status, response.read()
     except urllib.error.HTTPError as exc:
         exc.close()
         raise FetchError(f"GET {url} returned status {exc.code}") from exc
-    except (OSError, ValueError, http.client.HTTPException) as exc:
+    except (OSError, ValueError, OverflowError, http.client.HTTPException) as exc:
         raise FetchError(f"GET {url} failed: {exc}") from exc
     if status != 200:
         raise FetchError(f"GET {url} returned status {status}")

@@ -42,10 +42,14 @@ DEFAULT_ELECTRICITY_USD_PER_KWH = 0.135
 
 
 def _positive_finite(values):
-    """``0 < values < inf``, elementwise on float arrays; False for None or text."""
+    """``0 < values < inf``, elementwise on float arrays; False for None, text
+    and a number beyond double range."""
     try:
-        return (0.0 < values) & (values < math.inf)
-    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal NaN
+        ok = (0.0 < values) & (values < math.inf)
+        if type(ok) is bool:  # an int or Decimal compares exactly: its float may be inf
+            ok = ok and float(values) < math.inf
+        return ok
+    except (TypeError, ArithmeticError):  # a Decimal NaN; an int float() overflows
         return False
 
 

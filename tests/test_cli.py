@@ -766,6 +766,21 @@ class TestFetchCommand:
         assert captured.err.startswith("error[fetch]: ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("timeout, start", [
+        ("inf", "error[domain]: timeout must be a positive finite number, got inf\n"),
+        ("-1", "error[domain]: timeout must be a positive finite number, got -1.0\n"),
+        # The overflow's wording is Python's, and varies between versions.
+        ("1e300", "error[fetch]: GET http://127.0.0.1:9/difficulty failed: timestamp "),
+    ])
+    def test_a_bad_timeout_is_one_error_line(self, tmp_path, timeout, start):
+        """A fresh process: the error is one coded line, with no traceback."""
+        result = _python("-m", "minecost.cli", "fetch", "--kinds", "difficulty",
+                         "--cache-dir", str(tmp_path), "--base-url", "http://127.0.0.1:9",
+                         "--timeout", timeout, no_proxy="*")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith(start) and result.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_a_cache_file_that_is_not_utf8_is_one_fetch_error(self, tmp_path, capsys):
         cached = cache_file_for("difficulty", tmp_path)
         cached.write_bytes(b"2017-01-01,1\xff\n")

@@ -28,12 +28,15 @@ from minecost import (
     var_fit,
 )
 from minecost.econometrics import (
+    _fit_orders,
+    _lag_design,
     _svd_solve,
+    var_max_order,
     var_min_observations,
 )
 from tests.simulation import independent_ar1_pair, one_way_coupled_pair, simulate_var
 from tests.conftest import singular_var1_logs
-from tests.test_lag_scan import _lagged_design
+from tests.test_lag_scan import _bundled_logs, _lagged_design, _random_walk
 
 
 class TestChiSquareTail:
@@ -187,7 +190,11 @@ class TestOls:
 
 
 class TestLeastSquaresCore:
-    """_svd_solve, the one least-squares core of ols_fit and the VAR scan."""
+    """_svd_solve, the one least-squares step of ols_fit and the VAR scan.
+
+    It returns ``(beta, W, residuals)``; its callers take the residuals from
+    it, so these tests pin them to ``Y - X @ beta`` bit for bit.
+    """
 
     def test_near_collinear_design_with_exact_responses(self):
         """Integer data keep X @ beta exact, so any error is the solver's.
@@ -204,7 +211,7 @@ class TestLeastSquaresCore:
         Xs = X / np.linalg.norm(X, axis=0)
         assert 1e10 < np.linalg.cond(Xs.T @ Xs) < 1e11
         truth = np.array([3.0, -2.0, 5.0])
-        beta, _ = _svd_solve(X, X @ truth)
+        beta, _, _ = _svd_solve(X, X @ truth)
         assert np.all(np.abs(beta - truth) <= 1e-9 * np.abs(truth))
 
     def test_responses_in_columns_match_one_at_a_time(self):
@@ -212,14 +219,54 @@ class TestLeastSquaresCore:
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
         Y = rng.normal(size=(40, 2))
-        beta, W = _svd_solve(X, Y)
-        residuals = Y - X @ beta
-        assert beta.shape == (5, 2) and W.shape == (5, 5)
+        beta, W, residuals = _svd_solve(X, Y)
+        assert beta.shape == (5, 2) and W.shape == (5, 5) and residuals.shape == (40, 2)
         for i in range(2):
-            b, w = _svd_solve(X, Y[:, i])
+            b, w, e = _svd_solve(X, Y[:, i])
             assert np.allclose(beta[:, i], b, rtol=1e-12, atol=1e-14)
-            assert np.allclose(residuals[:, i], Y[:, i] - X @ b, rtol=1e-12, atol=1e-14)
+            assert np.allclose(residuals[:, i], e, rtol=1e-12, atol=1e-14)
             assert np.array_equal(W, w)
+
+    @pytest.mark.parametrize("columns", [None, 2], ids=["1-d", "2-column"])
+    def test_residuals_are_y_minus_x_beta_bit_for_bit(self, columns):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
+        Y = rng.normal(size=60 if columns is None else (60, columns))
+        beta, _, residuals = _svd_solve(X, Y)
+        assert residuals.shape == Y.shape
+        assert np.array_equal(residuals, Y - X @ beta)
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(_bundled_logs(), id="bundled"),
+        *(pytest.param(_random_walk(n, seed), id=f"random-walk-{n}-{seed}")
+          for n in (26, 126, 6000) for seed in (1, 2)),
+    ])
+    def test_scan_residual_cross_products_are_exactly_symmetric(self, data):
+        """So the VAR's residual covariance needs no symmetrizing."""
+        _, fits = _fit_orders(data, min(8, var_max_order(data.shape[0])))
+        for _, _, sscp in fits:
+            assert np.array_equal(sscp, sscp.T)
+
+
+class TestLagDesign:
+    def test_intercept_lag_pairs_then_responses(self):
+        data = np.arange(1.0, 13.0).reshape(6, 2)
+        A = _lag_design(data, 2)
+        assert A.shape == (6, 2 * 2 + 3)
+        assert np.array_equal(A[:, 0], np.ones(6))
+        for lag in (1, 2):
+            pair = A[:, 2 * lag - 1 : 2 * lag + 1]
+            assert np.array_equal(pair[:lag], np.zeros((lag, 2)))
+            assert np.array_equal(pair[lag:], data[:-lag])
+        assert np.array_equal(A[:, -2:], data)
+
+    def test_rows_from_p_are_the_lagged_design(self):
+        data = _random_walk(30, 4)
+        for p in (1, 3):
+            Y, Z = _lagged_design(data, p)
+            A = _lag_design(data, p)[p:]
+            assert np.array_equal(A[:, : 2 * p + 1], Z)
+            assert np.array_equal(A[:, -2:], Y)
 
 
 class TestLogTransform:

@@ -2,6 +2,7 @@
 transport talks only to loopback listeners on 127.0.0.1."""
 
 import datetime as dt
+import math
 import os
 import socket
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from minecost import (
+    DomainError,
     FetchError,
     ObservationRecord,
     Observations,
@@ -164,6 +166,28 @@ class TestFetchRemoteSeries:
             fetch_remote_series("difficulty", base_url=chart_server.url, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
         assert chart_server.paths == ["/difficulty?format=csv"]
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 0, "x", None, 10**400],
+                             ids=lambda v: repr(v)[:12])
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cached"])
+    def test_a_timeout_not_positive_and_finite_is_a_domain_error(
+            self, tmp_path, chart_server, timeout, cached):
+        """Checked before the cache is read, so today's cache file does not hide it."""
+        if cached:
+            cache_file_for("difficulty", tmp_path).write_text(CHART_TEXT)
+        with pytest.raises(DomainError) as info:
+            fetch_remote_series("difficulty", base_url=chart_server.url,
+                                cache_dir=tmp_path, timeout=timeout)
+        assert str(info.value) == f"timeout must be a positive finite number, got {timeout!r}"
+        assert chart_server.paths == []
+
+    def test_a_timeout_beyond_the_platform_clock_is_a_fetch_error(self, tmp_path,
+                                                                 chart_server):
+        with pytest.raises(FetchError, match="failed: timestamp out of range"):
+            fetch_remote_series("difficulty", base_url=chart_server.url,
+                                cache_dir=tmp_path, timeout=1e300)
+        assert chart_server.paths == []
+        assert not any(tmp_path.iterdir())
 
     def test_cache_file_name_carries_kind_and_day(self, tmp_path):
         path = cache_file_for("market-price", tmp_path, today=dt.date(2018, 4, 27))

@@ -1,13 +1,14 @@
 """One rule for every positive number the library takes: above 0, below infinity.
 
-Each knob, parameter, record field and step value is tested by the same
-rule; a value it rejects, None and text included, is the site's own error
-class with the site's own message and the value's repr. Accepted values are
-kept as floats.
+Each knob, parameter, record field, step value and observation or price
+column is tested by the same rule; a value it rejects, None, text and a
+number beyond double range included, is the site's own error class with the
+site's own message and the value's repr. Accepted values are kept as floats.
 """
 
 import datetime as dt
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -20,6 +21,7 @@ from minecost import (
     EfficiencyTable,
     NetworkParams,
     ObservationRecord,
+    Observations,
     PairedSeries,
     RewardSchedule,
     UndefinedPriceError,
@@ -44,7 +46,8 @@ STATS = ratio_series(PairedSeries(
 ))
 
 NOT_NUMBERS = [None, "2", b"2"]
-NOT_POSITIVE_FINITE = [math.nan, math.inf, -math.inf, -1]
+# An int or Decimal beyond double range compares below inf; its float does not.
+NOT_POSITIVE_FINITE = [math.nan, math.inf, -math.inf, -1, 10**400, Decimal("1e400")]
 NOT_ACCEPTED = NOT_NUMBERS + NOT_POSITIVE_FINITE + [0]  # where 0 is not allowed either
 
 
@@ -96,12 +99,35 @@ SITES = {
     "EfficiencyTable": (
         lambda v: EfficiencyTable(((DAY, v),)), NOT_ACCEPTED,
         ValidationError, "efficiency must be positive and finite, got {!r} on 2017-01-07"),
+    # Columns: each row's error is its record's, and a price column names itself.
+    "Observations.difficulty": (
+        lambda v: Observations((DAY,), [v], [900.0], [math.nan]), NOT_ACCEPTED,
+        ValidationError, "difficulty must be positive and finite, got {!r} (2017-01-07)"),
+    "Observations.market_price": (
+        lambda v: Observations((DAY,), [3.0e11], [v], [math.nan]), NOT_ACCEPTED,
+        ValidationError, "market_price must be positive and finite, got {!r} (2017-01-07)"),
+    "Observations.efficiency": (
+        lambda v: Observations((DAY,), [3.0e11], [900.0], [v]),
+        # None and NaN: no inline efficiency
+        [v for v in NOT_ACCEPTED if v is not None and not (v != v and isinstance(v, float))],
+        ValidationError, "efficiency must be positive and finite, got {!r} (2017-01-07)"),
+    "PairedSeries.market_prices": (
+        lambda v: PairedSeries((DAY,), [v], [1.0]), NOT_ACCEPTED,
+        ValidationError, "market prices must all be positive and finite"),
+    "PairedSeries.model_prices": (
+        lambda v: PairedSeries((DAY,), [1.0], [v]), NOT_ACCEPTED,
+        ValidationError, "model prices must all be positive and finite"),
 }
+
+
+def _id(value):
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:12]}...({len(text)} digits)"
 
 
 @pytest.mark.parametrize("site, value", [
     (site, value) for site, (_, values, _, _) in SITES.items() for value in values
-], ids=repr)
+], ids=_id)
 def test_every_site_rejects_what_the_rule_rejects(site, value):
     call, _, error, message = SITES[site]
     with pytest.raises(error) as info:
@@ -122,6 +148,42 @@ def test_accepted_numbers_are_kept_as_floats():
     ]
     assert model_price(cost, net) == model_price(COST, NET)
     assert type(NetworkParams(1, 12).difficulty) is float
+
+
+def test_a_narrow_float_is_accepted_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost = CostParams(np.float32(0.25), np.float16(2.0))
+    assert (cost.electricity_price, cost.efficiency) == (0.25, 2.0)
+
+
+@pytest.mark.parametrize("column", [
+    np.array([3.0e11, 4.0e11]), [3.0e11, 4.0e11], [300_000_000_000, 400_000_000_000],
+    [Decimal("3e11"), np.float64(4.0e11)], np.array([3.0e11, 4.0e11], dtype=np.float32),
+], ids=["float-array", "floats", "ints", "decimal-and-float64", "float32-array"])
+def test_columns_of_numbers_are_kept_as_floats(column):
+    dates = (DAY, DAY + dt.timedelta(days=14))
+    observations = Observations(dates, column, column, [math.nan, 0.2])
+    paired = PairedSeries(dates, column, column)
+    for kept in (observations.difficulty, observations.market_price,
+                 paired.market_prices, paired.model_prices):
+        assert kept.dtype == np.float64
+        assert kept.tolist() == np.asarray(column, dtype=float).tolist()
+    assert [record.efficiency for record in observations] == [None, 0.2]
+
+
+@pytest.mark.parametrize("column", [["2", 3.0e11], [3.0e11, "2"], [3.0e11, b"2"]],
+                         ids=["text-first", "text-second", "bytes-second"])
+def test_text_beside_numbers_names_its_own_row(column):
+    """An array of these would hold a float as text, and name the wrong row."""
+    dates = (DAY, DAY + dt.timedelta(days=14))
+    bad = next(i for i, v in enumerate(column) if isinstance(v, (str, bytes)))
+    with pytest.raises(ValidationError) as info:
+        Observations(dates, column, [900.0, 900.0], [math.nan, math.nan])
+    assert str(info.value) == (f"difficulty must be positive and finite, got "
+                               f"{column[bad]!r} ({dates[bad].isoformat()})")
+    with pytest.raises(ValidationError, match="^market prices must all be"):
+        PairedSeries(dates, column, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, -0.0], ids=repr)
