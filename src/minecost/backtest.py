@@ -171,6 +171,20 @@ def episodes_to_dict(episodes: list[BubbleEpisode]) -> list[dict]:
     return [_fields(episode) for episode in episodes]
 
 
+def var_to_dict(selection: LagSelection, model: VarModel, granger) -> dict:
+    """The report's ``lag_selection``, ``var`` and ``granger`` sections."""
+    return {
+        "lag_selection": {**_fields(selection, "rows", "_scan"),
+                          "table": [_fields(row) for row in selection.rows]},
+        "var": _fields(model, "residuals", "coef_cov"),
+        "granger": [{
+            "null": g.null_hypothesis(), "cause": g.cause, "effect": g.effect,
+            "chi2": g.chi2_stat, "df": g.df, "p_value": g.p_value,
+            "significant_at_5pct": g.p_value < 0.05,
+        } for g in granger],
+    }
+
+
 @dataclass
 class BacktestReport:
     """Everything one run produces, ready for table or JSON emission."""
@@ -208,27 +222,47 @@ class BacktestReport:
             "prices": prices,
             "level_regression": regression_to_dict(self.level_fit),
             "log_regression": regression_to_dict(self.log_fit),
-            "lag_selection": {
-                **_fields(self.lag_selection, "rows", "_scan"),
-                "table": [_fields(row) for row in self.lag_selection.rows],
-            },
-            "var": _fields(self.var_model, "residuals", "coef_cov"),
-            "granger": [
-                {
-                    "null": g.null_hypothesis(),
-                    "cause": g.cause,
-                    "effect": g.effect,
-                    "chi2": g.chi2_stat,
-                    "df": g.df,
-                    "p_value": g.p_value,
-                    "significant_at_5pct": g.p_value < 0.05,
-                }
-                for g in self.granger_results
-            ],
+            **var_to_dict(self.lag_selection, self.var_model, self.granger_results),
             "episodes": episodes_to_dict(self.episodes),
             "caveats": list(self.caveats),
             "provenance": dict(self.provenance),
         }
+
+
+def var_analysis(log_market: np.ndarray, log_model: np.ndarray, config: BacktestConfig):
+    """``(selection, model, granger)``: the VAR stage on the log series.
+
+    Scans orders up to ``config.max_p``, or up to ``var_max_order(n)`` under
+    one UserWarning when n observations are too few for VAR(max_p), and tests
+    both Granger directions in the VAR of order ``config.lags`` or, when it is
+    None, the selected order. That VAR is the scan's; only a pinned order above
+    the scanned ones is fitted on its own, by :func:`var_fit`.
+    """
+    max_p, n = config.max_p, len(log_market)
+    logs = np.empty((n, 2))
+    logs[:, 0], logs[:, 1] = log_market, log_model
+    # A short series scans fewer orders instead of failing a pinned lag
+    # order it could fit.
+    supported = min(max_p, var_max_order(n))
+    if 1 <= supported < max_p:
+        warnings.warn(
+            f"max_p {max_p} needs {var_min_observations(max_p)} observations but "
+            f"the series has {n}; lag selection scans orders 1..{supported}",
+            UserWarning,
+            stacklevel=3,
+        )
+        max_p = supported
+    selection = select_lag_order(logs, max_p, names=(MARKET, MODEL))
+    lag_order = config.lags if config.lags is not None else selection.chosen_p
+    if lag_order <= len(selection.rows):
+        model = selection._model(lag_order)
+    else:  # a pinned order above the scanned ones
+        model = var_fit(logs, lag_order, names=(MARKET, MODEL))
+    granger = (
+        granger_wald(model, cause=MARKET, effect=MODEL),
+        granger_wald(model, cause=MODEL, effect=MARKET),
+    )
+    return selection, model, granger
 
 
 def run_backtest(
@@ -241,13 +275,8 @@ def run_backtest(
     """Run the whole study on one dataset.
 
     Builds the paired series, computes ratio statistics, fits the level and
-    log-log regressions of market price on model price, selects a lag order
-    up to ``config.max_p`` (used when ``config.lags`` is None), takes the
-    VAR of the reported order on the log series from that scan, tests both
-    Granger directions, and detects episodes. Only a pinned order above the
-    scanned ones is fitted on its own, by :func:`var_fit`.
-    A series of n observations too short for VAR(max_p) scans orders up to
-    ``var_max_order(n)`` instead, under one UserWarning.
+    log-log regressions of market price on model price, runs the VAR stage
+    (:func:`var_analysis`) on the log series, and detects episodes.
 
     ``input_files`` is recorded verbatim in the provenance block.
     """
@@ -261,31 +290,7 @@ def run_backtest(
     log_market = log_transform(pair.market_prices)
     log_model = log_transform(pair.model_prices)
     log_fit = ols_fit(log_model, log_market)
-
-    max_p, n = config.max_p, len(pair)
-    logs = np.empty((n, 2))
-    logs[:, 0], logs[:, 1] = log_market, log_model
-    # A short series scans fewer orders instead of failing a pinned lag
-    # order it could fit.
-    supported = min(max_p, var_max_order(n))
-    if 1 <= supported < max_p:
-        warnings.warn(
-            f"max_p {max_p} needs {var_min_observations(max_p)} observations but "
-            f"the series has {n}; lag selection scans orders 1..{supported}",
-            UserWarning,
-            stacklevel=2,
-        )
-        max_p = supported
-    selection = select_lag_order(logs, max_p, names=(MARKET, MODEL))
-    lag_order = config.lags if config.lags is not None else selection.chosen_p
-    if lag_order <= len(selection.rows):
-        model = selection._model(lag_order)
-    else:  # a pinned order above the scanned ones
-        model = var_fit(logs, lag_order, names=(MARKET, MODEL))
-    granger = (
-        granger_wald(model, cause=MARKET, effect=MODEL),
-        granger_wald(model, cause=MODEL, effect=MARKET),
-    )
+    selection, model, granger = var_analysis(log_market, log_model, config)
     episodes = detect_episodes(stats, entry_k=config.entry_k, min_len=config.min_len)
 
     provenance = {

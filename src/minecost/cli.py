@@ -73,6 +73,8 @@ ratio_series = _deferred("backtest", "ratio_series")
 ratio_to_dict = _deferred("backtest", "ratio_to_dict")
 regression_to_dict = _deferred("backtest", "regression_to_dict")
 run_backtest = _deferred("backtest", "run_backtest")
+var_analysis = _deferred("backtest", "var_analysis")
+var_to_dict = _deferred("backtest", "var_to_dict")
 _csv = _deferred("dataset", "_csv")
 _text_lines = _deferred("dataset", "_text_lines")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
@@ -221,12 +223,12 @@ def _fmt3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_granger_table(report: BacktestReport) -> str:
+def render_granger_table(granger) -> str:
     lines = [
         "Granger causality Wald tests",
         f"{'H0':<52}{'chi2':>10}{'df':>5}{'Prob>chi2':>12}",
     ]
-    for g in report.granger_results:
+    for g in granger:
         flag = " *" if g.p_value < 0.05 else ""
         lines.append(
             f"{g.null_hypothesis():<52}{_fmt3(g.chi2_stat):>10}{g.df:>5}"
@@ -282,7 +284,7 @@ def render_report(report: BacktestReport) -> str:
         f"{report.var_model.nobs} effective observations"
     )
     lines.append("")
-    lines.append(render_granger_table(report))
+    lines.append(render_granger_table(report.granger_results))
     lines.append("")
     if report.episodes:
         lines.append("Bubble episodes (heuristic threshold rule)")
@@ -505,15 +507,13 @@ def cmd_regress(args) -> int:
 
 def cmd_var(args) -> int:
     config, options = resolve_options(args)
-    inputs, labels = _load_inputs(options)
-    report = run_backtest(*inputs, config, input_files=labels)
+    inputs, _ = _load_inputs(options)
+    pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
+    sel, model, granger = var_analysis(log_transform(pair.market_prices),
+                                       log_transform(pair.model_prices), config)
     if options["format"] == "json":
-        document = report._document(prices=[], series=[])
-        sys.stdout.write(_json_text(
-            {key: document[key] for key in ("lag_selection", "var", "granger")}
-        ))
+        sys.stdout.write(_json_text(var_to_dict(sel, model, granger)))
         return 0
-    sel = report.lag_selection
     print(f"chosen lag order: {sel.chosen_p}"
           + ("  (no order passed whiteness)" if sel.all_failed_whiteness else ""))
     for row in sel.rows:
@@ -523,7 +523,7 @@ def cmd_var(args) -> int:
             f"({'pass' if row.passes_whiteness else 'fail'})"
         )
     print()
-    print(render_granger_table(report))
+    print(render_granger_table(granger))
     return 0
 
 

@@ -19,7 +19,8 @@ every other row has one field per column, and a blank efficiency is looked
 up in the table. Each file holds at least one row, every number is positive
 and finite, and dates strictly increase. Each reward halves the one before;
 a rising efficiency only warns. The records, step tables and paired series
-the library builds enforce the same value, order and halving rules.
+the library builds enforce the same value, order and halving rules, and
+take only ``datetime.date`` values as dates.
 
 Every table is read as columns, exactly as ``csv.reader`` reads it. The
 header is read by csv. A text with no ``"``, ``\r`` or NUL whose rows all
@@ -94,10 +95,21 @@ def _precedes(date: dt.date, entries, what: str) -> DomainError:
 
 def _value_on(entries, date: dt.date, what: str) -> float:
     """Value of the step entry in force on ``date``."""
+    _check_dates_are_dates((date,), what)
     at = _in_force(entries, [date.toordinal()])[0]
     if at < 0:
         raise _precedes(date, entries, what)
     return entries[at][1]
+
+
+def _check_dates_are_dates(dates: Sequence, what: str) -> None:
+    """Raise ValidationError unless each of ``dates`` is a ``datetime.date`` and
+    not a ``datetime``, whose time no stage reads and which no date compares with."""
+    if not set(map(type, dates)) <= {dt.date}:
+        for date in dates:
+            if not isinstance(date, dt.date) or isinstance(date, dt.datetime):
+                raise ValidationError(
+                    f"{what} date must be a datetime.date, got {date!r}")
 
 
 def _check_dates_sorted(dates: Sequence[dt.date], what: str) -> None:
@@ -114,13 +126,15 @@ def _check_steps(entries, table: str, what: str) -> None:
     """The rules of a step table: entries, positive finite values, date order."""
     if not entries:
         raise ValidationError(f"{table} must have at least one entry")
+    dates = [date for date, _ in entries]
+    _check_dates_are_dates(dates, what)
     for date, value in entries:
         if not _positive_finite(value):
             raise ValidationError(
                 f"{what} must be positive and finite, got {value!r} on "
                 f"{date.isoformat()}"
             )
-    _check_dates_sorted([date for date, _ in entries], what)
+    _check_dates_sorted(dates, what)
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,7 @@ class ObservationRecord:
     efficiency: float | None = None
 
     def __post_init__(self):
+        _check_dates_are_dates((self.date,), "observation")
         checked = (("difficulty", self.difficulty), ("market_price", self.market_price))
         if self.efficiency is not None:
             checked += (("efficiency", self.efficiency),)
@@ -169,6 +184,7 @@ class Observations(Sequence):
     def __init__(self, dates, difficulty, market_price, efficiency,
                  date_text=None, price_text=None):
         self.dates = tuple(dates)
+        _check_dates_are_dates(self.dates, "observation")
         given = (difficulty, market_price, efficiency)
         columns = [np.asarray(values) for values in given]
         if any(column.shape != (len(self.dates),) for column in columns):
@@ -321,6 +337,7 @@ class PairedSeries:
                 f"length mismatch: {n} dates, {market.shape} market, "
                 f"{model.shape} model"
             )
+        _check_dates_are_dates(self.dates, "observation")
         _check_dates_sorted(self.dates, "observation")
         for name, column in (("market", market), ("model", model)):
             if column.dtype.kind != "f":  # each value as given: asarray parses text

@@ -1014,6 +1014,47 @@ class TestPairedSeries:
         assert str(info.value) == message
 
 
+class TestDateRule:
+    """Every date the library takes is a ``datetime.date`` and not a ``datetime``."""
+
+    DAY = dt.date(2017, 1, 7)
+    # Each site's constructor given one date, and the word that names its dates.
+    SITES = {
+        "ObservationRecord": (lambda d: ObservationRecord(d, 3.0e11, 900.0, 0.2),
+                              "observation"),
+        "Observations": (lambda d: Observations((d,), [3.0e11], [900.0], [0.2]),
+                         "observation"),
+        "RewardSchedule": (lambda d: RewardSchedule(((d, 25.0),)), "reward"),
+        "EfficiencyTable": (lambda d: EfficiencyTable(((d, 0.2),)), "efficiency"),
+        "PairedSeries": (lambda d: PairedSeries((d,), [900.0], [1.0]), "observation"),
+        "RewardSchedule.reward_at": (SCHEDULE.reward_at, "reward"),
+        "EfficiencyTable.efficiency_at": (EfficiencyTable(((DAY, 0.2),)).efficiency_at,
+                                          "efficiency"),
+    }
+    NOT_DATES = ["2017-01-07", dt.datetime(2017, 1, 7), None, DAY.toordinal(),
+                 np.datetime64("2017-01-07")]
+
+    @pytest.mark.parametrize("value", NOT_DATES, ids=repr)
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_every_site_rejects_what_is_not_a_date(self, site, value):
+        build, what = self.SITES[site]
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{what} date must be a datetime.date, got {value!r}"
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_every_site_accepts_a_date(self, site):
+        self.SITES[site][0](self.DAY)
+
+    def test_a_datetime_beside_dates_is_named(self):
+        later = dt.datetime(2017, 1, 21)
+        with pytest.raises(ValidationError) as info:
+            PairedSeries((self.DAY, later), [900.0, 920.0], [1.0, 1.0])
+        assert str(info.value) == (
+            f"observation date must be a datetime.date, got {later!r}"
+        )
+
+
 class TestBundledData:
     def test_an_unknown_name_is_rejected(self):
         with pytest.raises(ValueError) as info:
