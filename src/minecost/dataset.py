@@ -172,8 +172,11 @@ class Observations(Sequence):
     not positive and finite (other than a NaN efficiency) is the
     ValidationError of the first bad row's record. If a column is not of
     floats (text, bytes, ints, Decimals), each row is checked as its record
-    before the columns are converted, so text is refused, not parsed. A
-    record is built only when one is read; a slice is columns too. It
+    before the columns are converted, so text is refused, not parsed. Then
+    the dates must strictly increase, the reader's rule. A record is built
+    only when one is read. A slice is columns too, and may be empty, which
+    :func:`serialize_observations` refuses as the reader does; a slice with
+    a negative step, whose dates fall, is the list of its records. It
     equals any sequence of equal records. ``date_text`` holds the stripped
     date fields of a file, each its date's ``isoformat()``, and
     ``price_text`` its market prices when each is its ``repr``, texts that
@@ -209,6 +212,7 @@ class Observations(Sequence):
         if not ok.all():  # the first bad row's record raises its error
             bad = int(ok.argmin())
             next(self._records(slice(bad, bad + 1)))
+        _check_dates_sorted(self.dates, "observation")
 
     @classmethod
     def of(cls, records: Sequence[ObservationRecord]) -> "Observations":
@@ -228,6 +232,8 @@ class Observations(Sequence):
         if not isinstance(index, slice):
             index = range(len(self))[index]  # IndexError when out of range
             return next(self._records(slice(index, index + 1)))
+        if (index.step or 1) < 0:  # falling dates: its records, as a list's slice
+            return list(self._records(index))
         return Observations(
             self.dates[index], self.difficulty[index], self.market_price[index],
             self.efficiency[index],
@@ -510,7 +516,8 @@ def _repr_texts(texts: Sequence[str]) -> Sequence[str] | None:
 
 
 def _checked_columns(dates, difficulty, price, efficiency) -> Observations | None:
-    """The observation fields as columns, or None if any field fails its check.
+    """The observation fields as columns, or None if any field fails its check
+    or the dates are out of order.
 
     Each column goes through the function the row loop applies to one field
     (:func:`_iso_dates` of the stripped text, ``float`` with no ``_``),
@@ -536,25 +543,28 @@ def _checked_columns(dates, difficulty, price, efficiency) -> Observations | Non
         return None
 
 
-def _checked_rows(lines, dates, difficulty, price, efficiency) -> None:
-    """Raise the error of the first row whose fields fail the row checks.
+def _checked_rows(lines, dates, difficulty, price, efficiency):
+    """The record of each row, else the error of the first row whose fields
+    fail the row checks.
 
-    Called once :func:`_checked_columns` has found a bad field, so some row
-    fails. Each row's record is built only for its checks and then dropped.
+    Called once :func:`_checked_columns` has found a bad field or dates out
+    of order, so some row fails or the records are out of order.
     """
+    records = []
     rows = zip(lines, dates, difficulty, price, efficiency or repeat(""))
     for line, date, row_difficulty, row_price, row_efficiency in rows:
         row_efficiency = row_efficiency.strip()
         try:
-            ObservationRecord(
+            records.append(ObservationRecord(
                 _parse_date(date, line),
                 _parse_float(row_difficulty, "difficulty", line),
                 _parse_float(row_price, "price_usd", line),
                 _parse_float(row_efficiency, "eff_w_per_ghs", line)
                 if row_efficiency else None,
-            )
+            ))
         except ValidationError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
+    return records
 
 
 def parse_observations(source) -> Observations:
@@ -572,13 +582,13 @@ def parse_observations(source) -> Observations:
     """
     lines, fields, malformed = _read_table(source, OBSERVATION_COLUMNS, required=3)
     observations = _checked_columns(*fields)
-    if observations is None:
-        _checked_rows(lines, *fields)
+    records = _checked_rows(lines, *fields) if observations is None else None
     if malformed:
         raise malformed
+    if observations is None:  # every row passes, so their date order fails here
+        observations = Observations.of(records)
     if not observations:
         raise ValidationError("observations must have at least one record")
-    _check_dates_sorted(observations.dates, "observation")
     return observations
 
 
@@ -591,9 +601,16 @@ def serialize_observations(records: Sequence[ObservationRecord]) -> str:
     """Render records in canonical form (column order, ISO dates, repr floats).
 
     ``serialize(parse(text))`` is the canonical normalization of ``text``;
-    serializing is idempotent across a parse round-trip.
+    serializing is idempotent across a parse round-trip, and
+    ``parse(serialize(records)) == records``.
+
+    Raises:
+        ValidationError: no records, which the reader refuses, or records
+            that are not an :class:`Observations` (dates out of order).
     """
     observations = Observations.of(records)
+    if not observations:
+        raise ValidationError("observations must have at least one record")
     efficiency = observations.efficiency.tolist()
     columns = [map(dt.date.isoformat, observations.dates),
                map(repr, observations.difficulty.tolist()),

@@ -19,21 +19,26 @@ Conventions, fixed once for the whole package:
 * VARs include intercepts and no trend. Coefficient covariance is the
   classical homoskedastic per-equation estimate; Wald tests are asymptotic
   chi-square with one degree of freedom per tested lag.
-* One least-squares step, _svd_solve, fits ols_fit and every VAR: it scales
-  each column of the design to unit norm, so that its condition reflects
-  collinearity, not units, takes one thin SVD, guards the condition and
-  returns the coefficients, W and the residuals, which no caller recomputes.
+* One least-squares step, _svd_solve, fits ols_fit and every reported VAR:
+  it scales each column of the design to unit norm, so that its condition
+  reflects collinearity, not units, takes one thin SVD, guards the condition
+  and returns the coefficients, W and the residuals, which no caller
+  recomputes.
   One rule, _require_conditioned, raises SingularityError for a 2-norm
   condition above 1e12: (s_max/s_min)^2 of that design, s_max/s_min of a
   Granger covariance block, and (1 + r)/(1 - r) of the lag scan's residual
   correlation r.
 * One sample bound, var_min_observations(p) and its inverse
   var_max_order(n); _order checks every order argument.
-* One lag design, _lag_design, lays out every column of a VAR fit. One VAR
-  estimator fits each order of a lag scan from one QR of the max-lag
-  design, each on its own n - p rows, with one SVD and the condition guard
-  per order; var_fit is the scan of one order. The scan keeps each order's
-  solution, so a scanned order is never refitted.
+* One lag design, _lag_design, lays out every column of a VAR fit, and one
+  QR of its max-lag rows compresses it (_compress): leading rows of the
+  result have the Gram matrix of any order's own n - p rows. The lag scan
+  ranks every order from one batched QR of those prefixes and one batched
+  inverse of their column-scaled triangular blocks, whose Frobenius norm
+  bounds the condition; an order the bound does not clear goes through
+  _svd_solve, which raises or passes. The reported VAR, of the scan or of
+  var_fit, is solved by _svd_solve on its order's compressed rows, with no
+  new factorization of the data.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
   one-series case.
@@ -281,35 +286,76 @@ def _lag_design(data: np.ndarray, p: int) -> np.ndarray:
     return A
 
 
-def _fit_orders(data: np.ndarray, max_p: int, min_p: int = 1):
-    """Fit VAR(min_p..max_p) from one QR of the VAR(max_p) design.
+def _compress(data: np.ndarray, max_p: int):
+    """``(A, C)``: the VAR(max_p) :func:`_lag_design` and its compressed rows.
 
-    One QR of the rows ``t >= max_p`` of ``A``, the VAR(max_p)
-    :func:`_lag_design`, gives R. R and the rows ``t = max_p - 1, ..., p``
-    below it have, on VAR(p)'s columns, exactly the Gram matrix of its own
+    One QR of the rows ``t >= max_p`` of ``A`` gives R, and
+    ``C = [R; A[max_p - 1], ..., A[1]]``. On VAR(p)'s columns the first
+    ``len(C) + 1 - p`` rows of ``C`` have exactly the Gram matrix of its own
     rows ``p..n-1``: all that the least-squares step and its guards depend on.
-
-    Returns ``A`` and, per order, ``(beta, W, sscp)``: the (2p + 1, 2)
-    coefficients, ``W`` of :func:`_svd_solve` and the 2 x 2 residual
-    cross-product. The first order that fails a guard raises.
     """
     A = _lag_design(data, max_p)
     R = np.linalg.qr(A[max_p:], mode="r")
-    compressed = np.vstack([R, A[max_p - 1 : 0 : -1]])
-    fits = []
-    for p in range(min_p, max_p + 1):
-        k, m = 2 * p + 1, len(R) + max_p - p
-        X, Y = compressed[:m, :k], compressed[:m, -2:]
-        beta, W, E = _svd_solve(X, Y)
-        fits.append((beta, W, E.T @ E))
-    return A, fits
+    return A, np.vstack([R, A[max_p - 1 : 0 : -1]])
 
 
-def _var_model(data: np.ndarray, p: int, fit, names) -> VarModel:
-    """The VarModel of VAR(p) on ``data`` from its ``_fit_orders`` solution."""
-    beta, W, sscp = fit
+def _order_rows(C: np.ndarray, p: int):
+    """VAR(p)'s regressors and responses among the compressed rows ``C``."""
+    m = len(C) + 1 - p
+    return C[:m, : 2 * p + 1], C[:m, -2:]
+
+
+def _rank_orders(C: np.ndarray, max_p: int):
+    """``(beta, sscp)`` of VAR(1..max_p) from one batched QR of ``C``'s prefixes.
+
+    Order p's rows of ``C``, zero-padded to ``len(C)``, keep its Gram matrix,
+    so their R has VAR(p)'s R_k in its leading k x k block (k = 2p + 1), and
+    the rows k onward of its two response columns are a ``tail`` whose
+    ``tail'tail`` is the residual cross-product. One batched inverse of the
+    blocks ``R_k D^-1``, D their column norms, each padded with the identity
+    to 2 max_p + 1, gives ``beta = D^-1 (R_k D^-1)^-1 R_k'Y`` and, as
+    ``k ||(R_k D^-1)^-1||_F^2``, a bound on :func:`_svd_solve`'s
+    ``(s_max / s_min)^2``, since ``R_k D^-1`` has unit columns. An order
+    with a zero column or a singular block, or whose bound the guard does
+    not pass, is solved by :func:`_svd_solve` on its own rows of ``C``,
+    which raises its error or passes; the first failing order raises.
+
+    Returns ``beta``, shape (max_p, 2 max_p + 1, 2) with zeros below each
+    order's 2p + 1 rows, and ``sscp``, shape (max_p, 2, 2).
+    """
+    K = 2 * max_p + 1
+    orders = np.arange(1, max_p + 1)
+    k = 2 * orders + 1
+    rows = np.arange(len(C))[None, :] < (len(C) + 1 - orders)[:, None]
+    R = np.linalg.qr(C * rows[:, :, None], mode="r")
+    lead = np.arange(R.shape[1])[None, :] < k[:, None]  # order p's rows of R
+    blocks, lead_k = R[:, :K, :K], lead[:, :K]
+    inside = lead_k[:, :, None] & lead_k[:, None, :]
+    # A failing order is _svd_solve's to report, so no step here warns.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = np.where(lead_k, np.sqrt((blocks * blocks).sum(axis=1)), 1.0)
+        scaled = blocks / scale[:, None, :]
+        # A zero (or, from a zero column, NaN) pivot: LU inversion would
+        # refuse the whole batch.
+        diagonal = scaled.diagonal(axis1=1, axis2=2)
+        solved = ((np.abs(diagonal) > 0.0) | ~lead_k).all(axis=1)
+        G = np.linalg.inv(np.where(inside & solved[:, None, None], scaled, np.eye(K)))
+        bound = k * (G * G * inside).sum(axis=(1, 2))
+        beta = G @ (R[:, :K, -2:] * lead_k[:, :, None]) / scale[:, :, None]
+    tail = R[:, :, -2:] * ~lead[:, :, None]
+    sscp = tail.transpose(0, 2, 1) @ tail
+    for p in orders[~(solved & (bound <= CONDITION_LIMIT))].tolist():
+        b, _, E = _svd_solve(*_order_rows(C, p))
+        beta[p - 1, : 2 * p + 1] = b
+        sscp[p - 1] = E.T @ E
+    return beta, sscp
+
+
+def _var_model(data: np.ndarray, p: int, C: np.ndarray, names) -> VarModel:
+    """The VarModel of VAR(p) on ``data``, solved on its rows of ``C``."""
+    beta, W, E = _svd_solve(*_order_rows(C, p))
     k, T = 2 * p + 1, data.shape[0] - p
-    resid_cov = sscp / (T - k)  # E'E is exactly symmetric
+    resid_cov = E.T @ E / (T - k)  # E'E is exactly symmetric
     # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
     return VarModel(
         lag_order=p, names=tuple(names), intercepts=beta[0],
@@ -360,8 +406,8 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     """Fit a bivariate VAR(p) by least squares, both equations in one solve.
 
     Each variable is regressed on an intercept and ``p`` lags of both
-    variables, on the ``T = n - p`` rows that have every lag, by the lag
-    scan's estimator with ``max_p = p``. Requires
+    variables, on the ``T = n - p`` rows that have every lag, solved as the
+    lag scan solves the VAR it hands back, with ``max_p = p``. Requires
     ``n >= var_min_observations(p)`` so the residual degrees of freedom
     stay meaningful.
 
@@ -378,8 +424,8 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
     data = _var_series(data)
     p = _order("lag order", p)
     _require_observations(data.shape[0], p)
-    _, (fit,) = _fit_orders(data, p, min_p=p)
-    return _var_model(data, p, fit, names)
+    _, C = _compress(data, p)
+    return _var_model(data, p, C, names)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +579,8 @@ class LagSelection:
 
     def _model(self, p: int) -> VarModel:
         """VAR(p) of the series scanned, labelled with the scan's names."""
-        data, names, fits = self._scan
-        return _var_model(data, p, fits[p - 1], names)
+        data, names, C = self._scan
+        return _var_model(data, p, C, names)
 
 
 def select_lag_order(
@@ -550,14 +596,15 @@ def select_lag_order(
     and the selection is flagged. The full per-order table is always
     returned so a caller can override.
 
-    Each VAR(p) is fitted on its own ``T = n - p`` rows by :func:`var_fit`'s
-    estimator, all from one QR. The whiteness test of an order sums the
+    Each VAR(p) is fitted on its own ``T = n - p`` rows, all from one QR and
+    one batched QR (:func:`_rank_orders`). The whiteness test of an order sums the
     Ljung-Box statistics of its two residual series up to lag
     ``h = min(max(10, 2p), T - 2)``, each with ``max(1, h - p)`` degrees
     of freedom; every order is tested in one pass per lag.
 
     ``names`` labels the two columns, as for :func:`var_fit`. The table does
-    not use them; the VARs the selection hands back, unrefitted, carry them.
+    not use them; the VARs the selection hands back carry them, each solved
+    as :func:`var_fit` solves it, on the scan's compressed rows.
 
     Raises:
         DomainError: ``max_p < 1``, bad shape or non-finite values.
@@ -571,14 +618,13 @@ def select_lag_order(
     data = _var_series(data)
     n = data.shape[0]
     _require_observations(n, min(max_p, var_max_order(n) + 1))
-    A, fits = _fit_orders(data, max_p)
+    A, C = _compress(data, max_p)
+    beta, sscps = _rank_orders(C, max_p)
     orders = range(1, max_p + 1)
 
     # Residuals of every order from one product, one row of E per order and
     # equation, zero before the order's sample and demeaned over the rest.
-    B = np.zeros((2 * max_p + 1, 2 * max_p))
-    for p, (beta, _, _) in zip(orders, fits):
-        B[: 2 * p + 1, 2 * p - 2 : 2 * p] = beta
+    B = beta.transpose(1, 0, 2).reshape(2 * max_p + 1, 2 * max_p)
     E = B.T @ A[:, : 2 * max_p + 1].T
     by_order = E.reshape(max_p, 2, n)
     np.subtract(data.T, by_order, out=by_order)
@@ -592,9 +638,9 @@ def select_lag_order(
     q = _ljung_box_q(E, T.repeat(2), h.repeat(2)).reshape(max_p, 2)
 
     rows = []
-    for p, (_, _, sscp), T, h, (q0, q1) in zip(orders, fits, T.tolist(), h.tolist(),
-                                               q.tolist()):
-        s00, s01, s10, s11 = [s / T for s in sscp.ravel().tolist()]
+    for p, sscp, T, h, (q0, q1) in zip(orders, sscps.tolist(), T.tolist(), h.tolist(),
+                                       q.tolist()):
+        (s00, s01), (s10, s11) = [[s / T for s in row] for row in sscp]
         r = abs(s01) / math.sqrt(s00 * s11) if s00 * s11 > 0.0 else 1.0
         cond = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
         _require_conditioned(cond, f"VAR({p}) has a singular residual covariance")
@@ -618,5 +664,5 @@ def select_lag_order(
         rows=rows,
         whiteness_alpha=WHITENESS_ALPHA,
         all_failed_whiteness=not passing,
-        _scan=(data, tuple(names), fits),
+        _scan=(data, tuple(names), C),
     )

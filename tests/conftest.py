@@ -96,7 +96,7 @@ def chart_server(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
     server = ChartServer()
     thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        target=server.serve_forever, kwargs={"poll_interval": 0.005}, daemon=True
     )
     thread.start()
     yield server

@@ -58,6 +58,10 @@ RECORDS = st.lists(
     st.builds(ObservationRecord, st.dates(), POSITIVE, POSITIVE, st.none() | POSITIVE),
     min_size=1, max_size=12, unique_by=lambda r: r.date,
 ).map(lambda records: sorted(records, key=lambda r: r.date))
+OBSERVATION_SETS = st.lists(
+    st.tuples(st.dates(), POSITIVE, POSITIVE, st.just(math.nan) | POSITIVE),
+    min_size=1, max_size=12, unique_by=lambda row: row[0],
+).map(lambda rows: Observations(*zip(*sorted(rows, key=lambda row: row[0]))))
 
 
 class TestParseObservations:
@@ -173,6 +177,46 @@ class TestParseObservations:
     def test_parse_inverts_serialize(self, records):
         assert parse_observations(serialize_observations(records)) == records
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(OBSERVATION_SETS)
+    def test_parse_inverts_serialize_of_columns(self, observations):
+        """Dates from year 1 to 9999, subnormal to near-overflow values, NaN
+        efficiencies: every set the writer takes, its reader reads back."""
+        text = serialize_observations(observations)
+        again = parse_observations(text)
+        assert again == observations
+        assert serialize_observations(again) == text
+
+    @pytest.mark.parametrize("dates, problem", [
+        ((dt.date(2020, 1, 2), dt.date(2020, 1, 1)),
+         "observation dates out of order: 2020-01-01 after 2020-01-02"),
+        ((dt.date(2020, 1, 1),) * 2, "duplicate observation date 2020-01-01"),
+    ], ids=["out-of-order", "duplicate"])
+    def test_observations_refuse_the_dates_the_reader_refuses(self, dates, problem):
+        message = f"{problem} (dates must be strictly increasing)"
+        rows = [ObservationRecord(date, 1e12, 900.0, 0.2) for date in dates]
+        with pytest.raises(ValidationError) as info:
+            Observations(dates, [1e12] * 2, [900.0] * 2, [0.2] * 2)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            serialize_observations(rows)
+        assert str(info.value) == message
+        text = "".join(f"{date},1e12,900.0,0.2\n" for date in dates)
+        with pytest.raises(ValidationError) as info:
+            parse_observations(f"date,difficulty,price_usd,eff_w_per_ghs\n{text}")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("records", [[], parse_observations(OBS_CSV)[1:1]],
+                             ids=["records", "empty-slice"])
+    def test_serialize_refuses_an_empty_set_as_parse_does(self, records):
+        message = "observations must have at least one record"
+        with pytest.raises(ValidationError) as info:
+            serialize_observations(records)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            parse_observations("date,difficulty,price_usd\n")
+        assert str(info.value) == message
+
     def test_repeated_column_rejected(self):
         bad = "date,difficulty,price_usd,difficulty\n2016-06-25,2.0e11,600.0,2.0e11\n"
         with pytest.raises(ParseError, match="^line 1: repeated column 'difficulty'$"):
@@ -195,11 +239,9 @@ class TestParseObservations:
                   "2016-07-23,220000000000.0,660.0,0.45\n"),
         ("date,difficulty,price_usd\n2016-06-25,2.0e11,600.0\n",
          "date,difficulty,price_usd\n2016-06-25,200000000000.0,600.0\n"),
-        (None, "date,difficulty,price_usd\n"),
-    ], ids=["efficiency", "no-efficiency", "no-rows"])
+    ], ids=["efficiency", "no-efficiency"])
     def test_serialize_writes_columns_and_records_alike(self, text, expected):
-        observations = (Observations((), [], [], []) if text is None
-                        else parse_observations(text))
+        observations = parse_observations(text)
         assert serialize_observations(observations) == expected
         assert serialize_observations(list(observations)) == expected
 
@@ -635,18 +677,19 @@ class TestObservations:
 
     @pytest.mark.parametrize("index", [
         slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
-        slice(0, 3, 2), slice(2, 2), slice(5, 9)])
+        slice(0, 3, 2), slice(2, 2), slice(5, 9), slice(2, 0, -2), slice(0, 2, -1)])
     def test_a_slice_is_columns_of_the_same_records(self, index):
+        """Every slice is total; one with falling dates is a list of records."""
         part = Observations.of(self.RECORDS)[index]
-        assert isinstance(part, Observations)
+        assert isinstance(part, list if (index.step or 1) < 0 else Observations)
         assert list(part) == self.RECORDS[index]
         assert len(part) == len(self.RECORDS[index])
 
     def test_a_slice_keeps_its_share_of_the_input_texts(self):
         text = serialize_observations(self.RECORDS)
-        part = parse_observations(text)[::-2]
-        assert part.date_text == ["2016-07-23", "2016-06-25"]
-        assert part.price_text == ("660.0", "600.0")
+        part = parse_observations(text)[::2]
+        assert part.date_text == ["2016-06-25", "2016-07-23"]
+        assert part.price_text == ("600.0", "660.0")
         assert parse_observations(OBS_CSV.replace("600.0", "600"))[1:].price_text is None
 
     def test_equals_any_sequence_of_equal_records(self):
@@ -659,7 +702,7 @@ class TestObservations:
         columns = Observations.of(self.RECORDS)
         changed = [
             self.RECORDS[:2],
-            self.RECORDS + self.RECORDS[:1],
+            self.RECORDS + [ObservationRecord(dt.date(2016, 8, 6), 2.3e11, 670.0)],
             [*self.RECORDS[:2], ObservationRecord(dt.date(2016, 7, 23), 2.2e11, 661.0, 0.45)],
             [*self.RECORDS[:2], ObservationRecord(dt.date(2016, 7, 23), 2.2e11, 660.0)],
             [ObservationRecord(dt.date(2016, 6, 26), 2.0e11, 600.0, 0.5), *self.RECORDS[1:]],
@@ -950,16 +993,20 @@ class TestBuildBacktestSeries:
 
     @pytest.mark.parametrize("records, with_table, message", [
         # Within a record: no efficiency without a table before the reward.
-        ([(dt.date(2016, 1, 1), 0.5), (dt.date(2008, 1, 1), None)], False,
+        ([(dt.date(2008, 1, 1), None), (dt.date(2016, 1, 1), 0.5)], False,
          "no efficiency for 2008-01-01 and no efficiency table supplied"),
         # Within a record: the table before the reward.
-        ([(dt.date(2016, 1, 1), 0.5), (dt.date(2008, 1, 1), None)], True,
+        ([(dt.date(2008, 1, 1), None), (dt.date(2016, 1, 1), 0.5)], True,
          "date 2008-01-01 precedes first efficiency entry 2015-01-01"),
         # The first failing record wins, whatever fails later.
         ([(dt.date(2008, 1, 1), 0.5), (dt.date(2014, 1, 1), None)], True,
          "date 2008-01-01 precedes first reward entry 2009-01-03"),
-        ([(dt.date(2014, 1, 1), None), (dt.date(2008, 1, 1), 0.5)], True,
+        ([(dt.date(2014, 1, 1), None), (dt.date(2014, 6, 1), None)], True,
          "date 2014-01-01 precedes first efficiency entry 2015-01-01"),
+        # Records out of date order are no observation set: no lookup runs.
+        ([(dt.date(2014, 1, 1), None), (dt.date(2008, 1, 1), 0.5)], True,
+         "observation dates out of order: 2008-01-01 after 2014-01-01 "
+         "(dates must be strictly increasing)"),
     ])
     def test_the_first_failing_lookup_raises(self, records, with_table, message):
         table = EfficiencyTable(entries=((dt.date(2015, 1, 1), 0.5),))

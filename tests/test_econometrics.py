@@ -28,9 +28,11 @@ from minecost import (
     var_fit,
 )
 from minecost.econometrics import (
-    _fit_orders,
+    _compress,
     _lag_design,
+    _rank_orders,
     _svd_solve,
+    _var_model,
     var_max_order,
     var_min_observations,
 )
@@ -242,10 +244,15 @@ class TestLeastSquaresCore:
           for n in (26, 126, 6000) for seed in (1, 2)),
     ])
     def test_scan_residual_cross_products_are_exactly_symmetric(self, data):
-        """So the VAR's residual covariance needs no symmetrizing."""
-        _, fits = _fit_orders(data, min(8, var_max_order(data.shape[0])))
-        for _, _, sscp in fits:
+        """The lag table's residual cross-products, from the batched QR, and
+        the reported VAR's residual covariance need no symmetrizing."""
+        max_p = min(8, var_max_order(data.shape[0]))
+        _, C = _compress(data, max_p)
+        _, sscps = _rank_orders(C, max_p)
+        for p, sscp in enumerate(sscps, start=1):
             assert np.array_equal(sscp, sscp.T)
+            resid_cov = _var_model(data, p, C, ("y0", "y1")).resid_cov
+            assert np.array_equal(resid_cov, resid_cov.T)
 
 
 class TestLagDesign:

@@ -147,7 +147,7 @@ def test_a_short_series_names_the_same_order_as_a_scan_over_every_order(monkeypa
     def fitted(*args, **kwargs):
         raise Fitted
 
-    monkeypatch.setattr(econometrics, "_fit_orders", fitted)
+    monkeypatch.setattr(econometrics, "_compress", fitted)
     data = np.ones((400, 2))
     for n in range(401):
         for max_p in range(1, 31):
@@ -161,6 +161,83 @@ def test_a_short_series_names_the_same_order_as_a_scan_over_every_order(monkeypa
                        f"for p={short}, got {n}")
             with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$"):
                 select_lag_order(data[:n], max_p)
+
+
+def _first_svd_error(C, max_p):
+    """Message of the first order whose _svd_solve on its own rows of C
+    raises, or None if every order's passes."""
+    for p in range(1, max_p + 1):
+        try:
+            econometrics._svd_solve(*econometrics._order_rows(C, p))
+        except SingularityError as exc:
+            return str(exc)
+    return None
+
+
+def _assert_the_guard_decides(scan, C, max_p):
+    """``scan()`` raises SingularityError, with the same message, exactly when
+    some order's _svd_solve on its own rows of C raises; returns the message."""
+    expected = _first_svd_error(C, max_p)
+    if expected is None:
+        scan()
+    else:
+        with pytest.raises(SingularityError) as info:
+            scan()
+        assert str(info.value) == expected
+    return expected
+
+
+def _collinear(eps, n=200):
+    """y1 is last period's y0 plus eps noise, so from p = 2 on the design has
+    two columns eps apart: its condition grows as 1 / eps^2 and with p. The
+    residuals stay uncorrelated, so only the fit guard can refuse it."""
+    rng = np.random.default_rng(12)
+    y0 = np.cumsum(rng.normal(size=n))
+    y1 = np.zeros(n)
+    y1[1:] = y0[:-1] + eps * rng.normal(size=n - 1)
+    return np.column_stack([y0, y1])
+
+
+def test_the_batched_scan_refuses_exactly_the_orders_the_svd_guard_refuses():
+    """Designs whose (s_max/s_min)^2 span 1e11 to 1e13 around CONDITION_LIMIT."""
+    outcomes = []
+    for eps in np.geomspace(3e-6, 7e-5, 25):
+        data = _collinear(eps)
+        _, C = econometrics._compress(data, MAX_P)
+        outcomes.append(_assert_the_guard_decides(
+            lambda: select_lag_order(data, MAX_P), C, MAX_P))
+    refused = [message for message in outcomes if message is not None]
+    assert 0 < len(refused) < len(outcomes)
+    assert len(set(refused)) == len(refused)  # the first refused order moves
+    assert all(message.startswith("normal-equations matrix is ill-conditioned")
+               for message in refused)
+
+
+def test_a_zero_column_at_some_orders_is_the_svd_guards_error():
+    """A spike at t = 0 leaves VAR(1) a nonzero y1 lag column and every
+    higher order a zero one."""
+    data = _random_walk(200, 13)
+    data[:, 1] = 0.0
+    data[0, 1] = 1.0
+    _, C = econometrics._compress(data, MAX_P)
+    message = _assert_the_guard_decides(lambda: select_lag_order(data, MAX_P), C,
+                                        MAX_P)
+    assert message == "regressor matrix has a zero column"
+    econometrics._svd_solve(*econometrics._order_rows(C, 1))
+
+
+def test_an_exactly_singular_block_is_the_svd_guards_error():
+    """Compressed rows whose VAR(2) prefix is already triangular, with a zero
+    diagonal under a nonzero column: its QR keeps the zero, so an LU
+    inversion of its block would fail the whole batch."""
+    rng = np.random.default_rng(14)
+    C = np.vstack([np.triu(rng.normal(size=(7, 7))), rng.normal(size=(1, 7))])
+    C[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(C[:5, :5])
+    message = _assert_the_guard_decides(lambda: econometrics._rank_orders(C, 2), C, 2)
+    assert message.startswith("normal-equations matrix is ill-conditioned")
+    econometrics._svd_solve(*econometrics._order_rows(C, 1))
 
 
 def test_the_scan_makes_no_var_fit_call(monkeypatch):
