@@ -23,10 +23,15 @@ decimals. Structured (JSON) output always carries full precision.
 
 from __future__ import annotations
 
+import gc
+
+# Run as a script, the process is process_main's, so its imports run no collection.
+if __name__ == "__main__":
+    gc.disable()
+
 import argparse
 import datetime as dt
 import functools
-import gc
 import json
 import os
 import re
@@ -694,7 +699,9 @@ def process_main() -> int:
     the cyclic garbage collector is off while it runs and the heap is frozen
     at the end: the imports of a subcommand (numpy's among them) run no
     collection, and interpreter shutdown skips the full one over what they
-    left. Callers of :func:`main` keep their own collector state.
+    left. Run as ``python -m minecost.cli``, the module turns the collector
+    off before its own imports too. Callers of :func:`main` keep their own
+    collector state.
     """
     gc.disable()
     try:

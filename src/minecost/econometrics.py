@@ -39,6 +39,10 @@ Conventions, fixed once for the whole package:
   _svd_solve, which raises or passes. The reported VAR, of the scan or of
   var_fit, is solved by _svd_solve on its order's compressed rows, with no
   new factorization of the data.
+* The scan's shape-only arrays (_scan_masks, _lag_caps) and the mask that
+  zeroes R's lower triangle (_strict_lower, behind _qr_r) are built once per
+  shape and shared read-only, the last 16 shapes of each kept; their keys
+  are sizes set by max_p, never by the series length.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
   one-series case.
@@ -46,6 +50,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -286,6 +291,37 @@ def _lag_design(data: np.ndarray, p: int) -> np.ndarray:
     return A
 
 
+# A process scans few shapes; the bound keeps a sweep over max_p from
+# holding the masks of every order it tried.
+_shape_cache = functools.lru_cache(maxsize=16)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each marked read-only: a cached array is shared by every call."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@_shape_cache
+def _strict_lower(rows: int, columns: int) -> np.ndarray:
+    """The mask ``np.triu`` zeroes: below the diagonal of a ``rows x columns`` array."""
+    return _read_only(np.tri(rows, columns, k=-1, dtype=bool))[0]
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(a, mode="r")``, bit for bit, with a mask cached per shape.
+
+    ``mode="raw"`` leaves the same factorization with R in the upper
+    triangle of its leading rows; zeroing the rest as ``np.triu`` does gives
+    the same array, signs of zero included.
+    """
+    h = np.linalg.qr(a, mode="raw")[0].swapaxes(-1, -2)
+    columns = h.shape[-1]
+    rows = min(h.shape[-2], columns)
+    return np.where(_strict_lower(rows, columns), 0.0, h[..., :rows, :])
+
+
 def _compress(data: np.ndarray, max_p: int):
     """``(A, C)``: the VAR(max_p) :func:`_lag_design` and its compressed rows.
 
@@ -295,7 +331,7 @@ def _compress(data: np.ndarray, max_p: int):
     rows ``p..n-1``: all that the least-squares step and its guards depend on.
     """
     A = _lag_design(data, max_p)
-    R = np.linalg.qr(A[max_p:], mode="r")
+    R = _qr_r(A[max_p:])
     return A, np.vstack([R, A[max_p - 1 : 0 : -1]])
 
 
@@ -303,6 +339,27 @@ def _order_rows(C: np.ndarray, p: int):
     """VAR(p)'s regressors and responses among the compressed rows ``C``."""
     m = len(C) + 1 - p
     return C[:m, : 2 * p + 1], C[:m, -2:]
+
+
+@_shape_cache
+def _scan_masks(length: int, width: int, max_p: int) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`_rank_orders` that depend only on ``C``'s shape.
+
+    ``(orders, k, rows, lead_k, inside, eye, lead_k_column, tail_column)``:
+    order p's prefix of ``C``'s ``length`` rows, its k = 2p + 1 leading rows
+    of R and its k x k block among the first K = 2 max_p + 1, the identity
+    that pads each block, and the broadcasts that pick each order's
+    coefficient rows and tail of R's two response columns.
+    """
+    K = 2 * max_p + 1
+    orders = np.arange(1, max_p + 1)
+    k = 2 * orders + 1
+    rows = np.arange(length)[None, :] < (length + 1 - orders)[:, None]
+    lead = np.arange(min(length, width))[None, :] < k[:, None]  # order p's rows of R
+    lead_k = lead[:, :K]
+    inside = lead_k[:, :, None] & lead_k[:, None, :]
+    return _read_only(orders, k, rows[:, :, None], lead_k, inside, np.eye(K),
+                      lead_k[:, :, None], ~lead[:, :, None])
 
 
 def _rank_orders(C: np.ndarray, max_p: int):
@@ -319,18 +376,16 @@ def _rank_orders(C: np.ndarray, max_p: int):
     with a zero column or a singular block, or whose bound the guard does
     not pass, is solved by :func:`_svd_solve` on its own rows of ``C``,
     which raises its error or passes; the first failing order raises.
+    The masks come from :func:`_scan_masks`, built once per shape.
 
     Returns ``beta``, shape (max_p, 2 max_p + 1, 2) with zeros below each
     order's 2p + 1 rows, and ``sscp``, shape (max_p, 2, 2).
     """
     K = 2 * max_p + 1
-    orders = np.arange(1, max_p + 1)
-    k = 2 * orders + 1
-    rows = np.arange(len(C))[None, :] < (len(C) + 1 - orders)[:, None]
-    R = np.linalg.qr(C * rows[:, :, None], mode="r")
-    lead = np.arange(R.shape[1])[None, :] < k[:, None]  # order p's rows of R
-    blocks, lead_k = R[:, :K, :K], lead[:, :K]
-    inside = lead_k[:, :, None] & lead_k[:, None, :]
+    orders, k, rows, lead_k, inside, eye, lead_k_column, tail_column = _scan_masks(
+        len(C), C.shape[1], max_p)
+    R = _qr_r(C * rows)
+    blocks = R[:, :K, :K]
     # A failing order is _svd_solve's to report, so no step here warns.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = np.where(lead_k, np.sqrt((blocks * blocks).sum(axis=1)), 1.0)
@@ -339,10 +394,10 @@ def _rank_orders(C: np.ndarray, max_p: int):
         # refuse the whole batch.
         diagonal = scaled.diagonal(axis1=1, axis2=2)
         solved = ((np.abs(diagonal) > 0.0) | ~lead_k).all(axis=1)
-        G = np.linalg.inv(np.where(inside & solved[:, None, None], scaled, np.eye(K)))
+        G = np.linalg.inv(np.where(inside & solved[:, None, None], scaled, eye))
         bound = k * (G * G * inside).sum(axis=(1, 2))
-        beta = G @ (R[:, :K, -2:] * lead_k[:, :, None]) / scale[:, :, None]
-    tail = R[:, :, -2:] * ~lead[:, :, None]
+        beta = G @ (R[:, :K, -2:] * lead_k_column) / scale[:, :, None]
+    tail = R[:, :, -2:] * tail_column
     sscp = tail.transpose(0, 2, 1) @ tail
     for p in orders[~(solved & (bound <= CONDITION_LIMIT))].tolist():
         b, _, E = _svd_solve(*_order_rows(C, p))
@@ -583,6 +638,13 @@ class LagSelection:
         return _var_model(data, p, C, names)
 
 
+@_shape_cache
+def _lag_caps(max_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(orders, cap)``: 1..max_p and the whiteness-lag cap ``max(10, 2p)``."""
+    orders = np.arange(1, max_p + 1)
+    return _read_only(orders, np.maximum(10, 2 * orders))
+
+
 def select_lag_order(
     data,
     max_p: int,
@@ -630,11 +692,12 @@ def select_lag_order(
     np.subtract(data.T, by_order, out=by_order)
     for p in orders:
         by_order[p - 1, :, :p] = 0.0
-    T = n - np.arange(1, max_p + 1)
+    order_numbers, cap = _lag_caps(max_p)
+    T = n - order_numbers
     means = by_order.sum(axis=2) / T[:, None]
     for p in orders:
         by_order[p - 1, :, p:] -= means[p - 1, :, None]
-    h = np.minimum(np.maximum(10, 2 * np.arange(1, max_p + 1)), T - 2)
+    h = np.minimum(cap, T - 2)
     q = _ljung_box_q(E, T.repeat(2), h.repeat(2)).reshape(max_p, 2)
 
     rows = []

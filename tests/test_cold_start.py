@@ -51,7 +51,9 @@ def test_importing_the_package_loads_no_numpy():
 
 
 def test_every_subcommand_is_timed_and_its_imports_listed(capsys):
+    cpus = os.sched_getaffinity(0)
     assert cold_start.main(["--runs", "1"]) == 0
+    assert os.sched_getaffinity(0) == cpus  # later tests' children get every CPU
     result = json.loads(capsys.readouterr().out)
     assert result["runs"] == 1
     [tree] = result["trees"]
@@ -101,3 +103,46 @@ def test_the_console_script_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["scripts"]["minecost"] == "minecost.cli:process_main"
+
+
+# Counts the collections of a `python -m minecost.cli var --format json`
+# process: all of them, and those that start once cli.py runs, which are the
+# ones after its own compilation.
+COLLECTIONS_PROBE = """\
+import gc, os, runpy, sys
+counts = {"all": 0, "cli": 0}
+def running_cli():
+    frame = sys._getframe()
+    while frame is not None:
+        if frame.f_code.co_filename.endswith(os.path.join("minecost", "cli.py")):
+            return True
+        frame = frame.f_back
+    return False
+def count(phase, info):
+    if phase == "start":
+        counts["all"] += 1
+        counts["cli"] += running_cli()
+gc.callbacks.append(count)
+try:
+    runpy.run_module("minecost.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(counts["all"], counts["cli"], file=sys.stderr)
+"""
+
+
+def test_a_cli_process_run_as_a_module_runs_no_collection(tmp_path):
+    """The first run compiles cli.py, which may itself trigger a collection;
+    the second loads the bytecode the first wrote, as an install does."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(tmp_path))
+    counts = []
+    for _ in range(2):
+        result = subprocess.run([sys.executable, "-c", COLLECTIONS_PROBE, "var", "--format",
+                                 "json"], capture_output=True, text=True, timeout=120,
+                                env=env)
+        assert result.returncode == 0, result.stderr
+        counts.append(tuple(map(int, result.stderr.splitlines()[-1].split())))
+    (_, compiled_in_cli), cached = counts
+    assert compiled_in_cli == 0
+    assert cached == (0, 0)

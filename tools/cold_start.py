@@ -12,7 +12,7 @@ to compare checkouts. Every subcommand runs ``--runs`` times per tree as
 data; the trees take turns, in an order that flips every run. ``fetch``
 reads a cache filled beforehand and touches no network. One more run of
 each subcommand per tree lists the modules it loaded. This process pins
-itself, and so its children, to one CPU.
+itself, and so its children, to one CPU while it measures.
 
 Printed as JSON, per tree and subcommand: the min and median wall time in
 milliseconds, and which of ``numpy`` and ``minecost.*`` the run loaded. Per
@@ -111,29 +111,22 @@ def dont_write_bytecode(src: Path) -> bool:
     return bool(int(_run(src, ["-c", probe]).stdout))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, action="append",
-                        help="source tree to import minecost from (repeatable)")
-    parser.add_argument("--runs", type=int, default=15, help="timed runs per subcommand")
-    args = parser.parse_args(argv)
-    trees = [src.resolve() for src in args.src or [SRC]]
-    cpu = max(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
+def measure(trees: list[Path], repeats: int, cpu: int) -> dict:
+    """The printed result: ``repeats`` timed runs of each subcommand per tree."""
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
         runs = commands(workdir)
         cached = {src: bytecode_cached(src) for src in trees}
         times = {src: {name: [] for name in runs} for src in trees}
-        for run in range(args.runs):
+        for run in range(repeats):
             for name, command in runs.items():
                 for src in trees if run % 2 == 0 else trees[::-1]:
                     if name == "fetch":
                         fill_cache(workdir / "cache")
                     times[src][name].append(wall_ms(src, command))
         fill_cache(workdir / "cache")
-        result = {
-            "runs": args.runs,
+        return {
+            "runs": repeats,
             "cpu": cpu,
             "trees": [{
                 "src": str(src),
@@ -146,6 +139,21 @@ def main(argv=None) -> int:
                 } for name, ms in times[src].items()},
             } for src in trees],
         }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, action="append",
+                        help="source tree to import minecost from (repeatable)")
+    parser.add_argument("--runs", type=int, default=15, help="timed runs per subcommand")
+    args = parser.parse_args(argv)
+    trees = [src.resolve() for src in args.src or [SRC]]
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        result = measure(trees, args.runs, max(cpus))
+    finally:  # an in-process caller gets its CPUs back
+        os.sched_setaffinity(0, cpus)
     print(json.dumps(result, indent=2))
     return 0
 
