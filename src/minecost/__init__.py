@@ -10,6 +10,7 @@ Each public name is imported from its module on first access (PEP 562), so
 ``import minecost`` loads neither numpy nor any submodule.
 """
 
+import gc
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -63,3 +64,15 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _main() -> int:
+    """The ``minecost`` command: :func:`minecost.cli.process_main`'s exit status.
+
+    The collector goes off before ``cli`` and its module-level imports load,
+    so that they run no collection either.
+    """
+    gc.disable()
+    from .cli import process_main
+
+    return process_main()

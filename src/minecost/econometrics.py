@@ -33,16 +33,13 @@ Conventions, fixed once for the whole package:
 * One lag design, _lag_design, lays out every column of a VAR fit, and one
   QR of its max-lag rows compresses it (_compress): leading rows of the
   result have the Gram matrix of any order's own n - p rows. The lag scan
-  ranks every order from one batched QR of those prefixes and one batched
-  inverse of their column-scaled triangular blocks, whose Frobenius norm
-  bounds the condition; an order the bound does not clear goes through
-  _svd_solve, which raises or passes. The reported VAR, of the scan or of
-  var_fit, is solved by _svd_solve on its order's compressed rows, with no
-  new factorization of the data.
-* The scan's shape-only arrays (_scan_masks, _lag_caps) and the mask that
-  zeroes R's lower triangle (_strict_lower, behind _qr_r) are built once per
-  shape and shared read-only, the last 16 shapes of each kept; their keys
-  are sizes set by max_p, never by the series length.
+  ranks every order from one QR of those rows, with an indicator column
+  for each row before some order's sample, so that every order is a
+  leading block of its R, and one inverse of R's triangle, whose rows
+  bound each order's condition; an order the bound does not clear goes
+  through _svd_solve, which raises or passes. The reported VAR, of the
+  scan or of var_fit, is solved by _svd_solve on its order's compressed
+  rows, with no new factorization of the data.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
   one-series case.
@@ -50,7 +47,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -291,37 +287,6 @@ def _lag_design(data: np.ndarray, p: int) -> np.ndarray:
     return A
 
 
-# A process scans few shapes; the bound keeps a sweep over max_p from
-# holding the masks of every order it tried.
-_shape_cache = functools.lru_cache(maxsize=16)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays``, each marked read-only: a cached array is shared by every call."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-@_shape_cache
-def _strict_lower(rows: int, columns: int) -> np.ndarray:
-    """The mask ``np.triu`` zeroes: below the diagonal of a ``rows x columns`` array."""
-    return _read_only(np.tri(rows, columns, k=-1, dtype=bool))[0]
-
-
-def _qr_r(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(a, mode="r")``, bit for bit, with a mask cached per shape.
-
-    ``mode="raw"`` leaves the same factorization with R in the upper
-    triangle of its leading rows; zeroing the rest as ``np.triu`` does gives
-    the same array, signs of zero included.
-    """
-    h = np.linalg.qr(a, mode="raw")[0].swapaxes(-1, -2)
-    columns = h.shape[-1]
-    rows = min(h.shape[-2], columns)
-    return np.where(_strict_lower(rows, columns), 0.0, h[..., :rows, :])
-
-
 def _compress(data: np.ndarray, max_p: int):
     """``(A, C)``: the VAR(max_p) :func:`_lag_design` and its compressed rows.
 
@@ -331,7 +296,7 @@ def _compress(data: np.ndarray, max_p: int):
     rows ``p..n-1``: all that the least-squares step and its guards depend on.
     """
     A = _lag_design(data, max_p)
-    R = _qr_r(A[max_p:])
+    R = np.linalg.qr(A[max_p:], mode="r")
     return A, np.vstack([R, A[max_p - 1 : 0 : -1]])
 
 
@@ -341,65 +306,62 @@ def _order_rows(C: np.ndarray, p: int):
     return C[:m, : 2 * p + 1], C[:m, -2:]
 
 
-@_shape_cache
-def _scan_masks(length: int, width: int, max_p: int) -> tuple[np.ndarray, ...]:
-    """The arrays of :func:`_rank_orders` that depend only on ``C``'s shape.
-
-    ``(orders, k, rows, lead_k, inside, eye, lead_k_column, tail_column)``:
-    order p's prefix of ``C``'s ``length`` rows, its k = 2p + 1 leading rows
-    of R and its k x k block among the first K = 2 max_p + 1, the identity
-    that pads each block, and the broadcasts that pick each order's
-    coefficient rows and tail of R's two response columns.
-    """
-    K = 2 * max_p + 1
-    orders = np.arange(1, max_p + 1)
-    k = 2 * orders + 1
-    rows = np.arange(length)[None, :] < (length + 1 - orders)[:, None]
-    lead = np.arange(min(length, width))[None, :] < k[:, None]  # order p's rows of R
-    lead_k = lead[:, :K]
-    inside = lead_k[:, :, None] & lead_k[:, None, :]
-    return _read_only(orders, k, rows[:, :, None], lead_k, inside, np.eye(K),
-                      lead_k[:, :, None], ~lead[:, :, None])
-
-
 def _rank_orders(C: np.ndarray, max_p: int):
-    """``(beta, sscp)`` of VAR(1..max_p) from one batched QR of ``C``'s prefixes.
+    """``(beta, sscp)`` of VAR(1..max_p), each order a leading block of one QR.
 
-    Order p's rows of ``C``, zero-padded to ``len(C)``, keep its Gram matrix,
-    so their R has VAR(p)'s R_k in its leading k x k block (k = 2p + 1), and
-    the rows k onward of its two response columns are a ``tail`` whose
-    ``tail'tail`` is the residual cross-product. One batched inverse of the
-    blocks ``R_k D^-1``, D their column norms, each padded with the identity
-    to 2 max_p + 1, gives ``beta = D^-1 (R_k D^-1)^-1 R_k'Y`` and, as
-    ``k ||(R_k D^-1)^-1||_F^2``, a bound on :func:`_svd_solve`'s
-    ``(s_max / s_min)^2``, since ``R_k D^-1`` has unit columns. An order
-    with a zero column or a singular block, or whose bound the guard does
-    not pass, is solved by :func:`_svd_solve` on its own rows of ``C``,
-    which raises its error or passes; the first failing order raises.
-    The masks come from :func:`_scan_masks`, built once per shape.
+    An indicator column for one row fits that row exactly, which is the same
+    as deleting it (Salkever 1976). M is ``C`` with an indicator for each
+    row ``A[t] = C[len(C) - t]``, t < max_p, right after the lag-t columns,
+    so its leading 3p columns are VAR(p)'s k = 2p + 1 and the indicators of
+    the rows before its sample: the fit of M's responses on them is VAR(p)
+    on its own rows of ``C``. With R of M and H the inverse of R's leading
+    3 max_p block, whose leading blocks are the inverses of R's, order p's
+    coefficients are its rows of ``H[:3p, :3p] R[:3p, -2:]``, and the rows
+    3p onward of R's response columns are a tail whose ``tail'tail`` is the
+    residual cross-product. With D the norms of ``C``'s columns,
+    ``k sum_j D_j^2 sum_{i < 3p} H[j, i]^2`` over the order's columns is
+    ``k ||D R_k^-1||_F^2``, R_k that of its own rows, and bounds
+    :func:`_svd_solve`'s ``(s_max / s_min)^2``, which scales by norms over
+    those rows only: D over every row also counts the rounding that the
+    rows before the sample leave in R. A zero pivot is set to 1 before the
+    inverse, which leaves the blocks before it as they are. An order whose
+    block holds one, or whose bound the guard does not pass, is solved by
+    :func:`_svd_solve` on its own rows of ``C``, which raises its error or
+    passes; the first failing order raises.
 
     Returns ``beta``, shape (max_p, 2 max_p + 1, 2) with zeros below each
     order's 2p + 1 rows, and ``sscp``, shape (max_p, 2, 2).
     """
-    K = 2 * max_p + 1
-    orders, k, rows, lead_k, inside, eye, lead_k_column, tail_column = _scan_masks(
-        len(C), C.shape[1], max_p)
-    R = _qr_r(C * rows)
-    blocks = R[:, :K, :K]
+    K, L = 2 * max_p + 1, 3 * max_p
+    orders = np.arange(1, max_p + 1)
+    last = 3 * orders - 1  # the last column of order p's block of M
+    before = orders[:-1]
+    # M's column of each of C's: the pair of lag t moves right past the t - 1
+    # indicators before it, the responses past all max_p - 1.
+    columns = np.arange(C.shape[1])
+    columns += np.clip((columns - 1) // 2, 0, max_p - 1)
+    M = np.zeros((len(C), L + 2))
+    M[:, columns] = C
+    M[len(C) - before, 3 * before] = 1.0
+    R = np.linalg.qr(M, mode="r")
+    pivots = np.arange(L)
+    zero = ~(np.abs(R[pivots, pivots]) > 0.0)  # or NaN, from an overflow
+    R[pivots[zero], pivots[zero]] = 1.0
+    clear = np.cumsum(zero)[last] == 0
+    Y = R[:, -2:]
     # A failing order is _svd_solve's to report, so no step here warns.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = np.where(lead_k, np.sqrt((blocks * blocks).sum(axis=1)), 1.0)
-        scaled = blocks / scale[:, None, :]
-        # A zero (or, from a zero column, NaN) pivot: LU inversion would
-        # refuse the whole batch.
-        diagonal = scaled.diagonal(axis1=1, axis2=2)
-        solved = ((np.abs(diagonal) > 0.0) | ~lead_k).all(axis=1)
-        G = np.linalg.inv(np.where(inside & solved[:, None, None], scaled, eye))
-        bound = k * (G * G * inside).sum(axis=(1, 2))
-        beta = G @ (R[:, :K, -2:] * lead_k_column) / scale[:, :, None]
-    tail = R[:, :, -2:] * tail_column
-    sscp = tail.transpose(0, 2, 1) @ tail
-    for p in orders[~(solved & (bound <= CONDITION_LIMIT))].tolist():
+        H = np.linalg.inv(R[:L, :L])
+        # Sums over each order's block, read off running sums along H's
+        # rows; H is upper triangular, so a row past the block sums zeros.
+        blocks = columns[:K], last[:, None]
+        norms2 = (C[:, :K] * C[:, :K]).sum(axis=0)
+        bound = (2 * orders + 1) * (np.cumsum(H * H, axis=1)[blocks] @ norms2)
+        beta = np.cumsum(H[:, :, None] * Y[:L], axis=1)[blocks]
+        # tail'tail: the sums of the rows' outer products from row 3p on.
+        outer = Y[:, :, None] * Y[:, None, :]
+        sscp = np.cumsum(outer[::-1], axis=0)[::-1][3 * orders]
+    for p in orders[~(clear & (bound <= CONDITION_LIMIT))].tolist():
         b, _, E = _svd_solve(*_order_rows(C, p))
         beta[p - 1, : 2 * p + 1] = b
         sscp[p - 1] = E.T @ E
@@ -638,13 +600,6 @@ class LagSelection:
         return _var_model(data, p, C, names)
 
 
-@_shape_cache
-def _lag_caps(max_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(orders, cap)``: 1..max_p and the whiteness-lag cap ``max(10, 2p)``."""
-    orders = np.arange(1, max_p + 1)
-    return _read_only(orders, np.maximum(10, 2 * orders))
-
-
 def select_lag_order(
     data,
     max_p: int,
@@ -658,11 +613,12 @@ def select_lag_order(
     and the selection is flagged. The full per-order table is always
     returned so a caller can override.
 
-    Each VAR(p) is fitted on its own ``T = n - p`` rows, all from one QR and
-    one batched QR (:func:`_rank_orders`). The whiteness test of an order sums the
-    Ljung-Box statistics of its two residual series up to lag
-    ``h = min(max(10, 2p), T - 2)``, each with ``max(1, h - p)`` degrees
-    of freedom; every order is tested in one pass per lag.
+    Each VAR(p) is fitted on its own ``T = n - p`` rows, all from one QR of
+    the max-lag design and one of its compressed rows (:func:`_rank_orders`).
+    The whiteness test of an order sums the Ljung-Box statistics of its two
+    residual series up to lag ``h = min(max(10, 2p), T - 2)``, each with
+    ``max(1, h - p)`` degrees of freedom; every order is tested in one pass
+    per lag.
 
     ``names`` labels the two columns, as for :func:`var_fit`. The table does
     not use them; the VARs the selection hands back carry them, each solved
@@ -692,12 +648,12 @@ def select_lag_order(
     np.subtract(data.T, by_order, out=by_order)
     for p in orders:
         by_order[p - 1, :, :p] = 0.0
-    order_numbers, cap = _lag_caps(max_p)
+    order_numbers = np.arange(1, max_p + 1)
     T = n - order_numbers
     means = by_order.sum(axis=2) / T[:, None]
     for p in orders:
         by_order[p - 1, :, p:] -= means[p - 1, :, None]
-    h = np.minimum(cap, T - 2)
+    h = np.minimum(np.maximum(10, 2 * order_numbers), T - 2)
     q = _ljung_box_q(E, T.repeat(2), h.repeat(2)).reshape(max_p, 2)
 
     rows = []

@@ -99,10 +99,15 @@ def test_a_cli_process_exits_with_the_collector_off_and_frozen(argv, code):
     assert result.stdout.splitlines()[-1] == "False True"
 
 
-def test_the_console_script_is_the_process_entry():
+def _console_script():
+    """``(module, function)`` of the ``minecost`` console script."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["scripts"]["minecost"] == "minecost.cli:process_main"
+    return tuple(project["scripts"]["minecost"].split(":"))
+
+
+def test_the_console_script_is_the_process_entry():
+    assert _console_script() == ("minecost", "_main")
 
 
 # Counts the collections of a `python -m minecost.cli var --format json`
@@ -146,3 +151,40 @@ def test_a_cli_process_run_as_a_module_runs_no_collection(tmp_path):
     (_, compiled_in_cli), cached = counts
     assert compiled_in_cli == 0
     assert cached == (0, 0)
+
+
+# The wrapper pip writes for the console script, after a prelude that counts
+# the collections of the process and prints them at exit, once the entry has
+# returned.
+SCRIPT_PROBE = """\
+import atexit, gc, sys
+starts = []
+def count(phase, info):
+    if phase == "start":
+        starts.append(info)
+gc.callbacks.append(count)
+atexit.register(lambda: print(len(starts), file=sys.stderr))
+import re
+import sys
+from {module} import {function}
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit({function}())
+"""
+
+
+def test_the_console_script_runs_no_collection(tmp_path):
+    """As for ``python -m``: the first run compiles, the second loads bytecode."""
+    module, function = _console_script()
+    probe = SCRIPT_PROBE.format(module=module, function=function)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(tmp_path))
+    counts = []
+    for _ in range(2):
+        result = subprocess.run([sys.executable, "-c", probe, "var", "--format", "json"],
+                                capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith('{\n  "granger"')
+        counts.append(int(result.stderr.splitlines()[-1]))
+    assert counts[1] == 0

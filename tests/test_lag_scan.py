@@ -71,14 +71,18 @@ def _oracle_row(data, p):
             stat, df, chi2_sf(stat, df))
 
 
-@pytest.mark.parametrize("data", [
-    pytest.param(_bundled_logs(), id="bundled"),
-    pytest.param(_random_walk(2000, 7), id="random-walk-2000"),
-    pytest.param(_random_walk(var_min_observations(MAX_P), 8), id="shortest"),
+@pytest.mark.parametrize("data, max_p", [
+    pytest.param(_bundled_logs(), MAX_P, id="bundled"),
+    pytest.param(_random_walk(2000, 7), MAX_P, id="random-walk-2000"),
+    pytest.param(_random_walk(var_min_observations(MAX_P), 8), MAX_P, id="shortest"),
+    # Where the scan puts the column that drops each row before an order's
+    # sample depends on max_p.
+    *(pytest.param(_random_walk(n, n + max_p), max_p, id=f"max_p={max_p}-{n}-rows")
+      for max_p in (1, 2, 3, 12) for n in (var_min_observations(max_p), 300)),
 ])
-def test_rows_match_a_separate_fit_of_each_order(data):
-    selection = select_lag_order(data, MAX_P)
-    assert [row.p for row in selection.rows] == list(range(1, MAX_P + 1))
+def test_rows_match_a_separate_fit_of_each_order(data, max_p):
+    selection = select_lag_order(data, max_p)
+    assert [row.p for row in selection.rows] == list(range(1, max_p + 1))
     for row in selection.rows:
         aic, bic, stat, df, pvalue = _oracle_row(data, row.p)
         assert row.aic == pytest.approx(aic, rel=RTOL)
