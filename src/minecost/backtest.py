@@ -239,7 +239,7 @@ def var_analysis(log_market: np.ndarray, log_model: np.ndarray, config: Backtest
     the scanned ones is fitted on its own, by :func:`var_fit`.
     """
     max_p, n = config.max_p, len(log_market)
-    logs = np.empty((n, 2))
+    logs = np.empty((n, 2), order="F")
     logs[:, 0], logs[:, 1] = log_market, log_model
     # A short series scans fewer orders instead of failing a pinned lag
     # order it could fit.

@@ -40,7 +40,6 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import fields
 from importlib import import_module
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -328,12 +327,11 @@ class _Rows:
     """A JSON array of flat objects, given as one column of JSON texts per key.
 
     :func:`_json_text` lays it out as ``json.dumps(indent=2, sort_keys=True)``
-    lays out the list of row dicts: each row joins its values between the
-    fixed texts that precede them, so no row dict is built and no value is
-    encoded again.
+    lays out the list of row dicts, from one flat list of fixed texts and values
+    joined once: no row dict is built, no value encoded again.
     """
 
-    def __init__(self, /, **columns: list[str]):
+    def __init__(self, /, **columns: Sequence[str]):
         self.keys = sorted(columns)
         self.columns = [columns[key] for key in self.keys]
 
@@ -341,13 +339,15 @@ class _Rows:
         if not self.columns[0]:
             return "[]"
         inner, field = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * (depth + 2)
-        heads = ["," + field + encode_basestring_ascii(key) + ": " for key in self.keys]
-        heads[0] = "{" + heads[0][1:]
-        parts = []
-        for head, column in zip(heads, self.columns):
-            parts += (repeat(head), column)
-        rows = map("".join, zip(*parts, repeat(inner + "}")))
-        return f"[{inner}{(',' + inner).join(rows)}\n{_INDENT * depth}]"
+        width = 2 * len(self.keys) + 1  # a row: each key's head and value, then its end
+        flat = [inner + "}," + inner] * width
+        flat[:-1:2] = ["," + field + encode_basestring_ascii(k) + ": " for k in self.keys]
+        flat[0] = "{" + flat[0][1:]
+        flat *= len(self.columns[0])
+        for i, column in enumerate(self.columns):
+            flat[2 * i + 1 :: width] = column
+        flat[-1] = inner + "}"
+        return f"[{inner}{''.join(flat)}\n{_INDENT * depth}]"
 
 
 def _json_text(payload, /, **rows: _Rows) -> str:
@@ -379,8 +379,9 @@ def _json_items(values: list[float]) -> list[str]:
 
 
 def _json_dates(texts) -> list[str]:
-    """JSON text of each ISO date: the text in quotes, as it needs no escape."""
-    return [f'"{text}"' for text in texts]
+    """JSON text of each ISO date, in quotes: one join, split at commas no date holds."""
+    joined = '","'.join(texts)
+    return f'"{joined}"'.split(",") if joined else []
 
 
 class SeriesText(NamedTuple):

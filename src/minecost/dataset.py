@@ -49,7 +49,7 @@ import datetime as dt
 import math
 import re
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -592,9 +592,12 @@ def parse_observations(source) -> Observations:
     return observations
 
 
-def _csv(header: str, *columns: Iterable[str]) -> str:
+def _csv(header: str, *columns: Sequence[str]) -> str:
     """``header`` and one line per row of ``columns``, whose texts need no quoting."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    flat = ([","] * (2 * len(columns) - 1) + ["\n"]) * len(columns[0])
+    for i, column in enumerate(columns):
+        flat[2 * i :: 2 * len(columns)] = column
+    return header + "\n" + "".join(flat)
 
 
 def serialize_observations(records: Sequence[ObservationRecord]) -> str:
@@ -612,9 +615,9 @@ def serialize_observations(records: Sequence[ObservationRecord]) -> str:
     if not observations:
         raise ValidationError("observations must have at least one record")
     efficiency = observations.efficiency.tolist()
-    columns = [map(dt.date.isoformat, observations.dates),
-               map(repr, observations.difficulty.tolist()),
-               map(repr, observations.market_price.tolist())]
+    columns = [[*map(dt.date.isoformat, observations.dates)],
+               [*map(repr, observations.difficulty.tolist())],
+               [*map(repr, observations.market_price.tolist())]]
     if not all(map(math.isnan, efficiency)):
         columns.append(["" if math.isnan(e) else repr(e) for e in efficiency])
     return _csv(",".join(OBSERVATION_COLUMNS[:len(columns)]), *columns)

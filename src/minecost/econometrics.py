@@ -22,24 +22,24 @@ Conventions, fixed once for the whole package:
 * One least-squares step, _svd_solve, fits ols_fit and every reported VAR:
   it scales each column of the design to unit norm, so that its condition
   reflects collinearity, not units, takes one thin SVD, guards the condition
-  and returns the coefficients, W and the residuals, which no caller
-  recomputes.
+  and returns the coefficients, W and the residuals; none is recomputed.
   One rule, _require_conditioned, raises SingularityError for a 2-norm
   condition above 1e12: (s_max/s_min)^2 of that design, s_max/s_min of a
   Granger covariance block, and (1 + r)/(1 - r) of the lag scan's residual
   correlation r.
 * One sample bound, var_min_observations(p) and its inverse
   var_max_order(n); _order checks every order argument.
-* One lag design, _lag_design, lays out every column of a VAR fit, and one
-  QR of its max-lag rows compresses it (_compress): leading rows of the
-  result have the Gram matrix of any order's own n - p rows. The lag scan
-  ranks every order from one QR of those rows, with an indicator column
-  for each row before some order's sample, so that every order is a
-  leading block of its R, and one inverse of R's triangle, whose rows
-  bound each order's condition; an order the bound does not clear goes
-  through _svd_solve, which raises or passes. The reported VAR, of the
-  scan or of var_fit, is solved by _svd_solve on its order's compressed
-  rows, with no new factorization of the data.
+* One lag design, _lag_design, lays out every column of a VAR fit. It and
+  ols_fit's design are column-major, as LAPACK stores a matrix, so QR and
+  SVD copy them untransposed. One QR of its max-lag rows compresses it
+  (_compress): leading rows of the result have the Gram matrix of any
+  order's own n - p rows. The lag scan ranks every order from one QR of
+  those rows, with an indicator column for each row before some order's
+  sample, so that every order is a leading block of its R, and one inverse
+  of R's triangle, whose rows bound each order's condition; an order the
+  bound does not clear goes through _svd_solve, which raises or passes. The
+  reported VAR, of the scan or of var_fit, is solved by _svd_solve on its
+  order's compressed rows, with no new factorization of the data.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
   one-series case.
@@ -129,11 +129,15 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray):
     cross-products, so any rows with the Gram matrix of ``[X, Y]`` give them.
 
     Raises:
+        DomainError: a column whose sum of squares overflows double precision.
         SingularityError: a zero column, or a condition estimate
             ``(s_max / s_min)^2``, the 2-norm condition number of the
             column-scaled normal matrix, that _require_conditioned rejects.
     """
-    norms = np.sqrt((X * X).sum(axis=0))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((X * X).sum(axis=0))
+    if not (norms < math.inf).all():
+        raise DomainError("the regression overflows double precision")
     if (norms == 0.0).any():
         raise SingularityError("regressor matrix has a zero column")
     U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
@@ -183,7 +187,7 @@ def ols_fit(x, y) -> RegressionResult:
             that the fit overflows.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float, order="C")  # BLAS sums a strided y in another order
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise DomainError(
             f"x and y must be equal-length 1-d series, got {x.shape} and {y.shape}"
@@ -193,7 +197,7 @@ def ols_fit(x, y) -> RegressionResult:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("regression inputs must be finite")
-    X = np.empty((n, 2))
+    X = np.empty((n, 2), order="F")
     X[:, 0], X[:, 1] = 1.0, x
     with np.errstate(over="ignore", invalid="ignore"):
         beta, W, residuals = _svd_solve(X, y)
@@ -279,7 +283,7 @@ def _lag_design(data: np.ndarray, p: int) -> np.ndarray:
     The 2p + 3 columns are the VAR(p) regressors, then its responses. Lags
     before the series starts are zero.
     """
-    A = np.zeros((data.shape[0], 2 * p + 3))
+    A = np.zeros((data.shape[0], 2 * p + 3), order="F")
     A[:, 0] = 1.0
     for lag in range(1, p + 1):
         A[lag:, 2 * lag - 1 : 2 * lag + 1] = data[:-lag]
@@ -434,7 +438,7 @@ def var_fit(data, p: int, names: tuple[str, str] = ("y0", "y1")) -> VarModel:
         names: labels for the two columns, used by the Granger tests.
 
     Raises:
-        DomainError: bad shape, non-finite values, or ``p < 1``.
+        DomainError: bad shape, non-finite values, ``p < 1``, or a fit that overflows.
         InsufficientDataError: ``n < var_min_observations(p)``.
         SingularityError: rank-deficient regressor matrix.
     """
@@ -625,7 +629,7 @@ def select_lag_order(
     as :func:`var_fit` solves it, on the scan's compressed rows.
 
     Raises:
-        DomainError: ``max_p < 1``, bad shape or non-finite values.
+        DomainError: ``max_p < 1``, bad shape, non-finite values, or a fit that overflows.
         InsufficientDataError: series shorter than
             ``var_min_observations(max_p)``; the message names the smallest
             order the series is too short for.
@@ -660,10 +664,12 @@ def select_lag_order(
     for p, sscp, T, h, (q0, q1) in zip(orders, sscps.tolist(), T.tolist(), h.tolist(),
                                        q.tolist()):
         (s00, s01), (s10, s11) = [[s / T for s in row] for row in sscp]
+        if not (det := s00 * s11 - s01 * s10) < math.inf:  # or NaN: inf - inf
+            raise DomainError(f"VAR({p}) overflows double precision")
         r = abs(s01) / math.sqrt(s00 * s11) if s00 * s11 > 0.0 else 1.0
         cond = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
         _require_conditioned(cond, f"VAR({p}) has a singular residual covariance")
-        log_det = math.log(s00 * s11 - s01 * s10)
+        log_det = math.log(det)
         m = 2 * (2 * p + 1)  # coefficients of both equations
         # The whiteness gate sums the per-equation Ljung-Box statistics,
         # ignoring cross-series residual correlation at positive lags: a

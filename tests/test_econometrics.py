@@ -172,6 +172,12 @@ class TestOls:
         with pytest.raises(DomainError, match="^the regression overflows double precision$"):
             ols_fit([1.0, 2.0, 3.0, 4.0], [scale, 3 * scale, 2 * scale, 4 * scale])
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_a_regressor_whose_norm_overflows_is_a_domain_error(self, scale):
+        """Not a SingularityError: the scaled design is well conditioned."""
+        with pytest.raises(DomainError, match="^the regression overflows double precision$"):
+            ols_fit([scale, 3 * scale, 2 * scale, 4 * scale], [1.0, 2.0, 3.0, 4.0])
+
     def test_units_do_not_trip_the_conditioning_guard(self):
         """Huge regressor scale is fine; only true collinearity should fail."""
         x = np.linspace(1e12, 9e12, 40)

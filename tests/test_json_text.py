@@ -5,7 +5,9 @@ JSON and one ``f"{date.isoformat()},{float(x)!r}"`` line per row for the
 CSVs, the form both files have had since the first release.
 """
 
+import contextlib
 import datetime as dt
+import io
 import json
 from dataclasses import replace
 
@@ -16,14 +18,20 @@ from hypothesis import strategies as st
 
 from minecost import BacktestConfig, ObservationRecord, RewardSchedule, load_bundled, run_backtest
 from minecost.cli import (
+    SeriesText,
     _json_dates,
     _json_items,
     _json_text,
+    _load_inputs,
     _Rows,
     figure1_csv,
     figure2_csv,
+    main,
     report_json,
 )
+from tests.conftest import load_script
+
+stage_times = load_script("tools/stage_times.py")
 
 # Text that looks like the layout the writers add: braces, commas, and
 # newlines, which the encoder must escape for the added line breaks to be
@@ -223,3 +231,37 @@ def test_figures_equal_one_repr_line_per_row(report):
         f"{d.isoformat()},{float(a)!r},{float(b)!r}\n"
         for d, a, b in zip(pair.dates, pair.market_prices, pair.model_prices)
     )
+
+
+def _plain(value):
+    """``value`` with every tuple a list, as ``json.loads`` gives it back."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("history", [None, 3], ids=["bundled", "long-history-3"])
+def test_report_json_and_backtest_stdout_read_back_as_to_dict(history, tmp_path):
+    """Both writers of the report, read by ``json.loads``: every float ``==``.
+
+    The long history is the benchmark's variant 3, written by the reader of
+    ``perfbench/inputs.py`` that tools/stage_times.py uses.
+    """
+    argv = ["backtest", "--no-provenance-timestamps", "--format", "json",
+            "--out-dir", str(tmp_path / "out")]
+    paths = {}
+    if history is not None:
+        paths = stage_times.write_history(history, 6000, tmp_path)
+        argv += [f"--{name}={path}" for name, path in paths.items()]
+    inputs, labels = _load_inputs(paths)
+    report = run_backtest(*inputs, BacktestConfig(include_timestamp=False),
+                          input_files=labels)
+    expected = _plain(report.to_dict())
+    text = SeriesText.of(report, inputs[0].date_text, inputs[0].price_text)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    for written in (report_json(report, text), report_json(report), stdout.getvalue()):
+        assert json.loads(written) == expected

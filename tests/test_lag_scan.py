@@ -16,13 +16,16 @@ import pytest
 
 from minecost import (
     BacktestConfig,
+    DomainError,
     InsufficientDataError,
     SingularityError,
     build_backtest_series,
     chi2_sf,
+    granger_wald,
     ljung_box,
     load_bundled,
     log_transform,
+    ols_fit,
     run_backtest,
     select_lag_order,
     var_fit,
@@ -244,6 +247,28 @@ def test_an_exactly_singular_block_is_the_svd_guards_error():
     econometrics._svd_solve(*econometrics._order_rows(C, 1))
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_a_scan_that_overflows_is_a_domain_error(scale):
+    """At 1e150 the residual determinant overflows (inf - inf), at 1e200 the
+    design's column norms; neither may end in a NaN table or a warning."""
+    with pytest.raises(DomainError, match="overflows double precision$"):
+        select_lag_order(_random_walk(100, 1) * scale, MAX_P)
+
+
+@pytest.mark.parametrize("p", [1, MAX_P])
+def test_var_fit_refuses_only_a_fit_that_overflows(p):
+    """The walk times 1e150 is the walk's VAR with rescaled intercepts and
+    covariance; times 1e200 its column norms overflow."""
+    walk = _random_walk(100, 1)
+    with pytest.raises(DomainError, match="^the regression overflows double precision$"):
+        var_fit(walk * 1e200, p)
+    scaled, model = var_fit(walk * 1e150, p), var_fit(walk, p)
+    np.testing.assert_allclose(scaled.coef_matrices, model.coef_matrices, rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(scaled.intercepts / 1e150, model.intercepts, rtol=1e-12)
+    np.testing.assert_allclose(scaled.resid_cov / 1e300, model.resid_cov, rtol=1e-12)
+
+
 def test_the_scan_makes_no_var_fit_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("select_lag_order called var_fit")
@@ -301,6 +326,35 @@ def test_the_selection_labels_its_models_with_the_names_it_scanned(kwargs, names
         np.testing.assert_allclose(model.coef_matrices,
                                    var_fit(data, p, names).coef_matrices,
                                    rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_bundled_logs(), id="bundled"),
+    pytest.param(_random_walk(2000, 7), id="random-walk-2000"),
+    pytest.param(_random_walk(6000, 9), id="random-walk-6000"),
+])
+def test_every_fit_is_the_same_for_either_memory_order(data):
+    """Designs are laid out column by column, as LAPACK stores them, whatever
+    the order of the input; the QR of that layout is the QR of a row-major
+    copy bit for bit, and no result depends on the input's order."""
+    A = econometrics._lag_design(data, MAX_P)
+    assert A.flags.f_contiguous
+    R = np.linalg.qr(np.ascontiguousarray(A[MAX_P:]), mode="r")
+    _, C = econometrics._compress(data, MAX_P)
+    assert C[: len(R)].tobytes() == R.tobytes()
+    tables, fields = {}, {}
+    for order in "CF":
+        ordered = np.array(data, order=order)
+        selection = select_lag_order(ordered, MAX_P)
+        models = [selection._model(p) for p in range(1, MAX_P + 1)]
+        models += [var_fit(ordered, p) for p in range(1, MAX_P + 1)]
+        tables[order] = (selection.chosen_p, selection.rows,
+                         [granger_wald(models[1], *names)
+                          for names in (("y0", "y1"), ("y1", "y0"))])
+        fits = [*models, ols_fit(ordered[:, 1], ordered[:, 0])]
+        fields[order] = [value for fit in fits for value in vars(fit).values()]
+    assert tables["C"] == tables["F"]
+    assert all(map(np.array_equal, fields["C"], fields["F"]))
 
 
 @pytest.mark.parametrize("lags, refits",
