@@ -56,13 +56,12 @@ from .pricing import (
 if TYPE_CHECKING:
     from .backtest import BacktestReport
 
-
 def _deferred(module: str, name: str) -> Callable:
     """A call of ``minecost.<module>.<name>`` that imports the module when made.
 
-    A subcommand then loads only the modules it runs: ``price`` needs no
-    numpy. The forwarders are names of this module, not imports inside the
-    handlers, because perfbench/tracing.py patches the names here.
+    Only names that perfbench/tracing.py patches here are forwarders; every
+    other analysis name is imported by the function that calls it. Either way
+    a subcommand loads only the modules it runs: ``price`` needs no numpy.
     """
     def forward(*args, **kwargs):
         return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
@@ -72,17 +71,8 @@ def _deferred(module: str, name: str) -> Callable:
 
 
 detect_episodes = _deferred("backtest", "detect_episodes")
-episodes_to_dict = _deferred("backtest", "episodes_to_dict")
-ratio_series = _deferred("backtest", "ratio_series")
-ratio_to_dict = _deferred("backtest", "ratio_to_dict")
-regression_to_dict = _deferred("backtest", "regression_to_dict")
 run_backtest = _deferred("backtest", "run_backtest")
-var_analysis = _deferred("backtest", "var_analysis")
-var_to_dict = _deferred("backtest", "var_to_dict")
-_csv = _deferred("dataset", "_csv")
-_text_lines = _deferred("dataset", "_text_lines")
 build_backtest_series = _deferred("dataset", "build_backtest_series")
-load_bundled = _deferred("dataset", "load_bundled")
 # perfbench/tracing.py patches these names here; the CLI calls none of them:
 # tracing's _rows() takes len() of a list or of .entries, and the loaders
 # return Observations, so each traced op would fail with AttributeError.
@@ -92,7 +82,6 @@ load_reward_schedule = _deferred("dataset", "load_reward_schedule")
 parse_efficiency_table = _deferred("dataset", "parse_efficiency_table")
 parse_observations = _deferred("dataset", "parse_observations")
 parse_reward_schedule = _deferred("dataset", "parse_reward_schedule")
-log_transform = _deferred("econometrics", "log_transform")
 ols_fit = _deferred("econometrics", "ols_fit")
 
 FORMATS = ("table", "json")
@@ -144,6 +133,7 @@ OPTIONS_BY_KEY = {opt.key: opt for opt in DATASET_OPTIONS}
 
 def parse_config_file(path) -> dict:
     """Read a ``key = value`` file into converted values; '#' starts a comment."""
+    from .dataset import _text_lines
     values = {}
     text = _utf8_text(Path(path).read_bytes(), path, ValidationError)
     for line_no, raw in enumerate(_text_lines(text), start=1):
@@ -210,6 +200,7 @@ def _label(path: Path | None) -> str:
 
 def _load_inputs(options: dict):
     """``(observations, schedule, table)`` and their provenance labels."""
+    from .dataset import load_bundled
     paths = {name: options.get(name) for name in INPUT_FILES}
     return load_bundled(**paths), {name: _label(path) for name, path in paths.items()}
 
@@ -442,12 +433,14 @@ def report_json(report: BacktestReport, text: SeriesText | None = None) -> str:
 
 def figure1_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
     """figure1.csv: one ``date,ratio`` line per date, floats as ``repr``."""
+    from .dataset import _csv
     text = text or SeriesText.of(report)
     return _csv("date,ratio", text.ratio_dates, text.ratio)
 
 
 def figure2_csv(report: BacktestReport, text: SeriesText | None = None) -> str:
     """figure2.csv: one ``date,market,model`` line per date, floats as ``repr``."""
+    from .dataset import _csv
     text = text or SeriesText.of(report)
     return _csv("date,market,model", text.dates, text.market, text.model)
 
@@ -493,12 +486,14 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    from .econometrics import log_transform
     config, options = resolve_options(args)
     inputs, _ = _load_inputs(options)
     pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
     lv = ols_fit(pair.model_prices, pair.market_prices)
     lg = ols_fit(log_transform(pair.model_prices), log_transform(pair.market_prices))
     if options["format"] == "json":
+        from .backtest import regression_to_dict
         sys.stdout.write(_json_text({
             "level_regression": regression_to_dict(lv),
             "log_regression": regression_to_dict(lg),
@@ -512,6 +507,8 @@ def cmd_regress(args) -> int:
 
 
 def cmd_var(args) -> int:
+    from .backtest import var_analysis, var_to_dict
+    from .econometrics import log_transform
     config, options = resolve_options(args)
     inputs, _ = _load_inputs(options)
     pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
@@ -534,6 +531,7 @@ def cmd_var(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    from .backtest import episodes_to_dict, ratio_series, ratio_to_dict
     config, options = resolve_options(args)
     inputs, _ = _load_inputs(options)
     pair = build_backtest_series(*inputs, electricity_price=config.electricity_price)
@@ -561,7 +559,6 @@ def cmd_ratio(args) -> int:
 
 def cmd_fetch(args) -> int:
     from .fetch import CHART_KINDS, cache_file_for, fetch_remote_series, resample_to_epochs
-
     kinds = CHART_KINDS if args.kinds is None else [
         k.strip() for k in args.kinds.split(",") if k.strip()
     ]
@@ -572,7 +569,6 @@ def cmd_fetch(args) -> int:
         print(f"{kind}: cached at {cache_file_for(kind, args.cache_dir)}")
     if args.observations_out is not None:
         from .dataset import _parse_named, parse_chart_points, serialize_observations
-
         # Both charts, whatever --kinds lists: one already fetched comes from the cache.
         difficulty, price = (
             _parse_named(parse_chart_points, fetch(kind),

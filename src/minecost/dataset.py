@@ -20,7 +20,9 @@ up in the table. Each file holds at least one row, every number is positive
 and finite, and dates strictly increase. Each reward halves the one before;
 a rising efficiency only warns. The records, step tables and paired series
 the library builds enforce the same value, order and halving rules, and
-take only ``datetime.date`` values as dates.
+take only ``datetime.date`` values as dates; every dated column set goes
+through one check, which names the first bad row as ``<column> must be
+positive and finite, got <value> (<date>)`` and keeps the values as floats.
 
 Every table is read as columns, exactly as ``csv.reader`` reads it. The
 header is read by csv. A text with no ``"``, ``\r`` or NUL whose rows all
@@ -122,19 +124,54 @@ def _check_dates_sorted(dates: Sequence[dt.date], what: str) -> None:
     raise ValidationError(f"{problem} (dates must be strictly increasing)")
 
 
-def _check_steps(entries, table: str, what: str) -> None:
-    """The rules of a step table: entries, positive finite values, date order."""
-    if not entries:
-        raise ValidationError(f"{table} must have at least one entry")
-    dates = [date for date, _ in entries]
+def _value_error(name: str, value, date: dt.date) -> ValidationError:
+    return ValidationError(
+        f"{name} must be positive and finite, got {value!r} ({date.isoformat()})")
+
+
+def _float_columns(dates, what: str, blank=(), **columns):
+    """``dates`` as a tuple and each column as a read-only float view, which
+    leaves the caller's array writable.
+
+    Checked in this order: each date is a ``datetime.date``, each column
+    holds one value per date, each value is positive and finite (or NaN or
+    None in a ``blank`` column), and the dates strictly increase. A bad value
+    is named as given at the first bad row, in column order; a column not of
+    floats (text, bytes, ints, Decimals) is checked value by value, so text
+    is refused, not parsed.
+    """
+    dates = tuple(dates)
     _check_dates_are_dates(dates, what)
-    for date, value in entries:
-        if not _positive_finite(value):
-            raise ValidationError(
-                f"{what} must be positive and finite, got {value!r} on "
-                f"{date.isoformat()}"
-            )
+    given = [np.asarray(values) for values in columns.values()]
+    if any(column.shape != (len(dates),) for column in given):
+        raise ValidationError(f"length mismatch: {len(dates)} dates, columns "
+                              f"of shape {[column.shape for column in given]}")
+    ok = np.empty((len(given), len(dates)), dtype=bool)
+    for i, (name, values) in enumerate(columns.items()):
+        if given[i].dtype.kind == "f":
+            ok[i] = _positive_finite(given[i]) | (name in blank and np.isnan(given[i]))
+        else:  # each value as given: asarray turns a float beside text into text
+            given[i] = np.asarray(values, dtype=object)
+            ok[i] = [_positive_finite(v) or name in blank and (
+                v is None or isinstance(v, float) and math.isnan(v)) for v in given[i]]
+    if not ok.all():
+        row = int(ok.all(axis=0).argmin())
+        at = int(ok[:, row].argmin())
+        raise _value_error([*columns][at], given[at].tolist()[row], dates[row])
     _check_dates_sorted(dates, what)
+    views = [np.asarray(column, dtype=float).view() for column in given]
+    for view in views:
+        view.flags.writeable = False
+    return dates, *views
+
+
+def _check_steps(table, name: str, what: str) -> None:
+    """Check the step table's entries, at least one, and keep their values as floats."""
+    if not table.entries:
+        raise ValidationError(f"{name} must have at least one entry")
+    dates, values = zip(*table.entries)
+    dates, values = _float_columns(dates, what, **{what: values})
+    object.__setattr__(table, "entries", tuple(zip(dates, values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -157,10 +194,7 @@ class ObservationRecord:
             checked += (("efficiency", self.efficiency),)
         for name, value in checked:
             if not _positive_finite(value):
-                raise ValidationError(
-                    f"{name} must be positive and finite, got {value!r} "
-                    f"({self.date.isoformat()})"
-                )
+                raise _value_error(name, value, self.date)
 
 
 class Observations(Sequence):
@@ -168,13 +202,9 @@ class Observations(Sequence):
 
     ``dates`` is a tuple of dates; the other three are read-only float
     arrays, and ``efficiency`` is NaN where a row has none (a record never
-    holds NaN). Each column holds one value per date, and a value that is
-    not positive and finite (other than a NaN efficiency) is the
-    ValidationError of the first bad row's record. If a column is not of
-    floats (text, bytes, ints, Decimals), each row is checked as its record
-    before the columns are converted, so text is refused, not parsed. Then
-    the dates must strictly increase, the reader's rule. A record is built
-    only when one is read. A slice is columns too, and may be empty, which
+    holds NaN). The columns pass :func:`_float_columns`, so a bad value is
+    the ValidationError its record would raise. A record is built only when
+    one is read. A slice is columns too, and may be empty, which
     :func:`serialize_observations` refuses as the reader does; a slice with
     a negative step, whose dates fall, is the list of its records. It
     equals any sequence of equal records. ``date_text`` holds the stripped
@@ -186,33 +216,11 @@ class Observations(Sequence):
 
     def __init__(self, dates, difficulty, market_price, efficiency,
                  date_text=None, price_text=None):
-        self.dates = tuple(dates)
-        _check_dates_are_dates(self.dates, "observation")
-        given = (difficulty, market_price, efficiency)
-        columns = [np.asarray(values) for values in given]
-        if any(column.shape != (len(self.dates),) for column in columns):
-            raise ValidationError(f"length mismatch: {len(self.dates)} dates, columns "
-                                  f"of shape {[column.shape for column in columns]}")
-        if any(column.dtype.kind != "f" for column in columns):
-            # Each value as given: asarray turns a float beside text into text.
-            rows = [np.asarray(values, dtype=object).tolist() for values in given]
-            rows[2] = [None if isinstance(e, float) and math.isnan(e) else e
-                       for e in rows[2]]
-            for _ in map(ObservationRecord, self.dates, *rows):
-                pass
-        # Views the caller cannot write through: a series shares them uncopied.
-        columns = [np.asarray(column, dtype=float).view() for column in columns]
-        for column in columns:
-            column.flags.writeable = False
-        self.difficulty, self.market_price, self.efficiency = columns
+        self.dates, self.difficulty, self.market_price, self.efficiency = _float_columns(
+            dates, "observation", blank=("efficiency",), difficulty=difficulty,
+            market_price=market_price, efficiency=efficiency)
         self.date_text = date_text
         self.price_text = price_text
-        ok = (_positive_finite(self.difficulty) & _positive_finite(self.market_price)
-              & (_positive_finite(self.efficiency) | np.isnan(self.efficiency)))
-        if not ok.all():  # the first bad row's record raises its error
-            bad = int(ok.argmin())
-            next(self._records(slice(bad, bad + 1)))
-        _check_dates_sorted(self.dates, "observation")
 
     @classmethod
     def of(cls, records: Sequence[ObservationRecord]) -> "Observations":
@@ -277,7 +285,7 @@ class RewardSchedule:
     entries: tuple[tuple[dt.date, float], ...]
 
     def __post_init__(self):
-        _check_steps(self.entries, "reward schedule", "reward")
+        _check_steps(self, "reward schedule", "reward")
         for (_, prev_reward), (date, reward) in zip(self.entries, self.entries[1:]):
             if not math.isclose(reward, prev_reward / 2.0, rel_tol=1e-12):
                 raise ValidationError(
@@ -302,7 +310,7 @@ class EfficiencyTable:
     entries: tuple[tuple[dt.date, float], ...]
 
     def __post_init__(self):
-        _check_steps(self.entries, "efficiency table", "efficiency")
+        _check_steps(self, "efficiency table", "efficiency")
         for (_, prev_value), (date, value) in zip(self.entries, self.entries[1:]):
             if value > prev_value:
                 warnings.warn(
@@ -334,25 +342,12 @@ class PairedSeries:
     model_prices: np.ndarray
 
     def __post_init__(self):
-        market, model = np.asarray(self.market_prices), np.asarray(self.model_prices)
-        n = len(self.dates)
-        if n < 1:
+        if len(self.dates) < 1:
             raise ValidationError("paired series must be non-empty")
-        if market.shape != (n,) or model.shape != (n,):
-            raise ValidationError(
-                f"length mismatch: {n} dates, {market.shape} market, "
-                f"{model.shape} model"
-            )
-        _check_dates_are_dates(self.dates, "observation")
-        _check_dates_sorted(self.dates, "observation")
-        for name, column in (("market", market), ("model", model)):
-            if column.dtype.kind != "f":  # each value as given: asarray parses text
-                given = np.asarray(getattr(self, f"{name}_prices"), dtype=object)
-                column = [v if _positive_finite(v) else math.nan for v in given.tolist()]
-            column = np.asarray(column, dtype=float)
-            if not _positive_finite(column).all():
-                raise ValidationError(f"{name} prices must all be positive and finite")
-            object.__setattr__(self, f"{name}_prices", column)
+        columns = _float_columns(self.dates, "observation", market_prices=self.market_prices,
+                                 model_prices=self.model_prices)
+        for name, column in zip(("dates", "market_prices", "model_prices"), columns):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -22,7 +22,7 @@ Conventions, fixed once for the whole package:
 * One least-squares step, _svd_solve, fits ols_fit and every reported VAR:
   it scales each column of the design to unit norm, so that its condition
   reflects collinearity, not units, takes one thin SVD, guards the condition
-  and returns the coefficients, W and the residuals; none is recomputed.
+  and returns beta, the inverse normal matrix and the residuals, none recomputed.
   One rule, _require_conditioned, raises SingularityError for a 2-norm
   condition above 1e12: (s_max/s_min)^2 of that design, s_max/s_min of a
   Granger covariance block, and (1 + r)/(1 - r) of the lag scan's residual
@@ -56,6 +56,7 @@ from .errors import DomainError, InsufficientDataError, SingularityError
 from .pricing import _order, _positive_finite
 
 CONDITION_LIMIT = 1.0e12  # leaves about 4 correct digits (Higham 2002, ch. 20)
+_TINY = 2.0**-1022  # the smallest normal double
 WHITENESS_ALPHA = 0.05  # an order passes when its portmanteau p-value is above
 
 
@@ -119,17 +120,18 @@ def _require_conditioned(cond: float, message: str) -> None:
 
 
 def _svd_solve(X: np.ndarray, Y: np.ndarray):
-    """``(beta, W, residuals)`` of the least-squares fit of finite ``Y`` on ``X``.
+    """``(beta, inverse, residuals)``: least squares of finite ``Y`` on ``X``.
 
     ``Y`` is one response or several in columns. ``W = diag(1/norms) V
     diag(1/s)`` from the thin SVD ``U diag(s) V'`` of ``X`` scaled to unit
-    column norms, so ``beta = W U'Y``, the inverse normal matrix is ``W W'``
-    and the residuals are ``Y - X beta``. beta, W and the residual
-    cross-product depend on ``X`` and ``Y`` only through their
+    column norms, so ``beta = W U'Y``, the inverse normal matrix is
+    ``W W'`` and the residuals are ``Y - X beta``. beta, the inverse and
+    the residual cross-product depend on ``X`` and ``Y`` only through their
     cross-products, so any rows with the Gram matrix of ``[X, Y]`` give them.
 
     Raises:
-        DomainError: a column whose sum of squares overflows double precision.
+        DomainError: a column whose sum of squares overflows double
+            precision, or so small that the inverse overflows.
         SingularityError: a zero column, or a condition estimate
             ``(s_max / s_min)^2``, the 2-norm condition number of the
             column-scaled normal matrix, that _require_conditioned rejects.
@@ -147,8 +149,12 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray):
     _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
                          "(estimate {:.3e})")
     W = Vt.T / s / norms[:, None]
+    with np.errstate(over="ignore"):
+        inverse = W @ W.T
+    if not np.isfinite(inverse).all():  # 1/norms^2 overflows
+        raise DomainError("the regression underflows double precision")
     beta = W @ (U.T @ Y)
-    return beta, W, Y - X @ beta
+    return beta, inverse, Y - X @ beta
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +206,10 @@ def ols_fit(x, y) -> RegressionResult:
     X = np.empty((n, 2), order="F")
     X[:, 0], X[:, 1] = 1.0, x
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, W, residuals = _svd_solve(X, y)
+        beta, inverse, residuals = _svd_solve(X, y)
         sse = float(residuals @ residuals)
         sst = float(((y - y.mean()) ** 2).sum())
-        cov = sse / (n - 2) * (W @ W.T)
+        cov = sse / (n - 2) * inverse
     if not np.isfinite([sst, *beta, *cov.diagonal()]).all():
         raise DomainError("the regression overflows double precision")
     if sst == 0.0:
@@ -374,7 +380,7 @@ def _rank_orders(C: np.ndarray, max_p: int):
 
 def _var_model(data: np.ndarray, p: int, C: np.ndarray, names) -> VarModel:
     """The VarModel of VAR(p) on ``data``, solved on its rows of ``C``."""
-    beta, W, E = _svd_solve(*_order_rows(C, p))
+    beta, inverse, E = _svd_solve(*_order_rows(C, p))
     k, T = 2 * p + 1, data.shape[0] - p
     resid_cov = E.T @ E / (T - k)  # E'E is exactly symmetric
     # beta[1 + 2 * lag + j, i] is equation i's loading on variable j at lag + 1.
@@ -383,7 +389,7 @@ def _var_model(data: np.ndarray, p: int, C: np.ndarray, names) -> VarModel:
         coef_matrices=beta[1:].reshape(p, 2, 2).transpose(0, 2, 1),
         residuals=data[p:] - _lag_design(data, p)[p:, :k] @ beta,
         resid_cov=resid_cov,
-        coef_cov=resid_cov.diagonal()[:, None, None] * (W @ W.T), nobs=T,
+        coef_cov=resid_cov.diagonal()[:, None, None] * inverse, nobs=T,
     )
 
 
@@ -664,12 +670,15 @@ def select_lag_order(
     for p, sscp, T, h, (q0, q1) in zip(orders, sscps.tolist(), T.tolist(), h.tolist(),
                                        q.tolist()):
         (s00, s01), (s10, s11) = [[s / T for s in row] for row in sscp]
-        if not (det := s00 * s11 - s01 * s10) < math.inf:  # or NaN: inf - inf
+        if not all(map(math.isfinite, (s00, s01, s10, s11))):
             raise DomainError(f"VAR({p}) overflows double precision")
-        r = abs(s01) / math.sqrt(s00 * s11) if s00 * s11 > 0.0 else 1.0
+        root = math.sqrt(s00) * math.sqrt(s11)
+        r = abs(s01) / root if root > 0.0 else 1.0
         cond = (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf
         _require_conditioned(cond, f"VAR({p}) has a singular residual covariance")
-        log_det = math.log(det)
+        # Scale-free, as the coefficients are, where s00 s11 is not a normal double.
+        log_det = (math.log(s00 * s11 - s01 * s10) if _TINY <= s00 * s11 < math.inf
+                   else math.log(s00) + math.log(s11) + math.log1p(-r * r))
         m = 2 * (2 * p + 1)  # coefficients of both equations
         # The whiteness gate sums the per-equation Ljung-Box statistics,
         # ignoring cross-series residual correlation at positive lags: a

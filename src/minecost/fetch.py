@@ -21,12 +21,10 @@ through the locale's codec.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import math
 import os
 import tempfile
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -136,14 +134,10 @@ def resample_to_epochs(
     before each change date. Change dates preceding the first price point
     are dropped (no price to pair with). The efficiency column is all NaN.
     """
-    from .dataset import Observations
-    rows = []
-    previous = None
-    for date, difficulty in difficulty_points:
-        if difficulty == previous:
-            continue
-        previous = difficulty
-        index = bisect.bisect_right(price_points, date, key=itemgetter(0))
-        if index:
-            rows.append((date, difficulty, price_points[index - 1][1], math.nan))
+    from .dataset import Observations, _in_force
+    changes = [(date, value) for i, (date, value) in enumerate(difficulty_points)
+               if i == 0 or value != difficulty_points[i - 1][1]]
+    at = _in_force(price_points, [date.toordinal() for date, _ in changes])
+    rows = [(date, difficulty, price_points[i][1], math.nan)
+            for (date, difficulty), i in zip(changes, at.tolist()) if i >= 0]
     return Observations(*zip(*rows)) if rows else Observations((), (), (), ())

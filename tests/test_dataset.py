@@ -837,7 +837,7 @@ class TestEfficiencyTable:
         [
             ((), "efficiency table must have at least one entry"),
             (((dt.date(2016, 1, 1), math.nan),),
-             "efficiency must be positive and finite, got nan on 2016-01-01"),
+             "efficiency must be positive and finite, got nan (2016-01-01)"),
             (((dt.date(2016, 7, 1), 0.5), (dt.date(2016, 1, 1), 0.4)),
              "efficiency dates out of order: 2016-01-01 after 2016-07-01 "
              "(dates must be strictly increasing)"),
@@ -1047,18 +1047,40 @@ class TestPairedSeries:
 
     @pytest.mark.parametrize("market, model, message", [
         ([900.0, 920.0, 940.0], [1.0, 1.0],
-         "length mismatch: 2 dates, (3,) market, (2,) model"),
+         "length mismatch: 2 dates, columns of shape [(3,), (2,)]"),
         ([900.0, 920.0], [[1.0, 1.0]],
-         "length mismatch: 2 dates, (2,) market, (1, 2) model"),
-        ([900.0, 0.0], [1.0, 1.0], "market prices must all be positive and finite"),
-        ([900.0, math.nan], [1.0, 1.0], "market prices must all be positive and finite"),
-        ([900.0, 920.0], [-1.0, 1.0], "model prices must all be positive and finite"),
-        ([900.0, 920.0], [1.0, math.inf], "model prices must all be positive and finite"),
-    ])
+         "length mismatch: 2 dates, columns of shape [(2,), (1, 2)]"),
+        ([900.0, 0.0], [1.0, 1.0],
+         "market_prices must be positive and finite, got 0.0 (2017-01-21)"),
+        ([900.0, math.nan], [1.0, 1.0],
+         "market_prices must be positive and finite, got nan (2017-01-21)"),
+        ([900.0, 920.0], [-1.0, 1.0],
+         "model_prices must be positive and finite, got -1.0 (2017-01-07)"),
+        ([900.0, 920.0], [1.0, math.inf],
+         "model_prices must be positive and finite, got inf (2017-01-21)"),
+        ([900.0, -2.0], [-1.0, 1.0],
+         "model_prices must be positive and finite, got -1.0 (2017-01-07)"),
+    ], ids=["long-market", "2d-model", "zero-market", "nan-market", "negative-model",
+            "inf-model", "first-bad-row"])
     def test_a_bad_column_is_a_validation_error(self, market, model, message):
         with pytest.raises(ValidationError) as info:
             PairedSeries(self.DATES, market, model)
         assert str(info.value) == message
+
+    def test_columns_are_read_only_views_of_the_callers_arrays(self):
+        market = np.array([900.0, 920.0])
+        pair = PairedSeries(list(self.DATES), market, np.ones(2))
+        assert pair.dates == self.DATES and np.shares_memory(pair.market_prices, market)
+        for column in (pair.market_prices, pair.model_prices):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        assert market.flags.writeable
+
+    def test_a_zero_price_is_named_with_its_date(self):
+        with pytest.raises(ValidationError) as info:
+            PairedSeries(self.DATES, [900.0, 0.0], [1.0, 1.0])
+        assert str(info.value) == (
+            "market_prices must be positive and finite, got 0.0 (2017-01-21)")
 
 
 class TestDateRule:

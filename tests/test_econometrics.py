@@ -200,7 +200,7 @@ class TestOls:
 class TestLeastSquaresCore:
     """_svd_solve, the one least-squares step of ols_fit and the VAR scan.
 
-    It returns ``(beta, W, residuals)``; its callers take the residuals from
+    It returns ``(beta, inverse, residuals)``; its callers take the residuals from
     it, so these tests pin them to ``Y - X @ beta`` bit for bit.
     """
 

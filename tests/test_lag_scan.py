@@ -10,6 +10,7 @@ checks the Ljung-Box kernel.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -247,12 +248,39 @@ def test_an_exactly_singular_block_is_the_svd_guards_error():
     econometrics._svd_solve(*econometrics._order_rows(C, 1))
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e200])
-def test_a_scan_that_overflows_is_a_domain_error(scale):
-    """At 1e150 the residual determinant overflows (inf - inf), at 1e200 the
-    design's column norms; neither may end in a NaN table or a warning."""
-    with pytest.raises(DomainError, match="overflows double precision$"):
-        select_lag_order(_random_walk(100, 1) * scale, MAX_P)
+@pytest.mark.parametrize("scale, error", [
+    (1e-160, "the regression underflows double precision"),
+    (1e-150, None),
+    (1e150, None),
+    (1e200, "the regression overflows double precision"),
+])
+def test_the_scan_and_var_fit_agree_at_every_scale(scale, error):
+    """The lag table's choice and the VAR do not depend on the data's scale:
+    the scan and var_fit both give the walk's order and coefficients, or both
+    refuse the scale with one DomainError, and neither warns. At 1e-150 the
+    residual variances' product underflows and at 1e150 it overflows; at
+    1e-160 the inverse normal matrix overflows, at 1e200 a column's norm."""
+    walk = _random_walk(100, 1)
+    calls = (lambda: select_lag_order(walk * scale, MAX_P), lambda: var_fit(walk * scale, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is not None:
+            for call in calls:
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == error
+            return
+        selection, model = (call() for call in calls)
+        scaled = [selection._model(selection.chosen_p), model]
+        tests = [granger_wald(m, "y0", "y1").chi2_stat for m in scaled]
+    expected = select_lag_order(walk, MAX_P)
+    unscaled = [expected._model(expected.chosen_p), var_fit(walk, 2)]
+    assert selection.chosen_p == expected.chosen_p
+    for got, want in zip(scaled, unscaled):
+        np.testing.assert_allclose(got.coef_matrices, want.coef_matrices, rtol=0.0,
+                                   atol=1e-12)
+    np.testing.assert_allclose(tests, [granger_wald(m, "y0", "y1").chi2_stat
+                                       for m in unscaled], rtol=1e-9)
 
 
 @pytest.mark.parametrize("p", [1, MAX_P])

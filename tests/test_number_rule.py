@@ -95,10 +95,10 @@ SITES = {
         ValidationError, "efficiency must be positive and finite, got {!r} (2017-01-07)"),
     "RewardSchedule": (
         lambda v: RewardSchedule(((DAY, v),)), NOT_ACCEPTED,
-        ValidationError, "reward must be positive and finite, got {!r} on 2017-01-07"),
+        ValidationError, "reward must be positive and finite, got {!r} (2017-01-07)"),
     "EfficiencyTable": (
         lambda v: EfficiencyTable(((DAY, v),)), NOT_ACCEPTED,
-        ValidationError, "efficiency must be positive and finite, got {!r} on 2017-01-07"),
+        ValidationError, "efficiency must be positive and finite, got {!r} (2017-01-07)"),
     # Columns: each row's error is its record's, and a price column names itself.
     "Observations.difficulty": (
         lambda v: Observations((DAY,), [v], [900.0], [math.nan]), NOT_ACCEPTED,
@@ -113,10 +113,10 @@ SITES = {
         ValidationError, "efficiency must be positive and finite, got {!r} (2017-01-07)"),
     "PairedSeries.market_prices": (
         lambda v: PairedSeries((DAY,), [v], [1.0]), NOT_ACCEPTED,
-        ValidationError, "market prices must all be positive and finite"),
+        ValidationError, "market_prices must be positive and finite, got {!r} (2017-01-07)"),
     "PairedSeries.model_prices": (
         lambda v: PairedSeries((DAY,), [1.0], [v]), NOT_ACCEPTED,
-        ValidationError, "model prices must all be positive and finite"),
+        ValidationError, "model_prices must be positive and finite, got {!r} (2017-01-07)"),
 }
 
 
@@ -148,6 +148,16 @@ def test_accepted_numbers_are_kept_as_floats():
     ]
     assert model_price(cost, net) == model_price(COST, NET)
     assert type(NetworkParams(1, 12).difficulty) is float
+
+
+def test_step_table_values_are_kept_as_floats():
+    halving = dt.date(2012, 11, 28)
+    schedule = RewardSchedule(((dt.date(2009, 1, 3), Decimal(50)), (halving, Decimal(25))))
+    table = EfficiencyTable(((DAY, 1), (DAY + dt.timedelta(days=1), Decimal("0.25"))))
+    kept = [value for entries in (schedule.entries, table.entries) for _, value in entries]
+    assert [(type(value), value) for value in kept] == [
+        (float, 50.0), (float, 25.0), (float, 1.0), (float, 0.25)]
+    assert (schedule.reward_at(halving), table.efficiency_at(DAY)) == (25.0, 1.0)
 
 
 def test_a_narrow_float_is_accepted_without_a_warning():
@@ -182,8 +192,10 @@ def test_text_beside_numbers_names_its_own_row(column):
         Observations(dates, column, [900.0, 900.0], [math.nan, math.nan])
     assert str(info.value) == (f"difficulty must be positive and finite, got "
                                f"{column[bad]!r} ({dates[bad].isoformat()})")
-    with pytest.raises(ValidationError, match="^market prices must all be"):
+    with pytest.raises(ValidationError) as info:
         PairedSeries(dates, column, [1.0, 1.0])
+    assert str(info.value) == (f"market_prices must be positive and finite, got "
+                               f"{column[bad]!r} ({dates[bad].isoformat()})")
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, -0.0], ids=repr)
