@@ -149,7 +149,7 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray):
     _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
                          "(estimate {:.3e})")
     W = Vt.T / s / norms[:, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         inverse = W @ W.T
     if not np.isfinite(inverse).all():  # 1/norms^2 overflows
         raise DomainError("the regression underflows double precision")

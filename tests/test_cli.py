@@ -840,6 +840,32 @@ class TestFetchCommand:
         assert out.read_bytes() == serialize_observations(resampled).encode()
         assert main(["ratio", "--observations", str(out)]) == 0
 
+    def test_observations_out_of_the_bundled_charts_backtests_as_the_bundled_file(
+            self, tmp_path, capsys, chart_server):
+        """fetch's writer feeds backtest's reader: the bundled observations,
+        served as two daily charts, come back byte for byte and give the
+        bundled report."""
+        records = load_bundled()[0]
+        chart_server.bodies = {
+            path: "".join(f"{r.date} 00:00:00,{getattr(r, field)!r}\n"
+                          for r in records).encode()
+            for path, field in (("/difficulty", "difficulty"),
+                                ("/market-price", "market_price"))}
+        out = tmp_path / "obs.csv"
+        assert main(["fetch", "--base-url", chart_server.url, "--cache-dir",
+                     str(tmp_path / "cache"), "--observations-out", str(out)]) == 0
+        assert out.read_bytes() == bundled_data_path("observations.csv").read_bytes()
+        capsys.readouterr()
+        docs = []
+        for observations in ([], ["--observations", str(out)]):
+            assert main(["backtest", *observations, "--out-dir", str(tmp_path / "run"),
+                         "--format", "json", "--no-provenance-timestamps"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        bundled, fetched = (doc["provenance"]["input_files"] for doc in docs)
+        assert fetched.pop("observations") == str(out)
+        del bundled["observations"]
+        assert docs[1] == docs[0]
+
     def test_observations_out_with_no_observation_is_one_error(self, tmp_path, capsys,
                                                               chart_server):
         chart_server.bodies = {"/difficulty": b"2016-12-31,3.0e11\n",

@@ -1186,8 +1186,17 @@ class TestBundledData:
         assert str(info.value) == f"{bad}: line 3: bad w_per_ghs value 'x'"
         assert info.value.line == 3
 
-    def test_generator_reproduces_the_packaged_files(self, tmp_path):
+    def test_generator_reproduces_the_packaged_files(self, tmp_path, capsys):
         load_script("tools/build_reference_dataset.py").build(tmp_path)
         for name in BUNDLED_FILES:
             packaged = bundled_data_path(name).read_bytes()
             assert (tmp_path / name).read_bytes() == packaged, name
+        above = ["2013-11-30", "2013-12-14", "2017-11-25", "2017-12-09", "2017-12-23",
+                 "2018-01-06"]
+        assert capsys.readouterr().out.splitlines() == [
+            "epochs: 126  efficiency steps: 33",
+            "ratio mean 1.183  sd 0.522  min 0.660 max 3.887",
+            "log-log R^2 0.9378",
+            "efficiency first 690.0  last 0.2",
+            f"epochs above mean+2sd (2.226): {above}",
+        ]

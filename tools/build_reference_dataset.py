@@ -12,9 +12,11 @@ digits, and clamped non-increasing (hardware only improves). During demand
 spikes the clamp freezes efficiency, so market price detaches from the
 model exactly the way a real bubble detaches from production cost.
 
-Deterministic: fixed RNG seed, committed outputs. Run from the repo root:
+Deterministic: fixed RNG seed, committed outputs. It prices, checks, writes
+and summarizes through minecost (model_price, the three tables' own checks,
+the package's CSV writers and run_backtest). Run from the repo root:
 
-    python3 tools/build_reference_dataset.py [OUT_DIR]
+    PYTHONPATH=src python3 tools/build_reference_dataset.py [OUT_DIR]
 
 OUT_DIR defaults to src/minecost/data; the test suite writes to a scratch
 directory and compares the result with the packaged files byte for byte.
@@ -29,6 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+from minecost import (DEFAULT_ELECTRICITY_USD_PER_KWH, CostParams, EfficiencyTable,
+                      NetworkParams, Observations, RewardSchedule, model_price,
+                      run_backtest, serialize_observations)
+from minecost.dataset import _csv
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "minecost" / "data"
 
 EPOCH_DAYS = 14
@@ -39,10 +46,6 @@ SEED = 20130629
 PRICE_NOISE_SIGMA = 0.03
 SMOOTH_WINDOW = 6  # trailing epochs feeding the implied-efficiency smooth
 SNAP_BAND = 0.20  # relative deviation that triggers an efficiency update
-
-ELECTRICITY = 0.135
-HASH_SCALE = 2.0**32
-UNIT_SCALE = 3.6e15  # W/kW * s/h * hashes/GH
 
 REWARDS = [
     (dt.date(2009, 1, 3), 50.0),
@@ -168,14 +171,6 @@ def log_interp(anchors, dates):
     return np.exp(np.interp(ts, xs, ys))
 
 
-def reward_at(date):
-    reward = REWARDS[0][1]
-    for effective, value in REWARDS:
-        if effective <= date:
-            reward = value
-    return reward
-
-
 def round_sig(value, digits=2):
     if value == 0:
         return 0.0
@@ -192,8 +187,11 @@ def build(out_dir=DATA_DIR):
     rng = np.random.default_rng(SEED)
     price = price_trend * np.exp(PRICE_NOISE_SIGMA * rng.standard_normal(len(dates)))
 
-    rewards = np.array([reward_at(d) for d in dates])
-    k_factor = ELECTRICITY * difficulty * HASH_SCALE / (rewards * UNIT_SCALE)
+    # Model price at 1 W per GH/s: the efficiency implied by a price is their ratio.
+    schedule = RewardSchedule(tuple(REWARDS))
+    unit_cost = CostParams(DEFAULT_ELECTRICITY_USD_PER_KWH, 1.0)
+    k_factor = [model_price(unit_cost, NetworkParams(d, schedule.reward_at(date)))
+                for d, date in zip(difficulty, dates)]
 
     # Efficiency that would price coins at a trailing smoothed market price,
     # held piecewise constant and never allowed to rise.
@@ -214,42 +212,28 @@ def build(out_dir=DATA_DIR):
         # Re-state the held value at the final epoch so the table declares
         # coverage of the whole observation window.
         efficiency_steps.append((dates[-1], held))
-    eff_dates = [d for d, _ in efficiency_steps]
-    eff_values = [v for _, v in efficiency_steps]
-    step_idx = np.searchsorted([d.toordinal() for d in eff_dates],
-                               [d.toordinal() for d in dates], side="right") - 1
-    efficiency = np.array([eff_values[i] for i in step_idx])
-
-    model = k_factor * efficiency
-    ratio = price / model
+    table = EfficiencyTable(tuple(efficiency_steps))
+    rounded = ([round(float(v), 2) for v in column] for column in (difficulty, price))
+    observations = Observations(dates, *rounded, [math.nan] * len(dates))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "observations.csv", "w") as fh:
-        fh.write("date,difficulty,price_usd\n")
-        for d, diff, p in zip(dates, difficulty, price):
-            fh.write(f"{d.isoformat()},{round(float(diff), 2)!r},{round(float(p), 2)!r}\n")
-    with open(out_dir / "efficiency.csv", "w") as fh:
-        fh.write("date,w_per_ghs\n")
-        for d, v in efficiency_steps:
-            fh.write(f"{d.isoformat()},{float(v)!r}\n")
-    with open(out_dir / "rewards.csv", "w") as fh:
-        fh.write("date,reward_btc\n")
-        for d, v in REWARDS:
-            fh.write(f"{d.isoformat()},{v!r}\n")
+    (out_dir / "observations.csv").write_text(serialize_observations(observations))
+    for name, header, steps in (("efficiency.csv", "date,w_per_ghs", table),
+                                ("rewards.csv", "date,reward_btc", schedule)):
+        step_dates, values = zip(*steps.entries)
+        (out_dir / name).write_text(
+            _csv(header, [*map(dt.date.isoformat, step_dates)], [*map(repr, values)]))
 
     # Sanity summary; the acceptance suite re-checks these on the shipped files.
-    log_m, log_p = np.log(model), np.log(price)
-    lm = np.polyfit(log_m, log_p, 1)
-    fitted = np.polyval(lm, log_m)
-    r2 = 1 - np.sum((log_p - fitted) ** 2) / np.sum((log_p - log_p.mean()) ** 2)
-    mean, sd = ratio.mean(), ratio.std(ddof=1)
-    threshold = mean + 2 * sd
-    print(f"epochs: {len(dates)}  efficiency steps: {len(efficiency_steps)}")
-    print(f"ratio mean {mean:.3f}  sd {sd:.3f}  min {ratio.min():.3f} "
-          f"max {ratio.max():.3f}")
-    print(f"log-log R^2 {r2:.4f}")
-    print(f"efficiency first {eff_values[0]}  last {eff_values[-1]}")
-    above = [d.isoformat() for d, r in zip(dates, ratio) if r > threshold]
+    report = run_backtest(observations, schedule, table)
+    stats = report.ratio_stats
+    threshold = stats.mean + 2 * stats.std
+    print(f"epochs: {len(dates)}  efficiency steps: {len(table.entries)}")
+    print(f"ratio mean {stats.mean:.3f}  sd {stats.std:.3f}  min {stats.min:.3f} "
+          f"max {stats.max:.3f}")
+    print(f"log-log R^2 {report.log_fit.r_squared:.4f}")
+    print(f"efficiency first {table.entries[0][1]}  last {table.entries[-1][1]}")
+    above = [d.isoformat() for d, r in zip(stats.dates, stats.ratios) if r > threshold]
     print(f"epochs above mean+2sd ({threshold:.3f}): {above}")
 
 
