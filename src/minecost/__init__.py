@@ -26,7 +26,7 @@ _HOMES = {
         "RewardSchedule", "build_backtest_series", "bundled_data_path", "load_bundled",
         "load_efficiency_table", "load_observations", "load_reward_schedule",
         "parse_chart_points", "parse_efficiency_table", "parse_observations",
-        "parse_reward_schedule", "serialize_observations",
+        "parse_reward_schedule", "serialize_observations", "serialize_step_table",
     ),
     "econometrics": (
         "GrangerResult", "LagSelection", "LjungBoxResult", "RegressionResult",

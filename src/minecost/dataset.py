@@ -37,8 +37,13 @@ use; if any field fails, the rows are checked one by one, so the error
 names the first bad row and its line. The observation loaders return the
 columns as :class:`Observations`, a read-only sequence of
 :class:`ObservationRecord` that the library and the CLI share. Pairing
-takes it as it is and looks up every date's reward and table efficiency at
-once (``np.searchsorted`` over date ordinals), with no per-row Python work.
+takes it as it is. The observations keep their date ordinals, and each step
+table its start ordinals and values, as read-only arrays built once, so
+every date's reward and table efficiency is one ``np.searchsorted`` over
+stored arrays, with no per-row Python work. The paired series is built from
+those checked columns and the model prices just checked, without checking
+them again; a :class:`PairedSeries` built by its constructor checks every
+column.
 
 A reconstructed June 2013 - April 2018 dataset ships with the package; see
 :func:`bundled_data_path`.
@@ -52,7 +57,7 @@ import math
 import re
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
 from operator import eq, lt
@@ -79,12 +84,19 @@ from .pricing import model_price  # noqa: F401
 OBSERVATION_COLUMNS = ("date", "difficulty", "price_usd", "eff_w_per_ghs")
 
 
-def _in_force(entries, days) -> np.ndarray:
-    """Position of the step entry in force on each day, -1 before the first.
+def _ordinals(dates) -> np.ndarray:
+    """The ordinals of ``dates``, as a read-only int64 array."""
+    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    days.flags.writeable = False
+    return days
 
-    ``days`` are date ordinals; an entry applies from its own date on.
+
+def _in_force(starts, days) -> np.ndarray:
+    """Position of the step in force on each day, -1 before the first.
+
+    ``starts`` and ``days`` are date ordinals; a step applies from its own
+    start on.
     """
-    starts = [date.toordinal() for date, _ in entries]
     return np.searchsorted(starts, days, side="right") - 1
 
 
@@ -95,13 +107,13 @@ def _precedes(date: dt.date, entries, what: str) -> DomainError:
     )
 
 
-def _value_on(entries, date: dt.date, what: str) -> float:
-    """Value of the step entry in force on ``date``."""
+def _value_on(table, date: dt.date, what: str) -> float:
+    """Value of the step table's entry in force on ``date``."""
     _check_dates_are_dates((date,), what)
-    at = _in_force(entries, [date.toordinal()])[0]
+    at = _in_force(table._starts, [date.toordinal()])[0]
     if at < 0:
-        raise _precedes(date, entries, what)
-    return entries[at][1]
+        raise _precedes(date, table.entries, what)
+    return table.entries[at][1]
 
 
 def _check_dates_are_dates(dates: Sequence, what: str) -> None:
@@ -166,12 +178,15 @@ def _float_columns(dates, what: str, blank=(), **columns):
 
 
 def _check_steps(table, name: str, what: str) -> None:
-    """Check the step table's entries, at least one, and keep their values as floats."""
+    """Check the step table's entries, at least one, and keep their values as
+    floats, beside the read-only arrays of their start ordinals and values."""
     if not table.entries:
         raise ValidationError(f"{name} must have at least one entry")
     dates, values = zip(*table.entries)
     dates, values = _float_columns(dates, what, **{what: values})
     object.__setattr__(table, "entries", tuple(zip(dates, values.tolist())))
+    object.__setattr__(table, "_starts", _ordinals(dates))
+    object.__setattr__(table, "_values", values)
 
 
 @dataclass(frozen=True)
@@ -219,6 +234,7 @@ class Observations(Sequence):
         self.dates, self.difficulty, self.market_price, self.efficiency = _float_columns(
             dates, "observation", blank=("efficiency",), difficulty=difficulty,
             market_price=market_price, efficiency=efficiency)
+        self._days = _ordinals(self.dates)  # read-only, for pairing
         self.date_text = date_text
         self.price_text = price_text
 
@@ -283,6 +299,10 @@ class RewardSchedule:
     """
 
     entries: tuple[tuple[dt.date, float], ...]
+    # Each entry's start ordinal and value, read-only, set by the check.
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _column = "reward_btc"  # of rewards.csv
 
     def __post_init__(self):
         _check_steps(self, "reward schedule", "reward")
@@ -295,7 +315,7 @@ class RewardSchedule:
 
     def reward_at(self, date: dt.date) -> float:
         """Reward in force on ``date`` (step lookup, halving-day inclusive)."""
-        return _value_on(self.entries, date, "reward")
+        return _value_on(self, date, "reward")
 
 
 @dataclass(frozen=True)
@@ -308,6 +328,10 @@ class EfficiencyTable:
     """
 
     entries: tuple[tuple[dt.date, float], ...]
+    # Each entry's start ordinal and value, read-only, set by the check.
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _column = "w_per_ghs"  # of efficiency.csv
 
     def __post_init__(self):
         _check_steps(self, "efficiency table", "efficiency")
@@ -322,7 +346,7 @@ class EfficiencyTable:
 
     def efficiency_at(self, date: dt.date) -> float:
         """Efficiency in force on ``date``; warns when carried past the table."""
-        value = _value_on(self.entries, date, "efficiency")
+        value = _value_on(self, date, "efficiency")
         if date > self.entries[-1][0]:
             warnings.warn(
                 f"date {date.isoformat()} is past the last efficiency entry "
@@ -335,19 +359,39 @@ class EfficiencyTable:
 
 @dataclass(frozen=True)
 class PairedSeries:
-    """Aligned (market price, model price) series, the object of all analyses."""
+    """Aligned (market price, model price) series, the object of all analyses.
+
+    ``dates`` is a tuple and both price columns are read-only float arrays
+    that pass :func:`_float_columns`.
+    """
 
     dates: tuple[dt.date, ...]
     market_prices: np.ndarray
     model_prices: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) < 1:
-            raise ValidationError("paired series must be non-empty")
+        self._require_rows(self.dates)
         columns = _float_columns(self.dates, "observation", market_prices=self.market_prices,
                                  model_prices=self.model_prices)
         for name, column in zip(("dates", "market_prices", "model_prices"), columns):
             object.__setattr__(self, name, column)
+
+    @staticmethod
+    def _require_rows(dates) -> None:
+        if len(dates) < 1:
+            raise ValidationError("paired series must be non-empty")
+
+    @classmethod
+    def _of_checked(cls, dates, market_prices, model_prices) -> "PairedSeries":
+        """The series of columns that already hold what :func:`_float_columns`
+        returns, checked for rows only; :func:`build_backtest_series` pairs
+        through it."""
+        cls._require_rows(dates)
+        pair = object.__new__(cls)
+        for name, column in zip(("dates", "market_prices", "model_prices"),
+                                (dates, market_prices, model_prices)):
+            object.__setattr__(pair, name, column)
+        return pair
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -639,12 +683,31 @@ def _parse_steps(source, value_column: str):
 
 def parse_reward_schedule(source) -> RewardSchedule:
     """Parse a ``rewards.csv`` stream (``date,reward_btc``)."""
-    return RewardSchedule(_parse_steps(source, "reward_btc"))
+    return RewardSchedule(_parse_steps(source, RewardSchedule._column))
 
 
 def parse_efficiency_table(source) -> EfficiencyTable:
     """Parse an ``efficiency.csv`` stream (``date,w_per_ghs``)."""
-    return EfficiencyTable(_parse_steps(source, "w_per_ghs"))
+    return EfficiencyTable(_parse_steps(source, EfficiencyTable._column))
+
+
+def serialize_step_table(table: RewardSchedule | EfficiencyTable) -> str:
+    """Render a step table in canonical form (ISO dates, repr floats).
+
+    A :class:`RewardSchedule` is written as ``date,reward_btc`` and an
+    :class:`EfficiencyTable` as ``date,w_per_ghs``, so that
+    ``parse_reward_schedule(serialize_step_table(schedule)) == schedule``
+    and ``parse_efficiency_table(serialize_step_table(table)) == table``.
+
+    Raises:
+        TypeError: ``table`` is neither.
+    """
+    if not isinstance(table, (RewardSchedule, EfficiencyTable)):
+        raise TypeError(
+            f"expected a RewardSchedule or EfficiencyTable, got {type(table).__name__}")
+    dates, values = zip(*table.entries)
+    return _csv(f"date,{table._column}", [*map(dt.date.isoformat, dates)],
+                [*map(repr, values)])
 
 
 def parse_chart_points(text: str) -> list[tuple[dt.date, float]]:
@@ -755,11 +818,10 @@ def build_backtest_series(
     """
     electricity_price = _require_positive_finite("electricity_price", electricity_price)
     observations = Observations.of(records)
-    dates = observations.dates
-    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    dates, days = observations.dates, observations._days
     blank = np.isnan(observations.efficiency)
-    reward_at = _in_force(schedule.entries, days)
-    table_at = None if table is None else _in_force(table.entries, days)
+    reward_at = _in_force(schedule._starts, days)
+    table_at = None if table is None else _in_force(table._starts, days)
     unresolved = blank if table is None else blank & (table_at < 0)
     failed = np.flatnonzero(unresolved | (reward_at < 0))
     if failed.size:  # the first failing record, its checks in lookup order
@@ -774,9 +836,8 @@ def build_backtest_series(
         raise _precedes(dates[first], schedule.entries, "reward")
     efficiency = observations.efficiency
     if table is not None:
-        values = np.array([value for _, value in table.entries], dtype=float)
-        efficiency = np.where(blank, values[table_at], efficiency)
-        carried = np.flatnonzero(blank & (days > table.entries[-1][0].toordinal()))
+        efficiency = np.where(blank, table._values[table_at], efficiency)
+        carried = np.flatnonzero(blank & (days > table._starts[-1]))
         if carried.size:
             warnings.warn(
                 f"{carried.size} date(s) are past the last efficiency entry "
@@ -785,10 +846,10 @@ def build_backtest_series(
                 CarriedForwardWarning,
                 stacklevel=2,
             )
-    rewards = np.array([reward for _, reward in schedule.entries], dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         model = _closed_form(
-            electricity_price, efficiency, observations.difficulty, rewards[reward_at]
+            electricity_price, efficiency, observations.difficulty,
+            schedule._values[reward_at]
         )
     bad = np.flatnonzero(~_positive_finite(model))
     if bad.size:
@@ -797,7 +858,8 @@ def build_backtest_series(
             f"model price is {price!r} on {date.isoformat()}: the inputs overflow "
             "or underflow double precision"
         )
-    return PairedSeries(dates, observations.market_price, model)
+    model.flags.writeable = False
+    return PairedSeries._of_checked(dates, observations.market_price, model)
 
 
 # ---------------------------------------------------------------------------

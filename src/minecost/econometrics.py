@@ -23,6 +23,7 @@ Conventions, fixed once for the whole package:
   it scales each column of the design to unit norm, so that its condition
   reflects collinearity, not units, takes one thin SVD, guards the condition
   and returns beta, the inverse normal matrix and the residuals, none recomputed.
+  It runs under one np.errstate, so an overflow is its error, not a warning.
   One rule, _require_conditioned, raises SingularityError for a 2-norm
   condition above 1e12: (s_max/s_min)^2 of that design, s_max/s_min of a
   Granger covariance block, and (1 + r)/(1 - r) of the lag scan's residual
@@ -42,7 +43,9 @@ Conventions, fixed once for the whole package:
   order's compressed rows, with no new factorization of the data.
 * One autocovariance kernel, one pass per lag, gives the Ljung-Box
   whiteness statistics of every order's residuals; ljung_box is its
-  one-series case.
+  one-series case. The scan's residuals of every order are one array: one
+  mask over its first max_p columns zeroes the rows before each order's
+  sample, and the means of every order are subtracted in one step.
 """
 
 from __future__ import annotations
@@ -136,23 +139,23 @@ def _svd_solve(X: np.ndarray, Y: np.ndarray):
             ``(s_max / s_min)^2``, the 2-norm condition number of the
             column-scaled normal matrix, that _require_conditioned rejects.
     """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((X * X).sum(axis=0))
-    if not (norms < math.inf).all():
-        raise DomainError("the regression overflows double precision")
-    if (norms == 0.0).any():
-        raise SingularityError("regressor matrix has a zero column")
-    U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
-    # Fewer rows than columns leave the normal matrix singular.
-    singular = X.shape[0] < X.shape[1] or s[-1] == 0.0
-    r = math.inf if singular else float(s[0]) / float(s[-1])
-    _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
-                         "(estimate {:.3e})")
-    W = Vt.T / s / norms[:, None]
+    # An overflow is one of the errors below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((X * X).sum(axis=0))
+        if not (norms < math.inf).all():
+            raise DomainError("the regression overflows double precision")
+        if (norms == 0.0).any():
+            raise SingularityError("regressor matrix has a zero column")
+        U, s, Vt = np.linalg.svd(X / norms, full_matrices=False)
+        # Fewer rows than columns leave the normal matrix singular.
+        singular = X.shape[0] < X.shape[1] or s[-1] == 0.0
+        r = math.inf if singular else float(s[0]) / float(s[-1])
+        _require_conditioned(r * r, "normal-equations matrix is ill-conditioned "
+                             "(estimate {:.3e})")
+        W = Vt.T / s / norms[:, None]
         inverse = W @ W.T
-    if not np.isfinite(inverse).all():  # 1/norms^2 overflows
-        raise DomainError("the regression underflows double precision")
+        if not np.isfinite(inverse).all():  # 1/norms^2 overflows
+            raise DomainError("the regression underflows double precision")
     beta = W @ (U.T @ Y)
     return beta, inverse, Y - X @ beta
 
@@ -656,13 +659,16 @@ def select_lag_order(
     E = B.T @ A[:, : 2 * max_p + 1].T
     by_order = E.reshape(max_p, 2, n)
     np.subtract(data.T, by_order, out=by_order)
-    for p in orders:
-        by_order[p - 1, :, :p] = 0.0
     order_numbers = np.arange(1, max_p + 1)
+    # Order p's rows before t = p, all among the first max_p columns, are
+    # zero when the means are taken and again once they are subtracted.
+    head = by_order[:, :, :max_p]
+    before = (np.arange(max_p) < order_numbers[:, None])[:, None, :]
+    np.copyto(head, 0.0, where=before)
     T = n - order_numbers
     means = by_order.sum(axis=2) / T[:, None]
-    for p in orders:
-        by_order[p - 1, :, p:] -= means[p - 1, :, None]
+    by_order -= means[:, :, None]
+    np.copyto(head, 0.0, where=before)
     h = np.minimum(np.maximum(10, 2 * order_numbers), T - 2)
     q = _ljung_box_q(E, T.repeat(2), h.repeat(2)).reshape(max_p, 2)
 

@@ -134,10 +134,11 @@ def resample_to_epochs(
     before each change date. Change dates preceding the first price point
     are dropped (no price to pair with). The efficiency column is all NaN.
     """
-    from .dataset import Observations, _in_force
+    from .dataset import Observations, _in_force, _ordinals
     changes = [(date, value) for i, (date, value) in enumerate(difficulty_points)
                if i == 0 or value != difficulty_points[i - 1][1]]
-    at = _in_force(price_points, [date.toordinal() for date, _ in changes])
+    at = _in_force(_ordinals([date for date, _ in price_points]),
+                   _ordinals([date for date, _ in changes]))
     rows = [(date, difficulty, price_points[i][1], math.nan)
             for (date, difficulty), i in zip(changes, at.tolist()) if i >= 0]
     return Observations(*zip(*rows)) if rows else Observations((), (), (), ())

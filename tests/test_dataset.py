@@ -33,6 +33,7 @@ from minecost import (
     parse_reward_schedule,
     run_backtest,
     serialize_observations,
+    serialize_step_table,
 )
 from minecost import dataset
 from minecost.dataset import BUNDLED_FILES, OBSERVATION_COLUMNS
@@ -866,6 +867,58 @@ class TestEfficiencyTable:
         assert table.entries == ((dt.date(2016, 1, 1), 0.5), (dt.date(2016, 6, 1), 0.4))
 
 
+STEP_DATES = st.lists(st.dates(), min_size=1, max_size=8, unique=True).map(sorted)
+REWARD_SCHEDULES = st.builds(
+    lambda dates, first: RewardSchedule(tuple(
+        (date, first / 2.0**i) for i, date in enumerate(dates))),
+    STEP_DATES, st.floats(min_value=1e-300, max_value=1e300))
+# Falling values, so that no table warns of a rise.
+EFFICIENCY_TABLES = STEP_DATES.flatmap(lambda dates: st.lists(
+    POSITIVE, min_size=len(dates), max_size=len(dates), unique=True,
+).map(lambda values: EfficiencyTable(tuple(zip(dates, sorted(values, reverse=True))))))
+STEP_TABLES = {"reward": (REWARD_SCHEDULES, parse_reward_schedule),
+               "efficiency": (EFFICIENCY_TABLES, parse_efficiency_table)}
+
+
+class TestStepTables:
+    """What both step tables share: their stored arrays and their writer."""
+
+    @pytest.mark.parametrize("table", [SCHEDULE, load_bundled()[2]],
+                             ids=["reward", "efficiency"])
+    def test_the_stored_arrays_are_read_only_and_match_the_entries(self, table):
+        dates, values = zip(*table.entries)
+        assert table._starts.dtype == np.int64 and table._values.dtype == np.float64
+        assert table._starts.tolist() == [date.toordinal() for date in dates]
+        assert table._values.tolist() == list(values)
+        for array in (table._starts, table._values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("name, load", [
+        ("rewards.csv", lambda: load_bundled()[1]),
+        ("efficiency.csv", lambda: load_bundled()[2]),
+    ])
+    def test_the_writer_writes_the_packaged_files(self, name, load):
+        assert serialize_step_table(load()) == bundled_data_path(name).read_text()
+
+    @pytest.mark.parametrize("kind", sorted(STEP_TABLES))
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_parse_inverts_serialize(self, kind, data):
+        tables, parse = STEP_TABLES[kind]
+        table = data.draw(tables)
+        text = serialize_step_table(table)
+        again = parse(text)
+        assert again == table
+        assert serialize_step_table(again) == text
+
+    def test_the_writer_takes_only_a_step_table(self):
+        with pytest.raises(TypeError) as info:
+            serialize_step_table(((dt.date(2016, 1, 1), 0.5),))
+        assert str(info.value) == "expected a RewardSchedule or EfficiencyTable, got tuple"
+
+
 class TestBuildBacktestSeries:
     def test_model_price_halves_across_reward_step(self):
         """Same difficulty and efficiency, reward 25 -> 12.5: price doubles."""
@@ -1015,6 +1068,37 @@ class TestBuildBacktestSeries:
             build_backtest_series(records, SCHEDULE, table if with_table else None)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("source", ["bundled", "inline and table"])
+    @pytest.mark.parametrize("electricity", [0.135, 0.07])
+    def test_the_pair_is_the_one_the_public_constructor_builds(self, source, electricity):
+        """Pairing builds its series from checked columns without checking them
+        again; the public constructor, on the same prices, gives the same series."""
+        if source == "bundled":
+            records, schedule, table = load_bundled()
+        else:
+            records, schedule = parse_observations(OBS_CSV), SCHEDULE
+            table = EfficiencyTable(
+                entries=((dt.date(2016, 1, 1), 0.5), (dt.date(2016, 8, 1), 0.48))
+            )
+        pair = build_backtest_series(records, schedule, table, electricity)
+        public = PairedSeries(tuple(r.date for r in records),
+                              [r.market_price for r in records],
+                              pair.model_prices.tolist())
+        assert type(pair.dates) is tuple and pair.dates == public.dates
+        for name in ("market_prices", "model_prices"):
+            column, expected = getattr(pair, name), getattr(public, name)
+            assert column.dtype == expected.dtype and column.shape == expected.shape
+            assert column.tobytes() == expected.tobytes()
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    def test_observations_keep_their_date_ordinals(self):
+        observations = load_bundled()[0]
+        days = observations._days
+        assert days.dtype == np.int64 and days.tolist() == [date.toordinal() for date in observations.dates]
+        assert not days.flags.writeable
+
     def test_columns_and_records_pair_alike(self):
         columns, schedule, table = load_bundled()
         records = list(columns)
@@ -1081,6 +1165,25 @@ class TestPairedSeries:
             PairedSeries(self.DATES, [900.0, 0.0], [1.0, 1.0])
         assert str(info.value) == (
             "market_prices must be positive and finite, got 0.0 (2017-01-21)")
+
+    @pytest.mark.parametrize("dates, market, message", [
+        ((), [], "paired series must be non-empty"),
+        (DATES[::-1], [900.0, 920.0],
+         "observation dates out of order: 2017-01-07 after 2017-01-21 "
+         "(dates must be strictly increasing)"),
+        ((DATES[0],) * 2, [900.0, 920.0],
+         "duplicate observation date 2017-01-07 (dates must be strictly increasing)"),
+        ((DATES[0], "2017-01-21"), [900.0, 920.0],
+         "observation date must be a datetime.date, got '2017-01-21'"),
+        (DATES, [900.0, -2.0],
+         "market_prices must be positive and finite, got -2.0 (2017-01-21)"),
+        (DATES, ["900", "920"],
+         "market_prices must be positive and finite, got '900' (2017-01-07)"),
+    ], ids=["empty", "out-of-order", "duplicate", "not-a-date", "negative", "text"])
+    def test_the_public_constructor_keeps_every_check(self, dates, market, message):
+        with pytest.raises(ValidationError) as info:
+            PairedSeries(dates, market, [1.0] * len(dates))
+        assert str(info.value) == message
 
 
 class TestDateRule:

@@ -21,7 +21,8 @@ PUBLIC = {
                 "RewardSchedule", "build_backtest_series", "bundled_data_path",
                 "load_bundled", "load_efficiency_table", "load_observations",
                 "load_reward_schedule", "parse_chart_points", "parse_efficiency_table",
-                "parse_observations", "parse_reward_schedule", "serialize_observations"],
+                "parse_observations", "parse_reward_schedule", "serialize_observations",
+                "serialize_step_table"],
     "econometrics": ["GrangerResult", "LagSelection", "LjungBoxResult", "RegressionResult",
                      "VarModel", "chi2_sf", "granger_wald", "ljung_box", "log_transform",
                      "ols_fit", "select_lag_order", "var_fit"],
@@ -38,7 +39,7 @@ HOME = {name: module for module, names in PUBLIC.items() for name in names}
 
 
 def test_all_lists_the_same_names():
-    assert len(HOME) == 57
+    assert len(HOME) == 58
     assert minecost.__all__ == ["__version__", *sorted(HOME)]
 
 

@@ -42,3 +42,13 @@ def test_the_lag_scan_is_timed_as_a_layer(capsys):
     layers = json.loads(capsys.readouterr().out)["layers_ms"]
     assert set(layers) == {"select_lag_order", "ols_fit", "granger_wald"}
     assert all(ms > 0.0 for ms in layers.values())
+
+
+def test_the_sweep_op_is_timed_layer_by_layer(capsys):
+    """The bundled data's layers: pairing, both regressions, the lag scan, and
+    the reported VAR with both Granger directions."""
+    assert stage_times.main(["--rows", "200", "--repeat", "1"]) == 0
+    layers = json.loads(capsys.readouterr().out)["layers_bundled_ms"]
+    assert list(layers) == ["build_backtest_series", "ols_fit", "select_lag_order",
+                            "var_granger"]
+    assert all(ms > 0.0 for ms in layers.values())

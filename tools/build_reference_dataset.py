@@ -33,8 +33,7 @@ import numpy as np
 
 from minecost import (DEFAULT_ELECTRICITY_USD_PER_KWH, CostParams, EfficiencyTable,
                       NetworkParams, Observations, RewardSchedule, model_price,
-                      run_backtest, serialize_observations)
-from minecost.dataset import _csv
+                      run_backtest, serialize_observations, serialize_step_table)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "minecost" / "data"
 
@@ -218,11 +217,8 @@ def build(out_dir=DATA_DIR):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "observations.csv").write_text(serialize_observations(observations))
-    for name, header, steps in (("efficiency.csv", "date,w_per_ghs", table),
-                                ("rewards.csv", "date,reward_btc", schedule)):
-        step_dates, values = zip(*steps.entries)
-        (out_dir / name).write_text(
-            _csv(header, [*map(dt.date.isoformat, step_dates)], [*map(repr, values)]))
+    (out_dir / "efficiency.csv").write_text(serialize_step_table(table))
+    (out_dir / "rewards.csv").write_text(serialize_step_table(schedule))
 
     # Sanity summary; the acceptance suite re-checks these on the shipped files.
     report = run_backtest(observations, schedule, table)

@@ -35,6 +35,14 @@ on the history:
 * ``ols_fit``: both regressions, market on model price in levels and in logs;
 * ``granger_wald``: both directions of the Granger test of the chosen VAR.
 
+The sweep op's own layers are timed under ``layers_bundled_ms``, on the
+bundled 126 observations:
+
+* ``build_backtest_series``: pairing the three bundled tables;
+* ``ols_fit`` and ``select_lag_order``: as above;
+* ``var_granger``: the reported VAR, solved from the scan, and both
+  directions of its Granger test.
+
 Compare two checkouts by running both on the same machine, alternately.
 """
 
@@ -98,8 +106,31 @@ def backtest_main(paths: dict[str, Path]) -> None:
             raise RuntimeError(f"minecost {' '.join(argv)} failed")
 
 
-def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
-    """Fastest ms of each stage, and of each layer inside ``run_backtest``."""
+def _granger(model: econometrics.VarModel) -> list:
+    """Both directions of the Granger test of ``model``."""
+    names = model.names
+    return [econometrics.granger_wald(model, cause, effect)
+            for cause, effect in (names, names[::-1])]
+
+
+def _fit_layers(report: backtest.BacktestReport, max_p: int) -> dict:
+    """The fits inside ``run_backtest`` on the pair of ``report``, by layer."""
+    market, model = report.pair.market_prices, report.pair.model_prices
+    log_market, log_model = np.log(market), np.log(model)
+    logs = np.empty((len(market), 2), order="F")  # as var_analysis lays it out
+    logs[:, 0], logs[:, 1] = log_market, log_model
+    return {
+        "select_lag_order": lambda: econometrics.select_lag_order(logs, max_p),
+        "ols_fit": lambda: (econometrics.ols_fit(model, market),
+                            econometrics.ols_fit(log_model, log_market)),
+        "granger_wald": lambda: _granger(report.var_model),
+    }
+
+
+def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, dict]:
+    """Fastest ms of each stage (``ms``), and of each layer inside
+    ``run_backtest`` on the history (``layers_ms``) and on the bundled data
+    (``layers_bundled_ms``)."""
     schedule = dataset.load_reward_schedule(paths["rewards"])
     table = dataset.load_efficiency_table(paths["efficiency"])
     config = backtest.BacktestConfig(lags=None, include_timestamp=False)
@@ -108,10 +139,6 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
     kept = (observations.date_text, observations.price_text)
     text = cli.SeriesText.of(report, *kept)
     bundled = dataset.load_bundled()
-    market, model = report.pair.market_prices, report.pair.model_prices
-    log_market, log_model = np.log(market), np.log(model)
-    logs = np.column_stack([log_market, log_model])
-    names = report.var_model.names
     stages = {
         "load_observations": lambda: dataset.load_observations(paths["observations"]),
         "load_step_tables": lambda: (dataset.load_efficiency_table(paths["efficiency"]),
@@ -126,16 +153,24 @@ def stage_times(paths: dict[str, Path], repeat: int) -> tuple[dict, dict]:
         "cli_main": lambda: backtest_main(paths),
         "run_backtest_bundled": lambda: backtest.run_backtest(*bundled, config),
     }
-    layers = {
-        "select_lag_order": lambda: econometrics.select_lag_order(logs, config.max_p),
-        "ols_fit": lambda: (econometrics.ols_fit(model, market),
-                            econometrics.ols_fit(log_model, log_market)),
-        "granger_wald": lambda: [econometrics.granger_wald(report.var_model, cause, effect)
-                                 for cause, effect in (names, names[::-1])],
+    bundled_report = backtest.run_backtest(*bundled, config)
+    selection = bundled_report.lag_selection
+    fits = _fit_layers(bundled_report, config.max_p)
+    groups = {
+        "ms": stages,
+        "layers_ms": _fit_layers(report, config.max_p),
+        "layers_bundled_ms": {
+            "build_backtest_series": lambda: dataset.build_backtest_series(*bundled),
+            "ols_fit": fits["ols_fit"],
+            "select_lag_order": fits["select_lag_order"],
+            # The reported VAR is solved from the scan, as var_analysis does.
+            "var_granger": lambda: _granger(selection._model(selection.chosen_p)),
+        },
     }
-    times = fastest({**stages, **layers}, repeat)
-    return ({name: times[name] for name in stages},
-            {name: times[name] for name in layers})
+    times = fastest({(group, name): call for group, calls in groups.items()
+                     for name, call in calls.items()}, repeat)
+    return {group: {name: times[group, name] for name in calls}
+            for group, calls in groups.items()}
 
 
 def main(argv=None) -> int:
@@ -146,10 +181,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         paths = write_history(args.variant, args.rows, Path(scratch))
-        times, layers = stage_times(paths, args.repeat)
+        groups = stage_times(paths, args.repeat)
     result = {"rows": args.rows, "repeat": args.repeat, "variant": args.variant,
-              "ms": {name: round(ms, 3) for name, ms in times.items()},
-              "layers_ms": {name: round(ms, 3) for name, ms in layers.items()}}
+              **{group: {name: round(ms, 3) for name, ms in times.items()}
+                 for group, times in groups.items()}}
     print(json.dumps(result, indent=2))
     return 0
 
